@@ -469,37 +469,44 @@ def save_model(model: EnhancerModel, path) -> None:
 
 
 def load_model(path) -> EnhancerModel:
-    """Read a model written by save_model."""
+    """Read a model written by save_model; a malformed file raises DataError."""
     with open(path, "rb") as handle:
         magic = handle.read(len(MODEL_MAGIC))
         if magic != MODEL_MAGIC:
             raise DataError(f"{path} is not a model file")
-        (header_len,) = struct.unpack("<I", handle.read(4))
-        header = json.loads(handle.read(header_len).decode("utf-8"))
-        config = EnhancerConfig(
-            layer_sizes=tuple(header["config"]["layer_sizes"]),
-            merge_mode=header["config"]["merge_mode"],
-            output_activation=header["config"]["output_activation"],
-            target_kind=TargetKind.parse(header["config"]["target_kind"]),
-        )
-        stats = FeatureStats(
-            mean=np.array(header["stats"]["mean"]),
-            std=np.array(header["stats"]["std"]),
-        )
-        n_freq = int(header["n_freq"])
+        try:
+            (header_len,) = struct.unpack("<I", handle.read(4))
+            header = json.loads(handle.read(header_len).decode("utf-8"))
+            config = EnhancerConfig(
+                layer_sizes=tuple(header["config"]["layer_sizes"]),
+                merge_mode=header["config"]["merge_mode"],
+                output_activation=header["config"]["output_activation"],
+                target_kind=TargetKind.parse(header["config"]["target_kind"]),
+            )
+            stats = FeatureStats(
+                mean=np.array(header["stats"]["mean"], dtype=np.float64),
+                std=np.array(header["stats"]["std"], dtype=np.float64),
+            )
+            n_freq = int(header["n_freq"])
+            shapes = [
+                (str(entry["name"]), tuple(int(n) for n in entry["shape"]))
+                for entry in header["tensors"]
+            ]
+        except DataError:
+            raise
+        except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"model file {path} has a malformed header: {exc!r}") from exc
+        if n_freq < 1 or dict(shapes) != dict(tensor_order(config, n_freq)):
+            raise DataError(f"model file {path} has unexpected tensor set")
         params = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
+        for name, shape in shapes:
             count = int(np.prod(shape))
             raw = handle.read(4 * count)
             if len(raw) != 4 * count:
                 raise DataError(f"model file {path} is truncated")
-            params[entry["name"]] = (
+            params[name] = (
                 np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
             )
-    expected = {name for name, _ in tensor_order(config, n_freq)}
-    if set(params) != expected:
-        raise DataError(f"model file {path} has unexpected tensor set")
     return EnhancerModel(
         config=config, n_freq=n_freq, params=params, feature_stats=stats
     )

@@ -221,7 +221,7 @@ def run_experiment(manifest, out_csv=None) -> list:
 
     model = None
     if base.model_path:
-        model = load_model(base.model_path)
+        model = _stage("load_model", load_model, base.model_path)
 
     rows = []
     for scene_dir in scene_dirs:

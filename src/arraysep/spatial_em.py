@@ -6,10 +6,16 @@ prediction plus a per-frequency Gaussian residual; an optional uniform
 outlier component absorbs diffuse noise. Posterior source probabilities
 double as soft separation masks (MESSL-style clustering, phase only).
 
-Delays are updated by grid search over a fixed candidate set that always
+Delays are updated by search over a fixed candidate set that always
 contains the incumbent, so every M step is a coordinate ascent on the
 expected complete-data log likelihood and the log likelihood trace is
-non-decreasing.
+non-decreasing. Each candidate's weighted squared wrapped residual is
+evaluated exactly in closed form: with the phases of a frequency sorted,
+the frames whose residual wraps form a prefix and a suffix, so prefix sums
+over the sorted frames and a binary search per candidate and frequency give
+every score. One pair costs O(F T log T + G F log T) time and O(F T + G F)
+memory for F frequencies, T frames and G candidates, where direct
+evaluation costs O(G F T) in both.
 """
 
 from __future__ import annotations
@@ -85,13 +91,15 @@ class MesslParams:
 @dataclass
 class MesslResult:
     """Posterior masks (components in order, garbage last), parameters,
-    the log likelihood trace, and the selected target component."""
+    the log likelihood trace, the selected target component, and whether
+    the convergence tolerance stopped EM before its iteration cap."""
 
     masks: tuple
     params: MesslParams
     loglik_trace: np.ndarray
     target_index: int
     pair_channels: tuple
+    converged: bool
 
     @property
     def target_mask(self) -> MaskGrid:
@@ -101,6 +109,76 @@ class MesslResult:
 def _wrap(x: np.ndarray) -> np.ndarray:
     """Wrap phases to (-pi, pi] up to the sign of the boundary."""
     return x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
+
+
+def _delay_scores(phi, weight, mean, cand, omega) -> np.ndarray:
+    """Score every candidate delay of one pair for every source.
+
+    Returns (n_sources, n_cand) values of
+    -sum_ft weight[k] * (_wrap(phi + omega * cand[g]) - mean[k]) ** 2,
+    computed in closed form without a candidate x frame array.
+
+    phi: (n_freq, n_frames) phase differences in [-pi, pi] of one pair.
+    weight: (n_sources, n_freq, n_frames); mean: (n_sources, n_freq).
+    """
+    n_freq, n_frames = phi.shape
+    order = np.argsort(phi, axis=1) + n_frames * np.arange(n_freq)[:, None]
+    phi = phi.reshape(-1)[order]
+
+    # With turns = round(omega tau / 2 pi) and shift = omega tau - 2 pi turns
+    # in [-pi, pi], the residual is phi + shift - mean, less 2 pi on frames
+    # with phi > pi - shift and plus 2 pi on frames with phi < -pi - shift:
+    # a suffix (only when shift >= 0) and a prefix (only when shift <= 0) of
+    # each sorted row. _wrap rounds half to even, so a frame exactly on the
+    # boundary wraps as well when turns is odd.
+    pred = np.outer(omega, cand)                           # (n_freq, n_cand)
+    turns = np.round(pred / (2.0 * np.pi))
+    shift = pred - 2.0 * np.pi * turns
+    odd = (turns.astype(np.intp) & 1).astype(bool)
+    # Offsetting row f by 4 pi f keeps the flattened rows sorted, so a flat
+    # search finds every split; f (n_frames + 1) + j then indexes split j of
+    # row f in the flattened prefix sums. The offset keeps equal values
+    # equal but can merge values within ~1e-12 rad of an edge, where the
+    # direct evaluation's wrap decision is itself set by rounding.
+    freq = np.broadcast_to(np.arange(n_freq)[:, None], shift.shape)
+    offset = 4.0 * np.pi * freq
+    keys = (phi + offset[:, :1]).ravel()
+
+    def split(select, edge, inclusive):
+        # Frames of the row below the edge ("<=" where inclusive, else "<").
+        edge = edge[select] + offset[select]
+        edge = np.where(inclusive[select], np.nextafter(edge, np.inf), edge)
+        return np.searchsorted(keys, edge) + freq[select]
+
+    lo = freq * (n_frames + 1)                             # prefix ends
+    hi = lo + n_frames                                     # suffix starts
+    down, up = shift >= 0.0, shift <= 0.0
+    hi[down] = split(down, np.pi - shift, ~odd)
+    lo[up] = split(up, -np.pi - shift, odd)
+
+    w = weight.reshape(len(weight), -1)[:, order]          # (K, F, T)
+    dev = phi[None] - mean[:, :, None]
+    wdev = w * dev
+    cum_w = np.zeros(w.shape[:2] + (n_frames + 1,))
+    cum_d = np.zeros(w.shape[:2] + (n_frames + 1,))
+    np.cumsum(w, axis=2, out=cum_w[:, :, 1:])
+    np.cumsum(wdev, axis=2, out=cum_d[:, :, 1:])
+    tot_w, tot_d = cum_w[:, :, -1], cum_d[:, :, -1]         # (K, F)
+    cum_w, cum_d = cum_w.reshape(len(w), -1), cum_d.reshape(len(w), -1)
+    # (dev + shift + c)^2 summed over frames, with c = 2 pi on the prefix,
+    # -2 pi on the suffix and 0 elsewhere.
+    up_w = np.take(cum_w, lo, axis=1)                      # (K, F, G)
+    down_w = tot_w[:, :, None] - np.take(cum_w, hi, axis=1)
+    net_d = np.take(cum_d, lo, axis=1) + np.take(cum_d, hi, axis=1)
+    err = (
+        np.sum(wdev * dev, axis=(1, 2))[:, None]
+        + np.einsum("kf,fg->kg", 2.0 * tot_d, shift)
+        + np.einsum("kf,fg->kg", tot_w, shift * shift)
+        + np.einsum("kfg,fg->kg", up_w, 4.0 * np.pi * (np.pi + shift))
+        + np.einsum("kfg,fg->kg", down_w, 4.0 * np.pi * (np.pi - shift))
+        + 4.0 * np.pi * (net_d.sum(axis=1) - tot_d.sum(axis=1)[:, None])
+    )
+    return -err
 
 
 def observed_ipd(specs, reference_channel: int = 0):
@@ -217,27 +295,30 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
 
     trace = []
     gamma = None
+    converged = False
     for iteration in range(cfg.n_iterations):
         gamma, loglik = e_step()
         trace.append(loglik)
         if iteration >= 1:
             prev = trace[-2]
             if abs(loglik - prev) <= cfg.convergence_tol * (abs(prev) + 1.0):
+                converged = True
                 break
 
         # M step, coordinate ascent: delays first (old mean/var), then the
         # residual Gaussians in closed form, then the priors.
-        for k in range(cfg.n_sources):
-            weight = gamma[k] / (2.0 * var[k][:, None])       # (n_freq, n_frames)
-            for p in range(n_pairs):
-                cand = grid
-                if not np.any(np.abs(grid - delays[k, p]) < 1e-12):
-                    cand = np.append(grid, delays[k, p])
-                pred = np.outer(cand, omega)                  # (n_cand, n_freq)
-                r = _wrap(phi[p][None] + pred[:, :, None])
-                dev = r - mean[k][None, :, None]
-                score = -np.einsum("gft,ft->g", dev * dev, weight)
-                delays[k, p] = cand[int(np.argmax(score))]
+        # Each source searches the grid plus its own incumbent when that
+        # lies off the grid; the first maximum wins.
+        weight = gamma[: cfg.n_sources] / (2.0 * var[:, :, None])
+        for p in range(n_pairs):
+            off = ~np.any(np.abs(grid[None] - delays[:, p, None]) < 1e-12, axis=1)
+            cand = np.append(grid, delays[off, p])
+            score = _delay_scores(phi[p], weight, mean, cand, omega)
+            own = (np.flatnonzero(off), grid.size + np.arange(off.sum()))
+            incumbent = score[own]
+            score[:, grid.size:] = -np.inf
+            score[own] = incumbent
+            delays[:, p] = cand[np.argmax(score, axis=1)]
 
         for k in range(cfg.n_sources):
             r = residuals(k)
@@ -273,6 +354,7 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
         loglik_trace=np.asarray(trace),
         target_index=target_index,
         pair_channels=tuple(pairs),
+        converged=converged,
     )
 
 

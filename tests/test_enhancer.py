@@ -1,6 +1,10 @@
 """Recurrent mask enhancer: forward math, gradients, training, files."""
 
 import copy
+import json
+import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from arraysep import (
     train,
 )
 from arraysep.enhancer import (
+    MODEL_MAGIC,
     EnhancerConfig,
     _batch_loss_and_grads,
     batch_loss,
@@ -369,6 +374,55 @@ def test_model_file_wrong_magic(tmp_path):
     path = tmp_path / "model.bin"
     path.write_bytes(b"NOTMODEL" + b"\x00" * 64)
     with pytest.raises(DataError, match="not a model file"):
+        load_model(path)
+
+
+def _tiny_model_bytes(tmp_dir) -> bytes:
+    model = init_model(EnhancerConfig(layer_sizes=(1,)), n_freq=1,
+                       feature_stats=_stats(1), seed=0)
+    path = os.path.join(tmp_dir, "tiny.model")
+    save_model(model, path)
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+with tempfile.TemporaryDirectory() as _dir:
+    _TINY_MODEL = _tiny_model_bytes(_dir)
+
+
+@pytest.mark.parametrize("cut", range(len(_TINY_MODEL)))
+def test_model_file_every_prefix_is_data_error(tmp_path, cut):
+    path = tmp_path / "model.bin"
+    path.write_bytes(_TINY_MODEL[:cut])
+    with pytest.raises(DataError):
+        load_model(path)
+
+
+def _with_header(header: bytes) -> bytes:
+    return MODEL_MAGIC + struct.pack("<I", len(header)) + header
+
+
+@pytest.mark.parametrize("blob", [
+    _with_header(b"\xff\xfe not utf-8"),
+    _with_header(b"{not json"),
+    _with_header(b"[1, 2, 3]"),
+    _with_header(b'{"config": {}}'),
+    _with_header(json.dumps({
+        "config": {"layer_sizes": [1], "merge_mode": "average",
+                   "output_activation": "sigmoid", "target_kind": 7},
+        "n_freq": 1, "stats": {"mean": [0.0], "std": [1.0]}, "tensors": [],
+    }).encode()),
+    _with_header(json.dumps({
+        "config": {"layer_sizes": [1], "merge_mode": "average",
+                   "output_activation": "sigmoid", "target_kind": "ia"},
+        "n_freq": -3, "stats": {"mean": [0.0], "std": [1.0]},
+        "tensors": [{"name": "out.b", "shape": [-3]}],
+    }).encode()),
+], ids=["utf8", "json", "list", "missing-key", "kind-type", "bad-shape"])
+def test_model_file_bad_header_is_data_error(tmp_path, blob):
+    path = tmp_path / "model.bin"
+    path.write_bytes(blob)
+    with pytest.raises(DataError):
         load_model(path)
 
 

@@ -26,7 +26,7 @@ from arraysep import (
     write_wav,
 )
 from arraysep.cli import main
-from arraysep.enhancer import FeatureStats
+from arraysep.enhancer import MODEL_MAGIC, FeatureStats
 from arraysep.errors import DataError, StageError
 from arraysep.pipeline import write_score_csv
 from arraysep.spatial_em import MesslConfig, default_delay_grid
@@ -322,6 +322,26 @@ def test_cli_data_error_exit_code(cli_workspace, tmp_path):
         "evaluate", "--input", str(root / "est.wav"),
         "--scene", str(tmp_path / "not_a_scene"),
     ]) == 2
+
+
+def test_cli_experiment_truncated_model_is_data_error(cli_workspace, tmp_path,
+                                                      capsys):
+    model_path = tmp_path / "cut.model"
+    model_path.write_bytes(MODEL_MAGIC + b"\x10\x00")   # cut in the header length
+    manifest = {
+        "scenes": [str(cli_workspace / "scenes" / "scene_000")],
+        "combine_modes": ["avg"],
+        "model": str(model_path),
+        "stft": {"window_size": 64, "hop_size": 16},
+        "messl": {"n_iterations": 4, "max_delay": 4.0, "grid_step": 0.5},
+    }
+    path = tmp_path / "experiment.yml"
+    path.write_text(yaml.safe_dump(manifest))
+    code = main(["experiment", "--config", str(path),
+                 "--out", str(tmp_path / "scores.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "load_model" in err and "Traceback" not in err
 
 
 def test_cli_numerical_error_exit_code(cli_workspace, tmp_path):

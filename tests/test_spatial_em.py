@@ -1,5 +1,7 @@
 """Spatial clustering EM: phase model, initialization, convergence, masks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from arraysep import (
     stft,
 )
 from arraysep.signal import MaskGrid, Waveform
-from arraysep.spatial_em import _wrap
+from arraysep.spatial_em import _delay_scores, _wrap
 
 
 def _delayed_scene(delay: float, seed: int = 0, noise: float = 0.0,
@@ -113,6 +115,45 @@ def test_ipd_requires_matching_shapes():
         observed_ipd([a, b])
     with pytest.raises(DataError, match="at least two"):
         observed_ipd([a])
+
+
+# ----------------------------------------------------------- delay search
+
+def _brute_delay_scores(phi, weight, mean, cand, omega):
+    """Direct evaluation over a candidate x frequency x frame array."""
+    r = _wrap(phi[None] + np.outer(cand, omega)[:, :, None])
+    return np.stack([
+        -np.einsum("gft,ft->g", (r - m[None, :, None]) ** 2, w)
+        for w, m in zip(weight, mean)
+    ])
+
+
+@pytest.mark.parametrize("window,n_frames,n_sources,seed", [
+    (16, 7, 1, 0), (64, 1, 2, 1), (64, 40, 1, 2), (64, 33, 2, 3),
+    (512, 25, 1, 4), (512, 60, 2, 5),
+])
+def test_delay_scores_match_brute_force(window, n_frames, n_sources, seed):
+    gen = np.random.default_rng(seed)
+    n_freq = window // 2 + 1
+    phi = gen.uniform(-np.pi, np.pi, (n_freq, n_frames))
+    # Phases exactly on the wrap boundary and at zero, as the real-valued
+    # DC and Nyquist bins produce.
+    phi[gen.random(phi.shape) < 0.15] = np.pi
+    phi[gen.random(phi.shape) < 0.15] = -np.pi
+    phi[gen.random(phi.shape) < 0.1] = 0.0
+    weight = gen.uniform(0.0, 1.0, (n_sources, n_freq, n_frames))
+    weight[gen.random(weight.shape) < 0.2] = 0.0
+    mean = gen.normal(0.0, 0.5, (n_sources, n_freq))
+    omega = 2.0 * np.pi * np.arange(n_freq) / window
+    grid = default_delay_grid()
+    assert omega[-1] * grid[grid == 1.0][0] == np.pi  # Nyquist shift hits pi
+    cand = np.append(grid, gen.uniform(-8.0, 8.0))    # off-grid incumbent
+
+    fast = _delay_scores(phi, weight, mean, cand, omega)
+    slow = _brute_delay_scores(phi, weight, mean, cand, omega)
+    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(np.argmax(fast, axis=1),
+                                  np.argmax(slow, axis=1))
 
 
 # --------------------------------------------------------------------- em
@@ -287,6 +328,42 @@ def test_em_convergence_stops_early():
     full = run_em(specs, MesslConfig(n_sources=1, n_iterations=4,
                                      convergence_tol=0.0))
     assert len(full.loglik_trace) == 5
+
+
+def test_em_reports_convergence():
+    render = _delayed_scene(1.0, seed=50, noise=0.02)
+    specs = _channel_specs(render, SMALL)
+    eager = run_em(specs, MesslConfig(n_sources=1, n_iterations=16,
+                                      convergence_tol=1e10))
+    assert eager.converged
+    full = run_em(specs, MesslConfig(n_sources=1, n_iterations=4,
+                                     convergence_tol=0.0))
+    assert not full.converged
+    # Converging on the last allowed iteration leaves a trace as long as
+    # hitting the cap; only the flag tells them apart.
+    last = run_em(specs, MesslConfig(n_sources=1, n_iterations=2,
+                                     convergence_tol=1e10))
+    capped = run_em(specs, MesslConfig(n_sources=1, n_iterations=2,
+                                       convergence_tol=0.0))
+    assert len(last.loglik_trace) == len(capped.loglik_trace) == 3
+    assert last.converged and not capped.converged
+
+
+def test_em_peak_memory_eight_seconds():
+    sig = speechlike_signal(8.0, 16000, np.random.default_rng(70))
+    spec = SceneSpec(
+        sources=(SourceSpec(signal=sig, delays=(0.0, 1.0, 2.0, 3.0),
+                            gains=(1.0,) * 4),),
+        n_channels=4, sample_rate=16000, diffuse_noise_level=0.01, seed=70,
+    )
+    specs = _channel_specs(render_scene(spec), StftConfig())
+    tracemalloc.start()
+    try:
+        run_em(specs, MesslConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, f"run_em peak {peak / 1e6:.1f} MB"
 
 
 def test_em_silent_input_raises():
