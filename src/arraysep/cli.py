@@ -240,15 +240,8 @@ def cmd_evaluate(args) -> int:
     )
     print(line)
     if args.out:
-        row = {
-            "scene": os.path.basename(os.path.normpath(args.scene)),
-            "mode": "external",
-            "sdr": f"{scores.sdr:.4f}",
-            "sir": f"{scores.sir:.4f}",
-            "sar": f"{scores.sar:.4f}",
-            "seg_snr": f"{scores.seg_snr:.4f}",
-            "error": "",
-        }
+        scene_id = os.path.basename(os.path.normpath(args.scene))
+        row = pl.score_row(scene_id, "external", scores)
         pl.write_score_csv([row], args.out, cfg.digest())
     return EXIT_OK
 

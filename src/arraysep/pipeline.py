@@ -6,6 +6,11 @@ the clustering mask, mask-driven covariances, MVDR, post filtering with the
 same final mask, inverse STFT. Any stage failure is re-raised with the
 stage name attached. Runs are deterministic for a fixed input and config;
 a digest of the config is recorded in every output table.
+
+The stages up to fusion do not depend on the combine mode; analyze() runs
+them and enhance() runs the rest. run_experiment() therefore analyzes each
+scene once and factors its scoring basis once, then runs enhance() and
+evaluate_scene() per combine mode on those shared products.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .beamformer import beamform, estimate_covariances, mvdr_weights
 from .enhancer import EnhancerModel, enhance_channels, load_model
 from .errors import DataError, StageError
 from .fusion import CombineMode, combine_masks, fuse_channels
-from .metrics import bss_eval, seg_snr
+from .metrics import ProjectionBasis, bss_eval, projection_basis, seg_snr
 from .scene import SceneRender, load_render
 from .signal import (
     MaskGrid,
@@ -34,7 +39,7 @@ from .signal import (
     istft,
     stft,
 )
-from .spatial_em import MesslConfig, binarize, run_em
+from .spatial_em import MesslConfig, MesslResult, binarize, run_em
 from .util import config_hash
 
 
@@ -65,6 +70,19 @@ class EnhanceResult:
     weights: object
     beamformed: Spectrogram
     config_digest: str
+    em: MesslResult
+
+
+@dataclass
+class SceneAnalysis:
+    """The combine-mode-independent products of one mixture: channel
+    spectrograms, the EM result, the (optionally binarized) clustering mask
+    and the fused enhanced mask (None without a model)."""
+
+    specs: list
+    em: MesslResult
+    messl_mask: MaskGrid
+    enhanced_mask: MaskGrid | None
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -76,20 +94,13 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def enhance(
+def analyze(
     mixture: MultichannelWaveform,
     cfg: PipelineConfig,
     model: EnhancerModel | None = None,
-) -> EnhanceResult:
-    """Run the full pipeline on one multichannel mixture.
-
-    If neither a model instance nor cfg.model_path is given, the enhancer
-    and fusion stages are skipped and the clustering mask drives the
-    beamformer directly.
-    """
-    if model is None and cfg.model_path:
-        model = _stage("load_model", load_model, cfg.model_path)
-
+) -> SceneAnalysis:
+    """Run the stages that do not depend on cfg.combine_mode: STFT, EM,
+    optional binarization, per-channel enhancement and fusion."""
     specs = _stage(
         "stft",
         lambda: [stft(mixture.channel(c), cfg.stft) for c in range(mixture.n_channels)],
@@ -106,11 +117,38 @@ def enhance(
     if model is not None:
         channel_masks = _stage("enhancer", enhance_channels, model, specs, messl_mask)
         enhanced = _stage("fusion", fuse_channels, channel_masks)
+    return SceneAnalysis(
+        specs=specs, em=em, messl_mask=messl_mask, enhanced_mask=enhanced
+    )
+
+
+def enhance(
+    mixture: MultichannelWaveform,
+    cfg: PipelineConfig,
+    model: EnhancerModel | None = None,
+    analysis: SceneAnalysis | None = None,
+) -> EnhanceResult:
+    """Run the full pipeline on one multichannel mixture.
+
+    If neither a model instance nor cfg.model_path is given, the enhancer
+    and fusion stages are skipped and the clustering mask drives the
+    beamformer directly. ``analysis``, when given, must be what
+    analyze(mixture, cfg, model) returns for a config that differs at most
+    in combine_mode; only the combination and the stages after it run.
+    """
+    if analysis is None:
+        if model is None and cfg.model_path:
+            model = _stage("load_model", load_model, cfg.model_path)
+        analysis = analyze(mixture, cfg, model)
+
+    specs = analysis.specs
+    if analysis.enhanced_mask is not None:
         final = _stage(
-            "combine", combine_masks, enhanced, messl_mask, cfg.combine_mode
+            "combine", combine_masks, analysis.enhanced_mask,
+            analysis.messl_mask, cfg.combine_mode,
         )
     else:
-        final = messl_mask
+        final = analysis.messl_mask
 
     cov = _stage("covariance", estimate_covariances, specs, final)
     bw = _stage("mvdr", mvdr_weights, cov, cfg.reference_channel)
@@ -120,27 +158,19 @@ def enhance(
     return EnhanceResult(
         waveform=wave,
         final_mask=final,
-        messl_mask=messl_mask,
-        enhanced_mask=enhanced,
+        messl_mask=analysis.messl_mask,
+        enhanced_mask=analysis.enhanced_mask,
         weights=bw,
         beamformed=beamformed,
         config_digest=cfg.digest(),
+        em=analysis.em,
     )
 
 
-def evaluate_scene(
-    estimate: Waveform,
-    render: SceneRender,
-    reference_channel: int = 0,
-    seg_frame: int = 256,
-):
-    """Score an estimate against a render's exact references.
-
-    The speech reference is the target-source image at the reference
-    channel; interferer images and the noise image there act as noise
-    references. Signals are trimmed to the shortest common length.
-    """
-    n = min(len(estimate), render.mixture.n_samples)
+def _references(render: SceneRender, reference_channel: int, n: int):
+    """The speech and noise references at the reference channel, trimmed
+    to n samples: the target-source image, then every interferer image and
+    the noise image."""
     def trim(wave):
         return Waveform(samples=wave.samples[:n], sample_rate=wave.sample_rate)
     speech = trim(render.per_source_images[0].channel(reference_channel))
@@ -148,9 +178,38 @@ def evaluate_scene(
         trim(img.channel(reference_channel)) for img in render.per_source_images[1:]
     ]
     noises.append(trim(render.noise_image.channel(reference_channel)))
-    scores = bss_eval(trim(estimate), speech, noises)
+    return speech, noises
+
+
+def scoring_basis(
+    render: SceneRender, reference_channel: int, n: int
+) -> ProjectionBasis:
+    """The factored projection basis evaluate_scene uses for estimates
+    that trim to n samples, so several estimates can share it."""
+    speech, noises = _references(render, reference_channel, n)
+    return projection_basis(speech, noises)
+
+
+def evaluate_scene(
+    estimate: Waveform,
+    render: SceneRender,
+    reference_channel: int = 0,
+    seg_frame: int = 256,
+    basis: ProjectionBasis | None = None,
+):
+    """Score an estimate against a render's exact references.
+
+    The speech reference is the target-source image at the reference
+    channel; interferer images and the noise image there act as noise
+    references. Signals are trimmed to the shortest common length.
+    ``basis`` may come from scoring_basis() for that length.
+    """
+    n = min(len(estimate), render.mixture.n_samples)
+    estimate = Waveform(samples=estimate.samples[:n], sample_rate=estimate.sample_rate)
+    speech, noises = _references(render, reference_channel, n)
+    scores = bss_eval(estimate, speech, noises, basis=basis)
     return dataclasses.replace(
-        scores, seg_snr=seg_snr(trim(estimate), speech, seg_frame)
+        scores, seg_snr=seg_snr(estimate, speech, seg_frame)
     )
 
 
@@ -204,13 +263,25 @@ def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
 EXPERIMENT_COLUMNS = ("scene", "mode", "sdr", "sir", "sar", "seg_snr", "error")
 
 
+def score_row(scene: str, mode: str, scores=None, error=None) -> dict:
+    """One score-CSV row: four-decimal scores, or empty scores and the error."""
+    row = {"scene": scene, "mode": mode}
+    for key in ("sdr", "sir", "sar", "seg_snr"):
+        row[key] = "" if scores is None else f"{getattr(scores, key):.4f}"
+    row["error"] = "" if error is None else str(error)
+    return row
+
+
 def run_experiment(manifest, out_csv=None) -> list:
     """Score every (scene, combine mode) pair listed in a manifest.
 
     The manifest is a mapping (or path to a YAML file) with keys: scenes
     (list of render directories), combine_modes, and optionally model,
-    ref_channel, stft, messl, seg_frame. Scenes that fail to load or to
-    process produce a row with the error recorded; the run continues.
+    ref_channel, stft, messl, seg_frame. Each scene is analyzed once and
+    its projection basis factored once; every mode then runs only the
+    combination and later stages and is scored against that basis. Scenes
+    that fail to load or to process produce a row per mode with the error
+    recorded; the run continues.
     """
     if not isinstance(manifest, dict):
         with open(manifest) as handle:
@@ -228,50 +299,25 @@ def run_experiment(manifest, out_csv=None) -> list:
         scene_id = os.path.basename(os.path.normpath(str(scene_dir)))
         try:
             render = load_render(scene_dir)
+            analysis = analyze(render.mixture, base, model)
         except Exception as exc:
-            for mode in modes:
-                rows.append(
-                    {
-                        "scene": scene_id,
-                        "mode": mode.value,
-                        "sdr": "",
-                        "sir": "",
-                        "sar": "",
-                        "seg_snr": "",
-                        "error": str(exc),
-                    }
-                )
+            rows.extend(score_row(scene_id, mode.value, error=exc) for mode in modes)
             continue
+        basis = None
         for mode in modes:
             cfg = dataclasses.replace(base, combine_mode=mode)
             try:
-                result = enhance(render.mixture, cfg, model)
+                result = enhance(render.mixture, cfg, model, analysis)
+                if basis is None:
+                    n = min(len(result.waveform), render.mixture.n_samples)
+                    basis = scoring_basis(render, cfg.reference_channel, n)
                 scores = evaluate_scene(
-                    result.waveform, render, cfg.reference_channel, cfg.seg_frame
+                    result.waveform, render, cfg.reference_channel,
+                    cfg.seg_frame, basis,
                 )
-                rows.append(
-                    {
-                        "scene": scene_id,
-                        "mode": mode.value,
-                        "sdr": f"{scores.sdr:.4f}",
-                        "sir": f"{scores.sir:.4f}",
-                        "sar": f"{scores.sar:.4f}",
-                        "seg_snr": f"{scores.seg_snr:.4f}",
-                        "error": "",
-                    }
-                )
+                rows.append(score_row(scene_id, mode.value, scores))
             except Exception as exc:
-                rows.append(
-                    {
-                        "scene": scene_id,
-                        "mode": mode.value,
-                        "sdr": "",
-                        "sir": "",
-                        "sar": "",
-                        "seg_snr": "",
-                        "error": str(exc),
-                    }
-                )
+                rows.append(score_row(scene_id, mode.value, error=exc))
     if out_csv is not None:
         write_score_csv(rows, out_csv, base.digest())
     return rows

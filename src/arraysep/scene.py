@@ -394,12 +394,20 @@ def load_render(directory) -> SceneRender:
         raise DataError(f"no scene manifest at {manifest_path}")
     with open(manifest_path) as handle:
         manifest = yaml.safe_load(handle)
-    try:
-        mixture = read_wav(os.path.join(directory, manifest["mixture"]))
-        sources = tuple(
-            read_wav(os.path.join(directory, name)) for name in manifest["sources"]
-        )
-        noise = read_wav(os.path.join(directory, manifest["noise"]))
-    except KeyError as exc:
-        raise DataError(f"scene manifest {manifest_path} is missing {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"scene manifest {manifest_path} must be a mapping")
+    for key in ("mixture", "sources", "noise"):
+        if key not in manifest:
+            raise DataError(f"scene manifest {manifest_path} is missing '{key}'")
+    names = manifest["sources"]
+    if not isinstance(names, list):
+        raise DataError(f"scene manifest {manifest_path}: 'sources' must be a list")
+    for name in [manifest["mixture"], manifest["noise"], *names]:
+        if not isinstance(name, str):
+            raise DataError(
+                f"scene manifest {manifest_path}: file entry {name!r} is not a string"
+            )
+    mixture = read_wav(os.path.join(directory, manifest["mixture"]))
+    sources = tuple(read_wav(os.path.join(directory, name)) for name in names)
+    noise = read_wav(os.path.join(directory, manifest["noise"]))
     return SceneRender(mixture=mixture, per_source_images=sources, noise_image=noise)

@@ -380,14 +380,16 @@ def load_mask(path) -> MaskGrid:
             line.split(b" ", 1) for line in head.splitlines()[1:] if b" " in line
         )
         n_freq, n_frames = (int(v) for v in fields[b"shape"].split())
+        if n_freq < 0 or n_frames < 0:
+            raise ValueError("negative mask shape")
     except (ValueError, KeyError) as exc:
         raise DataError(f"malformed mask header in {path}") from exc
-    values = np.frombuffer(payload, dtype="<f4")
-    if values.size != n_freq * n_frames:
+    if len(payload) != 4 * n_freq * n_frames:
         raise DataError(
-            f"mask payload has {values.size} values, header says "
-            f"{n_freq}x{n_frames}"
+            f"mask payload has {len(payload)} bytes, header says "
+            f"{n_freq}x{n_frames} float32 values"
         )
+    values = np.frombuffer(payload, dtype="<f4")
     return MaskGrid(values=values.reshape(n_freq, n_frames).astype(np.float64))
 
 

@@ -7,9 +7,19 @@ known exact SDR set by the energy ratio alone.
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.linalg
 
-from arraysep import DataError, Waveform, bss_eval, decompose, seg_snr
-from arraysep.metrics import _safe_db
+from arraysep import (
+    DataError,
+    Waveform,
+    bss_eval,
+    decompose,
+    random_scene_spec,
+    render_scene,
+    seg_snr,
+)
+from arraysep.metrics import _safe_db, projection_basis
 
 
 def _wave(samples, rate=16000):
@@ -78,6 +88,122 @@ def test_target_in_speech_span_interference_orthogonal_to_it():
     proj = basis.T @ e_i
     denom = np.linalg.norm(e_i) * np.linalg.norm(speech.samples) + 1e-30
     assert np.max(np.abs(proj)) / denom < 1e-8
+
+
+def _lu_decompose(est, speech, noises, taps):
+    """Oracle: a dense Gram matrix of all reference shifts, LU-solved per
+    estimate, with least squares only for an exactly singular matrix."""
+    signals = [speech] + list(noises)
+    n = len(est)
+    nfft = scipy.fft.next_fast_len(n + taps)
+    length = n + taps - 1
+
+    def correlate(a, b):
+        return np.fft.irfft(np.conj(np.fft.rfft(a, nfft)) * np.fft.rfft(b, nfft), nfft)
+
+    def solve(gram, rhs):
+        try:
+            return np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+
+    def project(refs, coeffs):
+        out = np.zeros(length)
+        for i, ref in enumerate(refs):
+            out += np.convolve(ref, coeffs[i * taps:(i + 1) * taps])[:length]
+        return out
+
+    k = len(signals)
+    gram = np.empty((k * taps, k * taps))
+    for i in range(k):
+        for j in range(i, k):
+            c = correlate(signals[i], signals[j])
+            block = scipy.linalg.toeplitz(c[:taps], np.concatenate(([c[0]], c[-1:-taps:-1])))
+            gram[i * taps:(i + 1) * taps, j * taps:(j + 1) * taps] = block
+            if j > i:
+                gram[j * taps:(j + 1) * taps, i * taps:(i + 1) * taps] = block.T
+    rhs = np.concatenate([correlate(sig, est)[:taps] for sig in signals])
+    padded = np.zeros(length)
+    padded[:n] = est
+    s_target = project(signals[:1], solve(gram[:taps, :taps], rhs[:taps]))
+    full = project(signals, solve(gram, rhs)) if k > 1 else s_target
+    return s_target, full - s_target, padded - full
+
+
+def _assert_matches_oracle(est, speech, noises, taps, rtol=1e-12):
+    got = decompose(_wave(est), _wave(speech), [_wave(x) for x in noises],
+                    filters_len=taps)
+    want = _lu_decompose(est, speech, noises, taps)
+    scale = np.linalg.norm(est)
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= rtol * scale
+
+
+@pytest.mark.parametrize("n_noise, taps", [(0, 64), (1, 128), (2, 512)])
+def test_factored_decompose_matches_lu_oracle(n_noise, taps):
+    gen = np.random.default_rng(40 + n_noise)
+    n = 3000
+    speech = gen.standard_normal(n)
+    noises = [gen.standard_normal(n) for _ in range(n_noise)]
+    est = speech + 0.5 * sum(noises) + 0.2 * gen.standard_normal(n)
+    _assert_matches_oracle(est, speech, noises, taps)
+
+
+def test_factored_decompose_matches_lu_oracle_on_rendered_scene():
+    render = render_scene(random_scene_spec(
+        np.random.default_rng(41), n_channels=2, duration=0.5, n_interferers=1))
+    speech = render.per_source_images[0].channel(0).samples
+    noises = [render.per_source_images[1].channel(0).samples,
+              render.noise_image.channel(0).samples]
+    est = render.mixture.channel(1).samples
+    basis = projection_basis(_wave(speech), [_wave(x) for x in noises])
+    assert basis.factor is not None
+    _assert_matches_oracle(est, speech, noises, 512)
+
+
+def test_shared_basis_gives_the_same_scores():
+    gen = np.random.default_rng(42)
+    n, taps = 3000, 128
+    speech, noise = _wave(gen.standard_normal(n)), _wave(gen.standard_normal(n))
+    basis = projection_basis(speech, [noise], taps)
+    for level in (0.1, 0.7):
+        est = _wave(speech.samples + level * noise.samples
+                    + 0.1 * gen.standard_normal(n))
+        assert (bss_eval(est, speech, [noise], taps, basis)
+                == bss_eval(est, speech, [noise], taps))
+
+
+def test_shared_basis_must_match_references():
+    gen = np.random.default_rng(43)
+    speech, noise = _wave(gen.standard_normal(500)), _wave(gen.standard_normal(500))
+    basis = projection_basis(speech, [noise], 32)
+    with pytest.raises(DataError, match="other references"):
+        decompose(speech, speech, [_wave(2.0 * noise.samples)], 32, basis)
+    with pytest.raises(DataError, match="other references"):
+        decompose(speech, speech, [noise], 16, basis)
+
+
+@pytest.mark.parametrize("kind, sdr, sir", [("equal", 10.5243, 100.0),
+                                            ("shifted", 10.5243, 42.0009)])
+def test_collinear_references_match_oracle(kind, sdr, sir):
+    """A noise reference equal to the speech reference makes the Gram
+    matrix singular, so projections fall back to least squares. A copy
+    shifted by one sample differs from the speech shifts in one sample
+    only: ill-conditioned but still positive definite."""
+    gen = np.random.default_rng(0)
+    n, taps = 4000, 128
+    speech = gen.standard_normal(n)
+    est = speech + 0.3 * gen.standard_normal(n)
+    noise = speech.copy() if kind == "equal" else np.concatenate(([0.0], speech[:-1]))
+    basis = projection_basis(_wave(speech), [_wave(noise)], taps)
+    assert (basis.factor is None) == (kind == "equal")
+    parts = decompose(_wave(est), _wave(speech), [_wave(noise)], taps, basis)
+    padded = np.concatenate([est, np.zeros(taps - 1)])
+    assert np.max(np.abs(sum(parts) - padded)) < 1e-9
+    _assert_matches_oracle(est, speech, [noise], taps)
+    scores = bss_eval(_wave(est), _wave(speech), [_wave(noise)], taps, basis)
+    assert scores.sdr == pytest.approx(sdr, abs=5e-5)
+    assert scores.sir == pytest.approx(sir, abs=5e-5)
 
 
 def test_decompose_validation():

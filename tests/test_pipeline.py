@@ -1,5 +1,6 @@
 """Full-pipeline behavior, experiment loops, and the CLI surface."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -9,6 +10,7 @@ import yaml
 from arraysep import (
     CombineMode,
     EnhancerConfig,
+    EvalScores,
     MultichannelWaveform,
     NumericalError,
     PipelineConfig,
@@ -18,6 +20,7 @@ from arraysep import (
     evaluate_scene,
     init_model,
     istft,
+    load_render,
     random_scene_spec,
     render_scene,
     run_experiment,
@@ -25,11 +28,12 @@ from arraysep import (
     save_render,
     write_wav,
 )
+from arraysep import pipeline
 from arraysep.cli import main
 from arraysep.enhancer import MODEL_MAGIC, FeatureStats
 from arraysep.errors import DataError, StageError
-from arraysep.pipeline import write_score_csv
-from arraysep.spatial_em import MesslConfig, default_delay_grid
+from arraysep.pipeline import analyze, score_row, write_score_csv
+from arraysep.spatial_em import MesslConfig, MesslResult, default_delay_grid
 
 SMALL = StftConfig(window_size=64, hop_size=16)
 FAST_EM = MesslConfig(n_iterations=5, delay_grid=default_delay_grid(4.0, 0.5))
@@ -124,6 +128,31 @@ def test_silent_mixture_fails_numerically(render):
     assert isinstance(info.value.original, NumericalError)
 
 
+def test_enhance_exposes_em_result(render):
+    cfg = _small_cfg()
+    result = enhance(render.mixture, cfg)
+    em = result.em
+    assert isinstance(em, MesslResult)
+    np.testing.assert_array_equal(em.target_mask.values, result.messl_mask.values)
+    assert 2 <= len(em.loglik_trace) <= cfg.messl.n_iterations + 1
+    assert np.all(np.isfinite(em.loglik_trace))
+    assert isinstance(em.converged, bool)
+    assert np.all(np.isfinite(em.params.delays))
+
+
+def test_enhance_reuses_analysis_bit_for_bit(render):
+    model = _zero_model(SMALL.n_freq)
+    base = _small_cfg()
+    analysis = analyze(render.mixture, base, model)
+    for mode in CombineMode:
+        cfg = _small_cfg(combine_mode=mode)
+        fresh = enhance(render.mixture, cfg, model)
+        shared = enhance(render.mixture, cfg, model, analysis)
+        np.testing.assert_array_equal(shared.waveform.samples, fresh.waveform.samples)
+        np.testing.assert_array_equal(shared.final_mask.values, fresh.final_mask.values)
+        assert shared.em is analysis.em
+
+
 def test_config_digest_tracks_content():
     assert _small_cfg().digest() == _small_cfg().digest()
     assert _small_cfg().digest() != _small_cfg(reference_channel=1).digest()
@@ -192,6 +221,72 @@ def test_run_experiment_records_errors_and_continues(tmp_path):
     good = [r for r in rows if r["scene"] != "missing"]
     assert all(r["error"] != "" and r["sdr"] == "" for r in bad)
     assert all(r["error"] == "" and r["sdr"] != "" for r in good)
+
+
+def _count_run_em(monkeypatch) -> list:
+    calls = []
+    real = pipeline.run_em
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_em", counted)
+    return calls
+
+
+def test_run_experiment_analyzes_each_scene_once(tmp_path, monkeypatch):
+    dirs = _write_scenes(str(tmp_path), n=2)
+    model_path = str(tmp_path / "net.model")
+    model = init_model(EnhancerConfig(layer_sizes=(4,)), SMALL.n_freq,
+                       FeatureStats(mean=np.zeros(SMALL.n_freq),
+                                    std=np.ones(SMALL.n_freq)), seed=2)
+    save_model(model, model_path)
+    manifest = dict(_manifest(dirs), combine_modes=["avg", "max", "lstm"],
+                    model=model_path)
+    calls = _count_run_em(monkeypatch)
+    rows = run_experiment(manifest)
+    assert len(calls) == len(dirs)
+
+    base = pipeline.pipeline_config_from_dict(manifest)
+    expected = []
+    for scene_dir in dirs:
+        scene = load_render(scene_dir)
+        for mode in manifest["combine_modes"]:
+            cfg = dataclasses.replace(base, combine_mode=CombineMode.parse(mode))
+            result = enhance(scene.mixture, cfg, model)
+            scores = evaluate_scene(result.waveform, scene,
+                                    cfg.reference_channel, cfg.seg_frame)
+            expected.append(score_row(os.path.basename(scene_dir), mode, scores))
+    assert rows == expected
+
+
+def test_run_experiment_failed_analysis_gives_row_per_mode(tmp_path, monkeypatch):
+    spec = random_scene_spec(np.random.default_rng(7), n_channels=2, duration=0.4)
+    scene = render_scene(spec)
+    silent = dataclasses.replace(scene, mixture=MultichannelWaveform.from_array(
+        np.zeros((2, scene.mixture.n_samples)), scene.mixture.sample_rate))
+    scene_dir = str(tmp_path / "silent")
+    save_render(silent, scene_dir)
+    manifest = dict(_manifest([scene_dir]), combine_modes=["avg", "max", "min"])
+    with pytest.raises(StageError, match="spatial_em") as info:
+        enhance(silent.mixture, pipeline.pipeline_config_from_dict(manifest))
+    calls = _count_run_em(monkeypatch)
+    rows = run_experiment(manifest)
+    assert len(calls) == 1
+    assert rows == [score_row("silent", mode, error=str(info.value))
+                    for mode in ("avg", "max", "min")]
+    assert all(row["sdr"] == "" for row in rows)
+
+
+def test_score_row_format():
+    scores = EvalScores(sdr=1.23456, sir=-2.0, sar=100.0, seg_snr=0.00004)
+    assert score_row("s", "avg", scores) == {
+        "scene": "s", "mode": "avg", "sdr": "1.2346", "sir": "-2.0000",
+        "sar": "100.0000", "seg_snr": "0.0000", "error": ""}
+    assert score_row("s", "max", error=ValueError("boom")) == {
+        "scene": "s", "mode": "max", "sdr": "", "sir": "", "sar": "",
+        "seg_snr": "", "error": "boom"}
 
 
 def test_run_experiment_empty_manifest():
@@ -322,6 +417,20 @@ def test_cli_data_error_exit_code(cli_workspace, tmp_path):
         "evaluate", "--input", str(root / "est.wav"),
         "--scene", str(tmp_path / "not_a_scene"),
     ]) == 2
+
+
+@pytest.mark.parametrize(
+    "manifest", ["- 1\n", "mixture: 5\nsources: [a.wav]\nnoise: b.wav\n"]
+)
+def test_cli_evaluate_malformed_scene_manifest(tmp_path, capsys, manifest):
+    estimate = str(tmp_path / "est.wav")
+    write_wav(estimate, MultichannelWaveform.from_array(np.ones((1, 800)), 16000))
+    scene = tmp_path / "scene"
+    scene.mkdir()
+    (scene / "manifest.yaml").write_text(manifest)
+    code = main(["evaluate", "--input", estimate, "--scene", str(scene)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_experiment_truncated_model_is_data_error(cli_workspace, tmp_path,

@@ -275,6 +275,31 @@ def test_load_render_missing(tmp_path):
         load_render(tmp_path / "nothing")
 
 
+def _saved_scene(tmp_path):
+    spec = random_scene_spec(np.random.default_rng(22), duration=0.1)
+    scene_dir = tmp_path / "scene"
+    save_render(render_scene(spec), scene_dir)
+    return scene_dir
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ("- 1\n", "mapping"),
+        ("mixture: 5\nsources: [source_00.wav]\nnoise: noise.wav\n", "not a string"),
+        ("mixture: mixture.wav\nsources: source_00.wav\nnoise: noise.wav\n", "list"),
+        ("mixture: mixture.wav\nsources: [3]\nnoise: noise.wav\n", "not a string"),
+        ("mixture: mixture.wav\nsources: [source_00.wav]\nnoise: [a]\n", "not a string"),
+        ("mixture: mixture.wav\nsources: [source_00.wav]\n", "missing 'noise'"),
+    ],
+)
+def test_load_render_malformed_manifest(tmp_path, manifest, message):
+    scene_dir = _saved_scene(tmp_path)
+    (scene_dir / "manifest.yaml").write_text(manifest)
+    with pytest.raises(DataError, match=message):
+        load_render(scene_dir)
+
+
 def test_load_scene_specs_batch(tmp_path):
     path = tmp_path / "scenes.yaml"
     path.write_text(

@@ -293,6 +293,27 @@ def test_mask_file_truncated(tmp_path):
         load_mask(path)
 
 
+SMALL_MASK_BYTES = 56     # 32-byte header plus six float32 values
+
+
+@pytest.mark.parametrize("cut", range(SMALL_MASK_BYTES))
+def test_mask_file_cut_at_every_length(tmp_path, cut):
+    path = tmp_path / "cut.mask"
+    save_mask(MaskGrid(values=np.full((2, 3), 0.25)), path, config_digest="d1")
+    blob = path.read_bytes()
+    assert len(blob) == SMALL_MASK_BYTES
+    path.write_bytes(blob[:cut])
+    with pytest.raises(DataError):
+        load_mask(path)
+
+
+def test_mask_file_negative_shape(tmp_path):
+    path = tmp_path / "neg.mask"
+    path.write_bytes(b"ASMASK1\nshape -1 -1\nconfig -\nend\n" + b"\x00" * 4)
+    with pytest.raises(DataError, match="malformed"):
+        load_mask(path)
+
+
 def test_mask_file_wrong_magic(tmp_path):
     path = tmp_path / "m.mask"
     path.write_bytes(b"NOTAMASK" + b"\x00" * 32)
