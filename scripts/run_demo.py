@@ -22,33 +22,30 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from arraysep import (                                     # noqa: E402
     CombineMode,
     EnhancerConfig,
-    FeatureStats,
     MesslConfig,
     PipelineConfig,
     StftConfig,
     TargetKind,
     TrainSettings,
-    build_batch,
     enhance,
     evaluate_scene,
     init_model,
     random_scene_spec,
     render_scene,
-    run_em,
     save_model,
     save_render,
-    stft,
     train,
 )
+from arraysep.pipeline import prepare_training_set          # noqa: E402
 from arraysep.spatial_em import default_delay_grid          # noqa: E402
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="demo_output")
     parser.add_argument("--scenes", type=int, default=24)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     stft_cfg = StftConfig(window_size=256, hop_size=64)
     em_cfg = MesslConfig(n_iterations=8,
@@ -71,16 +68,9 @@ def main() -> int:
     save_render(held_out, os.path.join(args.out, "held_out_scene"))
 
     print("running spatial clustering on every scene")
-    prepared = []
-    for render in renders:
-        specs = [stft(render.mixture.channel(c), stft_cfg) for c in range(2)]
-        em = run_em(specs, em_cfg)
-        clean = stft(render.per_source_images[0].channel(0), stft_cfg)
-        prepared.append((specs, em.target_mask, clean))
-
-    stats = FeatureStats.from_spectrograms([s[0] for s, _, _ in prepared])
-    batches = [build_batch(specs[0], mask, clean, stats, kind)
-               for specs, mask, clean in prepared]
+    base = PipelineConfig(stft=stft_cfg, messl=em_cfg)
+    scenes, stats = prepare_training_set(renders, base, kind)
+    batches = [batch for (batch,) in scenes]
     n_val = max(1, len(batches) // 5)
 
     print(f"training a width-32 enhancer on {len(batches) - n_val} scenes")
@@ -95,7 +85,6 @@ def main() -> int:
     print(f"  best validation loss {min(h['val_loss'] for h in history):.4f} "
           f"after {len(history)} epochs -> {model_path}")
 
-    base = PipelineConfig(stft=stft_cfg, messl=em_cfg)
     variants = [("clustering only", None, base)]
     for mode in (CombineMode.AVG, CombineMode.MAX, CombineMode.LSTM_ONLY):
         variants.append((f"combine={mode.value}", model,

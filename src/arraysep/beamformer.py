@@ -10,7 +10,6 @@ back to a reference-channel selector and are flagged.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ from .signal import AMP_FLOOR, MaskGrid, Spectrogram, apply_mask, check_ratio_ma
 
 LOAD_FACTOR = 1e-6     # diagonal loading relative to mean eigenvalue
 WEIGHT_FLOOR = 1e-3    # minimum mask weight (in frames) per frequency
-WEIGHTS_MAGIC = b"ASBFW01"
 
 
 @dataclass
@@ -196,45 +194,3 @@ def supervised_mvdr_reference(
     bw = mvdr_weights(cov, reference_channel)
     filtered = apply_mask(vad, beamform(specs, bw))
     return istft(filtered)
-
-
-def save_weights(bw: BeamformerWeights, path) -> None:
-    """Debug dump: text header plus interleaved float32 re/im pairs for the
-    weights and then the steering vectors."""
-    n_freq, n_channels = bw.weights.shape
-    header = WEIGHTS_MAGIC + (
-        f"\nshape {n_freq} {n_channels}\nref {bw.reference_channel}\nend\n"
-    ).encode("ascii")
-    with open(path, "wb") as handle:
-        handle.write(header)
-        for field in (bw.weights, bw.steering):
-            inter = np.empty((n_freq, n_channels, 2), dtype="<f4")
-            inter[..., 0] = field.real
-            inter[..., 1] = field.imag
-            handle.write(inter.tobytes())
-        handle.write(bw.passthrough.astype("<f4").tobytes())
-
-
-def load_weights(path) -> BeamformerWeights:
-    """Read back a save_weights dump."""
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if not blob.startswith(WEIGHTS_MAGIC + b"\n"):
-        raise DataError(f"{path} is not a weights file")
-    head, payload = blob.split(b"end\n", 1)
-    fields = dict(line.split(b" ", 1) for line in head.splitlines()[1:] if b" " in line)
-    n_freq, n_channels = (int(v) for v in fields[b"shape"].split())
-    ref = int(fields[b"ref"])
-    flat = np.frombuffer(payload, dtype="<f4")
-    per_field = n_freq * n_channels * 2
-    if flat.size != 2 * per_field + n_freq:
-        raise DataError(f"weights payload size mismatch in {path}")
-    def complex_field(start):
-        pairs = flat[start:start + per_field].reshape(n_freq, n_channels, 2)
-        return (pairs[..., 0] + 1j * pairs[..., 1]).astype(np.complex128)
-    return BeamformerWeights(
-        weights=complex_field(0),
-        steering=complex_field(per_field),
-        passthrough=flat[2 * per_field:] > 0.5,
-        reference_channel=ref,
-    )

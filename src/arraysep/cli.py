@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -15,29 +14,17 @@ import numpy as np
 import yaml
 
 from . import pipeline as pl
-from .enhancer import (
-    EnhancerConfig,
-    TrainSettings,
-    build_batch,
-    init_model,
-    save_history,
-    save_model,
-    train,
-)
+from .enhancer import init_model, save_history, save_model, train
 from .errors import DataError, NumericalError, StageError
 from .fusion import CombineMode
 from .scene import (
-    ideal_masks,
     load_render,
     load_scene_specs,
     random_scene_spec,
     render_scene,
     save_render,
 )
-from .signal import FeatureStats, read_wav, save_mask, stft, write_wav
-from .spatial_em import run_em
-from .targets import TargetKind
-from .util import config_hash
+from .signal import read_wav, save_mask, write_wav
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,18 +41,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_yaml(path) -> dict:
-    with open(path) as handle:
-        doc = yaml.safe_load(handle)
-    if doc is None:
-        return {}
-    if not isinstance(doc, dict):
-        raise DataError(f"config {path} must be a mapping")
-    return doc
-
-
 def _pipeline_config(args) -> pl.PipelineConfig:
-    doc = _load_yaml(args.config) if args.config else {}
+    doc = pl.load_config(args.config) if args.config else {}
     cfg = pl.pipeline_config_from_dict(doc)
     if getattr(args, "model", None):
         cfg.model_path = args.model
@@ -103,12 +80,8 @@ def cmd_simulate(args) -> int:
 def cmd_messl(args) -> int:
     mixture = read_wav(args.input)
     cfg = _pipeline_config(args)
-    specs = [stft(mixture.channel(c), cfg.stft) for c in range(mixture.n_channels)]
-    messl_cfg = dataclasses.replace(
-        cfg.messl, reference_channel=cfg.reference_channel
-    )
-    result = run_em(specs, messl_cfg)
-    digest = config_hash(cfg)
+    result = pl.analyze(mixture, cfg).em
+    digest = cfg.digest()
     save_mask(result.target_mask, args.out, digest)
     if args.dump_masks:
         os.makedirs(args.dump_masks, exist_ok=True)
@@ -129,68 +102,22 @@ def _scene_dirs(root) -> list:
 
 
 def cmd_train(args) -> int:
-    doc = _load_yaml(args.config)
+    doc = pl.load_config(args.config)
     cfg = pl.pipeline_config_from_dict(doc)
-    kind = TargetKind.parse(str(doc.get("target_kind", "ia")))
-    net = EnhancerConfig(
-        layer_sizes=tuple(doc.get("layer_sizes", [64])),
-        merge_mode=doc.get("merge_mode", "average"),
-        output_activation=doc.get("output_activation", "sigmoid"),
-        target_kind=kind,
-    )
-    settings = TrainSettings(
-        learning_rate=float(doc.get("learning_rate", 1e-3)),
-        max_epochs=int(doc.get("max_epochs", 30)),
-        patience=int(doc.get("patience", 5)),
-        seed=int(doc.get("seed", 0)),
-    )
-    holdout = float(doc.get("holdout_fraction", 0.2))
-    all_channels = doc.get("channels", "reference") == "all"
-
-    if "scenes" not in doc:
-        raise DataError("train config needs a 'scenes' directory")
-    dirs = _scene_dirs(doc["scenes"])
+    scenes, net, settings, holdout, all_channels = pl.training_config_from_dict(doc)
+    dirs = _scene_dirs(scenes)
     if len(dirs) < 2:
         raise DataError("need at least two scenes to split train/validation")
+    batches, stats = pl.prepare_training_set(
+        (load_render(d) for d in dirs), cfg, net.target_kind, all_channels
+    )
+    n_val = max(1, int(round(holdout * len(batches))))
 
-    sequences = []
-    noisy_all = []
-    for scene_dir in dirs:
-        render = load_render(scene_dir)
-        specs = [
-            stft(render.mixture.channel(c), cfg.stft)
-            for c in range(render.mixture.n_channels)
-        ]
-        messl_cfg = dataclasses.replace(
-            cfg.messl, reference_channel=cfg.reference_channel
-        )
-        em = run_em(specs, messl_cfg)
-        channels = (
-            range(render.mixture.n_channels) if all_channels
-            else [cfg.reference_channel]
-        )
-        per_scene = []
-        for c in channels:
-            clean = stft(render.per_source_images[0].channel(c), cfg.stft)
-            per_scene.append((specs[c], em.target_mask, clean))
-            noisy_all.append(specs[c])
-        sequences.append(per_scene)
-
-    stats = FeatureStats.from_spectrograms(noisy_all)
-    n_val = max(1, int(round(holdout * len(sequences))))
-    val_scenes, train_scenes = sequences[:n_val], sequences[n_val:]
-
-    def to_batches(scenes):
-        return [
-            build_batch(noisy, mask, clean, stats, kind)
-            for scene in scenes
-            for noisy, mask, clean in scene
-        ]
+    def flat(scenes):
+        return [batch for scene in scenes for batch in scene]
 
     model = init_model(net, cfg.stft.n_freq, stats, seed=settings.seed)
-    model, history = train(
-        model, to_batches(train_scenes), to_batches(val_scenes), settings
-    )
+    model, history = train(model, flat(batches[n_val:]), flat(batches[:n_val]), settings)
     save_model(model, args.out)
     save_history(history, args.out + ".history.csv")
     print(

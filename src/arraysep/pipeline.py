@@ -1,4 +1,5 @@
-"""End-to-end enhancement dataflow and batch experiment loops.
+"""End-to-end enhancement dataflow, config documents, training-set
+preparation and batch experiment loops.
 
 Stage order: per-channel STFT, EM spatial clustering, optional recurrent
 enhancement of every channel, cross-channel max fusion, combination with
@@ -24,12 +25,20 @@ import numpy as np
 import yaml
 
 from .beamformer import beamform, estimate_covariances, mvdr_weights
-from .enhancer import EnhancerModel, enhance_channels, load_model
+from .enhancer import (
+    EnhancerConfig,
+    EnhancerModel,
+    TrainSettings,
+    build_batch,
+    enhance_channels,
+    load_model,
+)
 from .errors import DataError, StageError
 from .fusion import CombineMode, combine_masks, fuse_channels
 from .metrics import ProjectionBasis, bss_eval, projection_basis, seg_snr
 from .scene import SceneRender, load_render
 from .signal import (
+    FeatureStats,
     MaskGrid,
     MultichannelWaveform,
     Spectrogram,
@@ -39,7 +48,14 @@ from .signal import (
     istft,
     stft,
 )
-from .spatial_em import MesslConfig, MesslResult, binarize, run_em
+from .spatial_em import (
+    MesslConfig,
+    MesslResult,
+    binarize,
+    default_delay_grid,
+    run_em,
+)
+from .targets import TargetKind
 from .util import config_hash
 
 
@@ -213,51 +229,163 @@ def evaluate_scene(
     )
 
 
+def load_config(source) -> dict:
+    """A config document as a mapping.
+
+    ``source`` is a mapping or the path of a YAML file; an empty file reads
+    as an empty mapping. A file that is not YAML, or a document that is not
+    a mapping, raises DataError.
+    """
+    doc = source
+    if isinstance(source, (str, os.PathLike)):
+        try:
+            with open(source) as handle:
+                doc = yaml.safe_load(handle)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise DataError(f"config {source} is not valid YAML: {exc}") from exc
+        if doc is None:
+            doc = {}
+    if not isinstance(doc, dict):
+        raise DataError(f"config must be a mapping, got {type(doc).__name__}")
+    return doc
+
+
+def _expect(kind, what):
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {what}, got {type(value).__name__}")
+        return value
+    return check
+
+
+_mapping = _expect(dict, "a mapping")
+_list = _expect((list, tuple), "a list")
+_path = _expect((str, type(None)), "a file name")
+
+
+def _int_tuple(value) -> tuple:
+    return tuple(int(v) for v in _list(value))
+
+
+def _value(doc: dict, key: str, convert, default=None):
+    """doc[key], or ``default`` when the key is absent, passed through
+    ``convert``; a value that ``convert`` rejects raises DataError naming
+    the key."""
+    value = doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise DataError(f"config key '{key}' = {value!r}: {exc}") from exc
+
+
 def _stft_from_dict(d: dict) -> StftConfig:
+    size = _value(d, "window_size", int, 1024)
     return StftConfig(
-        window_size=int(d.get("window_size", 1024)),
-        hop_size=int(d.get("hop_size", d.get("window_size", 1024) // 4)),
+        window_size=size,
+        hop_size=_value(d, "hop_size", int, size // 4),
         window=d.get("window", "sqrt_hann"),
     )
 
 
 def _messl_from_dict(d: dict) -> MesslConfig:
     kwargs = {}
-    if "n_sources" in d:
-        kwargs["n_sources"] = int(d["n_sources"])
-    if "n_iterations" in d:
-        kwargs["n_iterations"] = int(d["n_iterations"])
+    for key, convert in (
+        ("n_sources", int),
+        ("n_iterations", int),
+        ("convergence_tol", float),
+        ("use_garbage", bool),
+    ):
+        if key in d:
+            kwargs[key] = _value(d, key, convert)
     if "max_delay" in d or "grid_step" in d:
-        from .spatial_em import default_delay_grid
-
         kwargs["delay_grid"] = default_delay_grid(
-            max_delay=float(d.get("max_delay", 8.0)),
-            step=float(d.get("grid_step", 0.25)),
+            max_delay=_value(d, "max_delay", float, 8.0),
+            step=_value(d, "grid_step", float, 0.25),
         )
-    if "convergence_tol" in d:
-        kwargs["convergence_tol"] = float(d["convergence_tol"])
-    if "use_garbage" in d:
-        kwargs["use_garbage"] = bool(d["use_garbage"])
-    if "target_source" in d and d["target_source"] is not None:
-        kwargs["target_source"] = int(d["target_source"])
+    if d.get("target_source") is not None:
+        kwargs["target_source"] = _value(d, "target_source", int)
     return MesslConfig(**kwargs)
 
 
 def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
-    """Build a pipeline config from a parsed YAML mapping."""
+    """Build a pipeline config from a parsed YAML mapping.
+
+    Sections must be mappings and values must convert to their types;
+    otherwise DataError names the key.
+    """
     doc = doc or {}
     cfg = PipelineConfig(
-        stft=_stft_from_dict(doc.get("stft", {})),
-        messl=_messl_from_dict(doc.get("messl", {})),
-        reference_channel=int(doc.get("ref_channel", 0)),
-        model_path=doc.get("model"),
-        seg_frame=int(doc.get("seg_frame", 256)),
+        stft=_stft_from_dict(_value(doc, "stft", _mapping, {})),
+        messl=_messl_from_dict(_value(doc, "messl", _mapping, {})),
+        reference_channel=_value(doc, "ref_channel", int, 0),
+        model_path=_value(doc, "model", _path),
+        seg_frame=_value(doc, "seg_frame", int, 256),
     )
     if "combine" in doc:
         cfg.combine_mode = CombineMode.parse(str(doc["combine"]))
     if doc.get("messl_binarize_threshold") is not None:
-        cfg.messl_binarize_threshold = float(doc["messl_binarize_threshold"])
+        cfg.messl_binarize_threshold = _value(doc, "messl_binarize_threshold", float)
     return cfg
+
+
+def training_config_from_dict(doc: dict) -> tuple:
+    """Read the training keys of a train config, beside its pipeline keys.
+
+    Returns (scenes directory, EnhancerConfig, TrainSettings,
+    holdout_fraction, all_channels); all_channels is true when every
+    channel, not only the reference channel, gives a training sequence.
+    """
+    net = EnhancerConfig(
+        layer_sizes=_value(doc, "layer_sizes", _int_tuple, [64]),
+        merge_mode=doc.get("merge_mode", "average"),
+        output_activation=doc.get("output_activation", "sigmoid"),
+        target_kind=TargetKind.parse(str(doc.get("target_kind", "ia"))),
+    )
+    settings = TrainSettings(
+        learning_rate=_value(doc, "learning_rate", float, 1e-3),
+        max_epochs=_value(doc, "max_epochs", int, 30),
+        patience=_value(doc, "patience", int, 5),
+        seed=_value(doc, "seed", int, 0),
+    )
+    holdout = _value(doc, "holdout_fraction", float, 0.2)
+    channels = doc.get("channels", "reference")
+    if channels not in ("reference", "all"):
+        raise DataError(
+            f"config key 'channels' = {channels!r}: expected 'reference' or 'all'"
+        )
+    scenes = _value(doc, "scenes", _expect(str, "a scene directory"))
+    return scenes, net, settings, holdout, channels == "all"
+
+
+def prepare_training_set(
+    renders, cfg: PipelineConfig, kind: TargetKind, all_channels: bool = False
+) -> tuple:
+    """Enhancer training batches from rendered scenes.
+
+    Each scene runs analyze() and the target-image STFT at the reference
+    channel, or at every channel with ``all_channels``; the unbinarized EM
+    target mask is the mask input. Feature stats pool the noisy
+    spectrograms of all scenes. Returns (batches per scene, stats).
+    """
+    scenes, noisy = [], []
+    for render in renders:
+        analysis = analyze(render.mixture, cfg)
+        channels = (
+            range(render.mixture.n_channels) if all_channels
+            else [cfg.reference_channel]
+        )
+        pairs = [
+            (analysis.specs[c], stft(render.per_source_images[0].channel(c), cfg.stft))
+            for c in channels
+        ]
+        noisy.extend(spec for spec, _ in pairs)
+        scenes.append((analysis.em.target_mask, pairs))
+    stats = FeatureStats.from_spectrograms(noisy)
+    batches = [
+        [build_batch(spec, mask, clean, stats, kind) for spec, clean in pairs]
+        for mask, pairs in scenes
+    ]
+    return batches, stats
 
 
 EXPERIMENT_COLUMNS = ("scene", "mode", "sdr", "sir", "sar", "seg_snr", "error")
@@ -283,12 +411,13 @@ def run_experiment(manifest, out_csv=None) -> list:
     that fail to load or to process produce a row per mode with the error
     recorded; the run continues.
     """
-    if not isinstance(manifest, dict):
-        with open(manifest) as handle:
-            manifest = yaml.safe_load(handle) or {}
+    manifest = load_config(manifest)
     base = pipeline_config_from_dict(manifest)
-    modes = [CombineMode.parse(str(m)) for m in manifest.get("combine_modes", ["avg"])]
-    scene_dirs = manifest.get("scenes", [])
+    modes = [
+        CombineMode.parse(str(m))
+        for m in _value(manifest, "combine_modes", _list, ["avg"])
+    ]
+    scene_dirs = _value(manifest, "scenes", _list, [])
 
     model = None
     if base.model_path:

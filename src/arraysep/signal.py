@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io.wavfile
-from scipy.special import expit
 
 from .errors import DataError
 
@@ -113,15 +112,29 @@ def make_window(name: str, size: int) -> np.ndarray:
     raise DataError(f"unknown window '{name}', expected one of {WINDOW_NAMES}")
 
 
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum hop-spaced frames, shape (n_frames, size), into one signal of
+    size + (n_frames - 1) * hop samples."""
+    n_frames, size = frames.shape
+    n_blocks = -(-size // hop)
+    blocks = np.zeros((n_frames, n_blocks * hop))
+    blocks[:, :size] = frames
+    blocks = blocks.reshape(n_frames, n_blocks, hop)
+    out = np.zeros((n_frames + n_blocks - 1, hop))
+    # Block b of frame t lands on output block t + b. Adding the blocks from
+    # last to first adds each sample's terms in frame order, so the sums are
+    # bit-identical to a frame-by-frame loop.
+    for b in range(n_blocks - 1, -1, -1):
+        out[b:b + n_frames] += blocks[:, b]
+    return out.reshape(-1)[:size + (n_frames - 1) * hop]
+
+
 def _check_cola(window: np.ndarray, hop: int) -> None:
     # The analysis-synthesis product (window squared here) must sum to a
     # constant across hops on the fully overlapped interior.
     size = window.shape[0]
-    product = window * window
     reps = 2 * size // hop + 2
-    buf = np.zeros(size + reps * hop)
-    for k in range(reps):
-        buf[k * hop:k * hop + size] += product
+    buf = _overlap_add(np.broadcast_to(window * window, (reps, size)), hop)
     seg = buf[size:size + hop]
     if seg.min() <= 0 or (seg.max() - seg.min()) > _COLA_RTOL * seg.mean():
         raise DataError(
@@ -268,14 +281,8 @@ def istft(spec: Spectrogram) -> Waveform:
     size, hop = cfg.window_size, cfg.hop_size
     window = make_window(cfg.window, size)
     frames = np.fft.irfft(spec.bins.T, n=size, axis=1)
-    n_frames = frames.shape[0]
-    out = np.zeros(size + (n_frames - 1) * hop)
-    norm = np.zeros_like(out)
-    wsq = window * window
-    for t in range(n_frames):
-        lo = t * hop
-        out[lo:lo + size] += frames[t] * window
-        norm[lo:lo + size] += wsq
+    out = _overlap_add(frames * window, hop)
+    norm = _overlap_add(np.broadcast_to(window * window, frames.shape), hop)
     covered = norm > _NORM_FLOOR
     out[covered] /= norm[covered]
     out[~covered] = 0.0
@@ -296,10 +303,6 @@ def logit_mask(mask: MaskGrid) -> np.ndarray:
     """Log-odds of a ratio mask, clamped away from {0, 1}."""
     p = np.clip(check_ratio_mask(mask), MASK_EPS, 1.0 - MASK_EPS)
     return np.log(p / (1.0 - p))
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return expit(x)
 
 
 def apply_mask(mask: MaskGrid, spec: Spectrogram) -> Spectrogram:
@@ -391,13 +394,3 @@ def load_mask(path) -> MaskGrid:
         )
     values = np.frombuffer(payload, dtype="<f4")
     return MaskGrid(values=values.reshape(n_freq, n_frames).astype(np.float64))
-
-
-def mask_config_digest(path) -> str:
-    """Return the config digest recorded in a mask file header."""
-    with open(path, "rb") as handle:
-        head = handle.read(256)
-    for line in head.splitlines():
-        if line.startswith(b"config "):
-            return line.split(b" ", 1)[1].decode("ascii")
-    raise DataError(f"no config digest in {path}")

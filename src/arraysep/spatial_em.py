@@ -35,6 +35,9 @@ _PRIOR_FLOOR = 1e-300
 
 def default_delay_grid(max_delay: float = 8.0, step: float = 0.25) -> np.ndarray:
     """Symmetric candidate delays in samples, always including zero."""
+    if not (step > 0 and np.isfinite(max_delay)):
+        raise DataError(f"delay grid needs step > 0 and a finite max_delay, "
+                        f"got step {step}, max_delay {max_delay}")
     n = int(round(max_delay / step))
     return np.arange(-n, n + 1) * step
 

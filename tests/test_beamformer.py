@@ -23,8 +23,6 @@ from arraysep.beamformer import (
     LOAD_FACTOR,
     BeamformerWeights,
     CovarianceField,
-    load_weights,
-    save_weights,
 )
 from arraysep.signal import MaskGrid
 
@@ -272,31 +270,3 @@ def test_supervised_reference_rejects_silence():
                             config=SMALL, sample_rate=16000)
     with pytest.raises(NumericalError, match="no speech activity"):
         supervised_mvdr_reference(zero_like, specs)
-
-
-# ------------------------------------------------------------------- files
-
-def test_weights_round_trip(tmp_path):
-    cov = _random_cov_field(seed=18, n_freq=6, m=3)
-    bw = mvdr_weights(cov, reference_channel=2)
-    path = tmp_path / "w.bfw"
-    save_weights(bw, path)
-    back = load_weights(path)
-    assert back.reference_channel == 2
-    np.testing.assert_allclose(back.weights, bw.weights, atol=1e-6)
-    np.testing.assert_allclose(back.steering, bw.steering, atol=1e-5)
-    np.testing.assert_array_equal(back.passthrough, bw.passthrough)
-
-
-def test_weights_file_errors(tmp_path):
-    path = tmp_path / "w.bfw"
-    path.write_bytes(b"WRONG" + b"\x00" * 20)
-    with pytest.raises(DataError, match="not a weights file"):
-        load_weights(path)
-    cov = _random_cov_field(seed=19, n_freq=2, m=2)
-    bw = mvdr_weights(cov)
-    save_weights(bw, path)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-4])
-    with pytest.raises(DataError, match="size mismatch"):
-        load_weights(path)

@@ -15,7 +15,10 @@ from arraysep import (
     NumericalError,
     PipelineConfig,
     StftConfig,
+    TargetKind,
+    TrainSettings,
     apply_mask,
+    build_batch,
     enhance,
     evaluate_scene,
     init_model,
@@ -26,6 +29,7 @@ from arraysep import (
     run_experiment,
     save_model,
     save_render,
+    stft,
     write_wav,
 )
 from arraysep import pipeline
@@ -33,7 +37,7 @@ from arraysep.cli import main
 from arraysep.enhancer import MODEL_MAGIC, FeatureStats
 from arraysep.errors import DataError, StageError
 from arraysep.pipeline import analyze, score_row, write_score_csv
-from arraysep.spatial_em import MesslConfig, MesslResult, default_delay_grid
+from arraysep.spatial_em import MesslConfig, MesslResult, default_delay_grid, run_em
 
 SMALL = StftConfig(window_size=64, hop_size=16)
 FAST_EM = MesslConfig(n_iterations=5, delay_grid=default_delay_grid(4.0, 0.5))
@@ -303,6 +307,71 @@ def test_write_score_csv_round_trip(tmp_path):
     assert lines[2].startswith("s,avg,1.0")
 
 
+# --------------------------------------------------------------- configs
+
+def test_load_config_reads_mappings_only(tmp_path):
+    path = tmp_path / "c.yml"
+    path.write_text("")
+    assert pipeline.load_config(str(path)) == {}
+    path.write_text("stft: {window_size: 64}\n")
+    assert pipeline.load_config(path) == {"stft": {"window_size": 64}}
+    assert pipeline.load_config({"a": 1}) == {"a": 1}
+    for bad in ("- 1\n", "a: [\n"):
+        path.write_text(bad)
+        with pytest.raises(DataError):
+            pipeline.load_config(path)
+    with pytest.raises(DataError, match="mapping"):
+        run_experiment([{"scenes": []}])
+
+
+def test_training_config_defaults():
+    scenes, net, settings, holdout, all_channels = (
+        pipeline.training_config_from_dict({"scenes": "data"})
+    )
+    assert scenes == "data"
+    assert net == EnhancerConfig(layer_sizes=(64,), merge_mode="average",
+                                 output_activation="sigmoid",
+                                 target_kind=TargetKind.IA)
+    assert settings == TrainSettings(learning_rate=1e-3, max_epochs=30,
+                                     patience=5, seed=0)
+    assert holdout == 0.2 and all_channels is False
+    assert pipeline.training_config_from_dict(
+        {"scenes": "data", "channels": "all"})[4] is True
+
+
+@pytest.mark.parametrize("all_channels", [False, True])
+def test_prepare_training_set_matches_hand_built(all_channels):
+    renders = [
+        render_scene(random_scene_spec(np.random.default_rng(40 + i), n_channels=3,
+                                       duration=0.4, n_interferers=1))
+        for i in range(2)
+    ]
+    cfg = _small_cfg(reference_channel=1, messl_binarize_threshold=0.5)
+    kind = TargetKind.PS
+    batches, stats = pipeline.prepare_training_set(renders, cfg, kind, all_channels)
+
+    messl_cfg = dataclasses.replace(FAST_EM, reference_channel=1)
+    prepared, noisy = [], []
+    for scene in renders:
+        specs = [stft(scene.mixture.channel(c), SMALL) for c in range(3)]
+        mask = run_em(specs, messl_cfg).target_mask
+        channels = range(3) if all_channels else [1]
+        for c in channels:
+            clean = stft(scene.per_source_images[0].channel(c), SMALL)
+            prepared.append((specs[c], mask, clean))
+            noisy.append(specs[c])
+    expected_stats = FeatureStats.from_spectrograms(noisy)
+    np.testing.assert_array_equal(stats.mean, expected_stats.mean)
+    np.testing.assert_array_equal(stats.std, expected_stats.std)
+
+    assert [len(scene) for scene in batches] == [3 if all_channels else 1] * 2
+    flat = [batch for scene in batches for batch in scene]
+    for batch, (spec, mask, clean) in zip(flat, prepared):
+        want = build_batch(spec, mask, clean, expected_stats, kind)
+        for name in ("inputs", "target", "noisy_mag"):
+            np.testing.assert_array_equal(getattr(batch, name), getattr(want, name))
+
+
 # ------------------------------------------------------------------ CLI
 
 @pytest.fixture(scope="module")
@@ -462,3 +531,32 @@ def test_cli_numerical_error_exit_code(cli_workspace, tmp_path):
         "--config", str(cli_workspace / "pipeline.yml"),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("experiment", "- scene_000\n- scene_001\n", "mapping"),
+    ("enhance", "stft: 5\n", "stft"),
+    ("experiment", "stft: 5\n", "stft"),
+    ("enhance", "ref_channel: abc\n", "ref_channel"),
+    ("experiment", "ref_channel: abc\n", "ref_channel"),
+    ("enhance", "messl: {n_iterations: x}\n", "n_iterations"),
+    ("experiment", "messl: {n_iterations: x}\n", "n_iterations"),
+    ("enhance", "messl: {grid_step: 0}\n", "step"),
+    ("enhance", "model: 5\n", "model"),
+    ("experiment", "scenes: scene_000\n", "scenes"),
+    ("train", "layer_sizes: 5\n", "layer_sizes"),
+    ("train", "learning_rate: fast\n", "learning_rate"),
+    ("train", "channels: both\n", "channels"),
+])
+def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
+                                            command, doc, key):
+    scenes = cli_workspace / "scenes"
+    path = tmp_path / "bad.yml"
+    path.write_text(doc + (f"scenes: {scenes}\n" if command == "train" else ""))
+    extra = {"enhance": ["--input", str(scenes / "scene_000" / "mixture.wav")],
+             "experiment": [], "train": []}[command]
+    code = main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out"), *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err and "Traceback" not in err
