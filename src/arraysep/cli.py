@@ -11,7 +11,6 @@ import os
 import sys
 
 import numpy as np
-import yaml
 
 from . import pipeline as pl
 from .enhancer import init_model, save_history, save_model, train
@@ -25,6 +24,7 @@ from .scene import (
     save_render,
 )
 from .signal import read_wav, save_mask, write_wav
+from .util import load_config
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _pipeline_config(args) -> pl.PipelineConfig:
-    doc = pl.load_config(args.config) if args.config else {}
+    doc = load_config(args.config) if args.config else {}
     cfg = pl.pipeline_config_from_dict(doc)
     if getattr(args, "model", None):
         cfg.model_path = args.model
@@ -102,7 +102,7 @@ def _scene_dirs(root) -> list:
 
 
 def cmd_train(args) -> int:
-    doc = pl.load_config(args.config)
+    doc = load_config(args.config)
     cfg = pl.pipeline_config_from_dict(doc)
     scenes, net, settings, holdout, all_channels = pl.training_config_from_dict(doc)
     dirs = _scene_dirs(scenes)
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
         kind = EXIT_NUMERIC if isinstance(exc.original, NumericalError) else EXIT_DATA
         print(f"error: {exc}", file=sys.stderr)
         return kind
-    except (DataError, OSError, yaml.YAMLError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

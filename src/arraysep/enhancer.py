@@ -319,46 +319,47 @@ def batch_loss(model: EnhancerModel, batch: TrainBatch) -> float:
     return value
 
 
+# Adam moment decay rates and denominator guard, and the global gradient
+# norm above which each step's gradients are scaled down to it.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+CLIP_NORM = 10.0
+
+
 @dataclass
 class TrainSettings:
-    """Adaptive-moment optimizer settings, stopping rule, and seed."""
+    """Adaptive-moment step size, stopping rule, and seed."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_epochs: int = 100
     patience: int = 5
-    clip_norm: float = 10.0
     seed: int = 0
 
 
 class _Adam:
-    def __init__(self, params: dict, settings: TrainSettings):
-        self.settings = settings
+    def __init__(self, params: dict, learning_rate: float):
+        self.learning_rate = learning_rate
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params: dict, grads: dict) -> None:
-        s = self.settings
         self.t += 1
-        bias1 = 1.0 - s.beta1 ** self.t
-        bias2 = 1.0 - s.beta2 ** self.t
+        bias1 = 1.0 - ADAM_BETA1 ** self.t
+        bias2 = 1.0 - ADAM_BETA2 ** self.t
         for key, grad in grads.items():
-            self.m[key] = s.beta1 * self.m[key] + (1.0 - s.beta1) * grad
-            self.v[key] = s.beta2 * self.v[key] + (1.0 - s.beta2) * grad * grad
+            self.m[key] = ADAM_BETA1 * self.m[key] + (1.0 - ADAM_BETA1) * grad
+            self.v[key] = ADAM_BETA2 * self.v[key] + (1.0 - ADAM_BETA2) * grad * grad
             m_hat = self.m[key] / bias1
             v_hat = self.v[key] / bias2
-            params[key] -= s.learning_rate * m_hat / (np.sqrt(v_hat) + s.epsilon)
+            params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
-def _clip_grads(grads: dict, max_norm: float) -> None:
-    if max_norm <= 0:
-        return
+def _clip_grads(grads: dict) -> None:
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
+    if total > CLIP_NORM:
+        scale = CLIP_NORM / total
         for key in grads:
             grads[key] *= scale
 
@@ -380,7 +381,7 @@ def train(
     val_batches = list(val_batches)
     if not train_batches or not val_batches:
         raise DataError("need nonempty training and validation sets")
-    optimizer = _Adam(model.params, settings)
+    optimizer = _Adam(model.params, settings.learning_rate)
     history = []
     best_val = np.inf
     best_params = model.copy_params()
@@ -393,7 +394,7 @@ def train(
                 raise NumericalError(
                     f"training diverged at epoch {epoch}, batch {index}"
                 )
-            _clip_grads(grads, settings.clip_norm)
+            _clip_grads(grads)
             optimizer.step(model.params, grads)
             total += value
         val = float(np.mean([batch_loss(model, b) for b in val_batches]))

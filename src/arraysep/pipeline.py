@@ -21,9 +21,6 @@ import dataclasses
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-import yaml
-
 from .beamformer import beamform, estimate_covariances, mvdr_weights
 from .enhancer import (
     EnhancerConfig,
@@ -33,7 +30,7 @@ from .enhancer import (
     enhance_channels,
     load_model,
 )
-from .errors import DataError, StageError
+from .errors import StageError
 from .fusion import CombineMode, combine_masks, fuse_channels
 from .metrics import ProjectionBasis, bss_eval, projection_basis, seg_snr
 from .scene import SceneRender, load_render
@@ -56,7 +53,20 @@ from .spatial_em import (
     run_em,
 )
 from .targets import TargetKind
-from .util import config_hash
+from .util import (
+    _bool,
+    _int_tuple,
+    _list,
+    _mapping,
+    _one_of,
+    _optional,
+    _parsed,
+    _string,
+    _tuple_of,
+    _value,
+    config_hash,
+    load_config,
+)
 
 
 @dataclass
@@ -229,81 +239,32 @@ def evaluate_scene(
     )
 
 
-def load_config(source) -> dict:
-    """A config document as a mapping.
-
-    ``source`` is a mapping or the path of a YAML file; an empty file reads
-    as an empty mapping. A file that is not YAML, or a document that is not
-    a mapping, raises DataError.
-    """
-    doc = source
-    if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source) as handle:
-                doc = yaml.safe_load(handle)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
-            raise DataError(f"config {source} is not valid YAML: {exc}") from exc
-        if doc is None:
-            doc = {}
-    if not isinstance(doc, dict):
-        raise DataError(f"config must be a mapping, got {type(doc).__name__}")
-    return doc
-
-
-def _expect(kind, what):
-    def check(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"expected {what}, got {type(value).__name__}")
-        return value
-    return check
-
-
-_mapping = _expect(dict, "a mapping")
-_list = _expect((list, tuple), "a list")
-_path = _expect((str, type(None)), "a file name")
-
-
-def _int_tuple(value) -> tuple:
-    return tuple(int(v) for v in _list(value))
-
-
-def _value(doc: dict, key: str, convert, default=None):
-    """doc[key], or ``default`` when the key is absent, passed through
-    ``convert``; a value that ``convert`` rejects raises DataError naming
-    the key."""
-    value = doc.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise DataError(f"config key '{key}' = {value!r}: {exc}") from exc
-
-
 def _stft_from_dict(d: dict) -> StftConfig:
     size = _value(d, "window_size", int, 1024)
     return StftConfig(
         window_size=size,
         hop_size=_value(d, "hop_size", int, size // 4),
-        window=d.get("window", "sqrt_hann"),
+        window=_value(d, "window", _string, "sqrt_hann"),
     )
 
 
 def _messl_from_dict(d: dict) -> MesslConfig:
-    kwargs = {}
-    for key, convert in (
-        ("n_sources", int),
-        ("n_iterations", int),
-        ("convergence_tol", float),
-        ("use_garbage", bool),
-    ):
-        if key in d:
-            kwargs[key] = _value(d, key, convert)
+    kwargs = {
+        key: _value(d, key, convert)
+        for key, convert in (
+            ("n_sources", int),
+            ("n_iterations", int),
+            ("convergence_tol", float),
+            ("use_garbage", _bool),
+            ("target_source", _optional(int)),
+        )
+        if key in d
+    }
     if "max_delay" in d or "grid_step" in d:
         kwargs["delay_grid"] = default_delay_grid(
             max_delay=_value(d, "max_delay", float, 8.0),
             step=_value(d, "grid_step", float, 0.25),
         )
-    if d.get("target_source") is not None:
-        kwargs["target_source"] = _value(d, "target_source", int)
     return MesslConfig(**kwargs)
 
 
@@ -314,18 +275,17 @@ def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
     otherwise DataError names the key.
     """
     doc = doc or {}
-    cfg = PipelineConfig(
+    return PipelineConfig(
         stft=_stft_from_dict(_value(doc, "stft", _mapping, {})),
         messl=_messl_from_dict(_value(doc, "messl", _mapping, {})),
+        combine_mode=_value(doc, "combine", _parsed(CombineMode), "avg"),
         reference_channel=_value(doc, "ref_channel", int, 0),
-        model_path=_value(doc, "model", _path),
+        model_path=_value(doc, "model", _optional(_string), None),
+        messl_binarize_threshold=_value(
+            doc, "messl_binarize_threshold", _optional(float), None
+        ),
         seg_frame=_value(doc, "seg_frame", int, 256),
     )
-    if "combine" in doc:
-        cfg.combine_mode = CombineMode.parse(str(doc["combine"]))
-    if doc.get("messl_binarize_threshold") is not None:
-        cfg.messl_binarize_threshold = _value(doc, "messl_binarize_threshold", float)
-    return cfg
 
 
 def training_config_from_dict(doc: dict) -> tuple:
@@ -337,9 +297,9 @@ def training_config_from_dict(doc: dict) -> tuple:
     """
     net = EnhancerConfig(
         layer_sizes=_value(doc, "layer_sizes", _int_tuple, [64]),
-        merge_mode=doc.get("merge_mode", "average"),
-        output_activation=doc.get("output_activation", "sigmoid"),
-        target_kind=TargetKind.parse(str(doc.get("target_kind", "ia"))),
+        merge_mode=_value(doc, "merge_mode", _string, "average"),
+        output_activation=_value(doc, "output_activation", _string, "sigmoid"),
+        target_kind=_value(doc, "target_kind", _parsed(TargetKind), "ia"),
     )
     settings = TrainSettings(
         learning_rate=_value(doc, "learning_rate", float, 1e-3),
@@ -348,12 +308,8 @@ def training_config_from_dict(doc: dict) -> tuple:
         seed=_value(doc, "seed", int, 0),
     )
     holdout = _value(doc, "holdout_fraction", float, 0.2)
-    channels = doc.get("channels", "reference")
-    if channels not in ("reference", "all"):
-        raise DataError(
-            f"config key 'channels' = {channels!r}: expected 'reference' or 'all'"
-        )
-    scenes = _value(doc, "scenes", _expect(str, "a scene directory"))
+    channels = _value(doc, "channels", _one_of("reference", "all"), "reference")
+    scenes = _value(doc, "scenes", _string)
     return scenes, net, settings, holdout, channels == "all"
 
 
@@ -413,10 +369,9 @@ def run_experiment(manifest, out_csv=None) -> list:
     """
     manifest = load_config(manifest)
     base = pipeline_config_from_dict(manifest)
-    modes = [
-        CombineMode.parse(str(m))
-        for m in _value(manifest, "combine_modes", _list, ["avg"])
-    ]
+    modes = _value(
+        manifest, "combine_modes", _tuple_of(_parsed(CombineMode)), ["avg"]
+    )
     scene_dirs = _value(manifest, "scenes", _list, [])
 
     model = None

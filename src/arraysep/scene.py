@@ -28,10 +28,30 @@ from .signal import (
     write_wav,
 )
 from .targets import TargetContext, TargetKind, compute_target
+from .util import (
+    _float_pair,
+    _float_tuple,
+    _mapping,
+    _number_or_range,
+    _one_of,
+    _optional,
+    _string,
+    _tuple_of,
+    _value,
+    load_config,
+)
 
 DELAY_TAPS = 32
 DELAY_KAISER_BETA = 8.6
 MANIFEST_NAME = "manifest.yaml"
+# speechlike_signal: fundamental range (Hz), share of silence, level of the
+# colored noise bursts against the voiced part, and RMS over active samples.
+SPEECH_F0_RANGE = (110.0, 220.0)
+SPEECH_PAUSE_FRACTION = 0.15
+SPEECH_NOISE_LEVEL = 0.12
+SPEECH_RMS = 0.15
+# random_scene_spec: non-anchor channel gains are 1 +- up to this.
+GAIN_JITTER = 0.1
 
 
 @dataclass
@@ -94,16 +114,11 @@ class SceneRender:
         return self.mixture.sample_rate
 
 
-def fractional_delay(
-    x: np.ndarray,
-    delay: float,
-    taps: int = DELAY_TAPS,
-    beta: float = DELAY_KAISER_BETA,
-) -> np.ndarray:
+def fractional_delay(x: np.ndarray, delay: float) -> np.ndarray:
     """Delay a signal by a possibly fractional number of samples.
 
     Integer delays are exact shifts. Fractional parts are interpolated with
-    a Kaiser-windowed sinc kernel of the given tap count, so the result is
+    a Kaiser-windowed sinc kernel of DELAY_TAPS taps, so the result is
     accurate for signals whose energy sits below roughly 0.6 of Nyquist.
     Output has the same length as the input, zero-filled at the exposed end.
     """
@@ -112,13 +127,14 @@ def fractional_delay(
     shift = int(np.floor(delay))
     frac = delay - shift
     if frac > 0.0:
-        half = taps // 2
+        half = DELAY_TAPS // 2
         offsets = np.arange(-half + 1, half + 1)
         arg = offsets - frac
         scaled = arg / half
         window = np.zeros_like(arg, dtype=np.float64)
         inside = np.abs(scaled) <= 1.0
-        window[inside] = np.i0(beta * np.sqrt(1.0 - scaled[inside] ** 2)) / np.i0(beta)
+        taper = np.sqrt(1.0 - scaled[inside] ** 2)
+        window[inside] = np.i0(DELAY_KAISER_BETA * taper) / np.i0(DELAY_KAISER_BETA)
         kernel = np.sinc(arg) * window
         x = np.convolve(x, kernel)[half - 1:half - 1 + n]
     out = np.zeros(n)
@@ -172,13 +188,7 @@ def ideal_masks(render: SceneRender, cfg: StftConfig) -> list:
 
 
 def speechlike_signal(
-    duration: float,
-    sample_rate: int,
-    rng: np.random.Generator,
-    f0_range: tuple = (110.0, 220.0),
-    pause_fraction: float = 0.15,
-    noise_level: float = 0.12,
-    rms: float = 0.15,
+    duration: float, sample_rate: int, rng: np.random.Generator
 ) -> Waveform:
     """Amplitude-modulated harmonic tones plus colored noise bursts.
 
@@ -193,12 +203,12 @@ def speechlike_signal(
     # Smooth fundamental contour from coarse random knots.
     knot_hop = max(1, int(0.2 * sample_rate))
     n_knots = n // knot_hop + 2
-    knots = rng.uniform(f0_range[0], f0_range[1], size=n_knots)
+    knots = rng.uniform(SPEECH_F0_RANGE[0], SPEECH_F0_RANGE[1], size=n_knots)
     f0 = np.interp(np.arange(n), np.arange(n_knots) * knot_hop, knots)
     phase = np.cumsum(2.0 * np.pi * f0 / sample_rate)
 
     f_max = 0.55 * sample_rate / 2.0
-    n_harm = max(1, int(f_max / f0_range[1]))
+    n_harm = max(1, int(f_max / SPEECH_F0_RANGE[1]))
     voiced = np.zeros(n)
     for h in range(1, n_harm + 1):
         amp = rng.uniform(0.5, 1.0) / h
@@ -208,38 +218,38 @@ def speechlike_signal(
     envelope = np.zeros(n)
     edge = max(1, int(0.02 * sample_rate))
     ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
-    pos = int(rng.uniform(0.4, 1.0) * pause_fraction * 0.5 * n)
+    pause = SPEECH_PAUSE_FRACTION
+    pos = int(rng.uniform(0.4, 1.0) * pause * 0.5 * n)
     while pos < n:
         on = int(rng.uniform(0.12, 0.3) * sample_rate)
-        off = int(rng.uniform(0.3, 1.0) * on * pause_fraction / max(1e-6, 1.0 - pause_fraction) * 2.0)
+        off = int(rng.uniform(0.3, 1.0) * on * pause / (1.0 - pause) * 2.0)
         hi = min(n, pos + on)
         envelope[pos:hi] = 1.0
         if hi - pos > 2 * edge:
             envelope[pos:pos + edge] = ramp
             envelope[hi - edge:hi] = ramp[::-1]
         pos = hi + max(edge, off)
-    if pause_fraction > 0:
-        tail = max(1, int(pause_fraction * 0.25 * n))
-        envelope[-tail:] = 0.0
+    tail = max(1, int(pause * 0.25 * n))
+    envelope[-tail:] = 0.0
     if not envelope.any():
         envelope[: max(2 * edge, n // 2)] = 1.0
 
     sig = voiced * envelope
 
-    if noise_level > 0:
-        # One-pole lowpassed noise gated by short bursts inside voiced spans.
-        white = rng.standard_normal(n)
-        alpha = np.exp(-2.0 * np.pi * 3500.0 / sample_rate)
-        colored = np.empty(n)
-        acc = 0.0
-        b = np.sqrt(1.0 - alpha * alpha)
-        for i in range(n):
-            acc = alpha * acc + b * white[i]
-            colored[i] = acc
-        sig += noise_level * colored * envelope
+    # One-pole lowpassed noise gated by short bursts inside voiced spans.
+    white = rng.standard_normal(n)
+    alpha = np.exp(-2.0 * np.pi * 3500.0 / sample_rate)
+    colored = np.empty(n)
+    acc = 0.0
+    b = np.sqrt(1.0 - alpha * alpha)
+    for i in range(n):
+        acc = alpha * acc + b * white[i]
+        colored[i] = acc
+    sig += SPEECH_NOISE_LEVEL * colored * envelope
 
     active = sig[envelope > 0.5]
-    scale = rms / max(np.sqrt(np.mean(active ** 2)) if active.size else 1.0, 1e-12)
+    level = np.sqrt(np.mean(active ** 2)) if active.size else 1.0
+    scale = SPEECH_RMS / max(level, 1e-12)
     sig = np.clip(sig * scale, -0.99, 0.99)
     return Waveform(samples=sig, sample_rate=sample_rate)
 
@@ -253,7 +263,6 @@ def random_scene_spec(
     target_delay_range: tuple = (-4.0, 4.0),
     n_interferers: int = 0,
     interferer_delay_range: tuple = (-6.0, 6.0),
-    gain_jitter: float = 0.1,
 ) -> SceneSpec:
     """Draw a random scene: target source, optional interferers, diffuse noise.
 
@@ -265,7 +274,7 @@ def random_scene_spec(
     def placement(delay_range):
         delays = [0.0] + [rng.uniform(*delay_range) for _ in range(n_channels - 1)]
         gains = [1.0] + [
-            1.0 + gain_jitter * rng.uniform(-1.0, 1.0) for _ in range(n_channels - 1)
+            1.0 + GAIN_JITTER * rng.uniform(-1.0, 1.0) for _ in range(n_channels - 1)
         ]
         return tuple(delays), tuple(gains)
 
@@ -288,33 +297,29 @@ def random_scene_spec(
     )
 
 
-def _source_from_dict(entry: dict, scene: dict, index: int) -> SourceSpec:
-    kind = entry.get("kind", "speechlike")
-    rate = int(scene.get("sample_rate", 16000))
+def _source_from_dict(entry: dict, sample_rate: int, seed: int) -> SourceSpec:
+    kind = _value(entry, "kind", _one_of("speechlike", "wav"), "speechlike")
     if kind == "speechlike":
-        seed = int(scene.get("seed", 0)) * 1000 + index
         signal = speechlike_signal(
-            duration=float(entry.get("duration", 2.0)),
-            sample_rate=rate,
+            duration=_value(entry, "duration", float, 2.0),
+            sample_rate=sample_rate,
             rng=np.random.default_rng(seed),
         )
-    elif kind == "wav":
-        multi = read_wav(entry["path"])
-        signal = multi.channel(0)
     else:
-        raise DataError(f"unknown source kind '{kind}'")
-    level = entry.get("level")
+        signal = read_wav(_value(entry, "path", _string)).channel(0)
+    level = _value(entry, "level", _optional(float), None)
     if level is not None:
         current = signal.rms()
         if current > 0:
             signal = Waveform(
-                samples=signal.samples * float(level) / current,
+                samples=signal.samples * level / current,
                 sample_rate=signal.sample_rate,
             )
+    delays = _value(entry, "delays", _float_tuple)
     return SourceSpec(
         signal=signal,
-        delays=tuple(entry["delays"]),
-        gains=tuple(entry.get("gains", [1.0] * len(entry["delays"]))),
+        delays=delays,
+        gains=_value(entry, "gains", _float_tuple, [1.0] * len(delays)),
     )
 
 
@@ -323,44 +328,43 @@ def load_scene_specs(path) -> list:
 
     Two layouts are accepted: an explicit scene (keys sample_rate,
     n_channels, seed, diffuse_noise_level, sources) or a batch descriptor
-    under a 'batch' key (n_scenes, seed, n_channels, duration, snr_db,
-    n_interferers, delay_range) expanded through random_scene_spec.
+    under a 'batch' key (n_scenes, seed, n_channels, sample_rate, duration,
+    snr_db, n_interferers, delay_range) expanded through random_scene_spec.
+    snr_db is a number or a [low, high] range drawn from per scene. A
+    missing or malformed value raises DataError naming its key.
     """
-    with open(path) as handle:
-        doc = yaml.safe_load(handle)
-    if not isinstance(doc, dict):
-        raise DataError(f"scene config {path} must be a mapping")
+    doc = load_config(path)
     if "batch" in doc:
-        batch = doc["batch"]
-        rng = np.random.default_rng(int(batch.get("seed", 0)))
-        snr = batch.get("snr_db", 10.0)
+        batch = _value(doc, "batch", _mapping)
+        rng = np.random.default_rng(_value(batch, "seed", int, 0))
+        snr = _value(batch, "snr_db", _number_or_range, 10.0)
+        layout = dict(
+            n_channels=_value(batch, "n_channels", int, 2),
+            duration=_value(batch, "duration", float, 2.0),
+            sample_rate=_value(batch, "sample_rate", int, 16000),
+            target_delay_range=_value(batch, "delay_range", _float_pair, (-4.0, 4.0)),
+            n_interferers=_value(batch, "n_interferers", int, 0),
+        )
         specs = []
-        for _ in range(int(batch.get("n_scenes", 1))):
-            snr_value = (
-                rng.uniform(snr[0], snr[1]) if isinstance(snr, (list, tuple)) else snr
-            )
-            specs.append(
-                random_scene_spec(
-                    rng,
-                    n_channels=int(batch.get("n_channels", 2)),
-                    duration=float(batch.get("duration", 2.0)),
-                    sample_rate=int(batch.get("sample_rate", 16000)),
-                    snr_db=float(snr_value),
-                    target_delay_range=tuple(batch.get("delay_range", (-4.0, 4.0))),
-                    n_interferers=int(batch.get("n_interferers", 0)),
-                )
-            )
+        for _ in range(_value(batch, "n_scenes", int, 1)):
+            snr_db = rng.uniform(*snr) if isinstance(snr, tuple) else snr
+            specs.append(random_scene_spec(rng, snr_db=snr_db, **layout))
         return specs
+    rate = _value(doc, "sample_rate", int, 16000)
+    seed = _value(doc, "seed", int, 0)
     sources = [
-        _source_from_dict(entry, doc, i) for i, entry in enumerate(doc["sources"])
+        _source_from_dict(entry, rate, seed * 1000 + i)
+        for i, entry in enumerate(_value(doc, "sources", _tuple_of(_mapping)))
     ]
     return [
         SceneSpec(
             sources=tuple(sources),
-            n_channels=int(doc.get("n_channels", len(sources[0].delays))),
-            sample_rate=int(doc.get("sample_rate", 16000)),
-            diffuse_noise_level=float(doc.get("diffuse_noise_level", 0.0)),
-            seed=int(doc.get("seed", 0)),
+            n_channels=_value(
+                doc, "n_channels", int, len(sources[0].delays) if sources else 0
+            ),
+            sample_rate=rate,
+            diffuse_noise_level=_value(doc, "diffuse_noise_level", float, 0.0),
+            seed=seed,
         )
     ]
 
@@ -392,22 +396,16 @@ def load_render(directory) -> SceneRender:
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise DataError(f"no scene manifest at {manifest_path}")
-    with open(manifest_path) as handle:
-        manifest = yaml.safe_load(handle)
-    if not isinstance(manifest, dict):
-        raise DataError(f"scene manifest {manifest_path} must be a mapping")
-    for key in ("mixture", "sources", "noise"):
-        if key not in manifest:
-            raise DataError(f"scene manifest {manifest_path} is missing '{key}'")
-    names = manifest["sources"]
-    if not isinstance(names, list):
-        raise DataError(f"scene manifest {manifest_path}: 'sources' must be a list")
-    for name in [manifest["mixture"], manifest["noise"], *names]:
-        if not isinstance(name, str):
-            raise DataError(
-                f"scene manifest {manifest_path}: file entry {name!r} is not a string"
-            )
-    mixture = read_wav(os.path.join(directory, manifest["mixture"]))
-    sources = tuple(read_wav(os.path.join(directory, name)) for name in names)
-    noise = read_wav(os.path.join(directory, manifest["noise"]))
-    return SceneRender(mixture=mixture, per_source_images=sources, noise_image=noise)
+    manifest = load_config(manifest_path)
+    mixture = _value(manifest, "mixture", _string)
+    sources = _value(manifest, "sources", _tuple_of(_string))
+    noise = _value(manifest, "noise", _string)
+
+    def read(name):
+        return read_wav(os.path.join(directory, name))
+
+    return SceneRender(
+        mixture=read(mixture),
+        per_source_images=tuple(read(name) for name in sources),
+        noise_image=read(noise),
+    )

@@ -193,6 +193,13 @@ def observed_ipd(specs, reference_channel: int = 0):
             reference.
         pair_channels: tuple of non-reference channel indices in order.
     """
+    cross, pairs = _cross_spectra(specs, reference_channel)
+    return np.angle(cross), pairs
+
+
+def _cross_spectra(specs, reference_channel: int):
+    """Each non-reference channel times the conjugate reference, stacked
+    as (n_pairs, n_freq, n_frames), and the non-reference channels."""
     specs = list(specs)
     if len(specs) < 2:
         raise DataError("need at least two channels for phase differences")
@@ -204,18 +211,17 @@ def observed_ipd(specs, reference_channel: int = 0):
             raise DataError("channel spectrograms must share shape")
     ref = specs[reference_channel].bins
     pairs = tuple(c for c in range(len(specs)) if c != reference_channel)
-    phi = np.stack([np.angle(specs[c].bins * np.conj(ref)) for c in pairs])
-    return phi, pairs
+    return np.stack([specs[c].bins * np.conj(ref) for c in pairs]), pairs
 
 
 def _phat_correlation(cross: np.ndarray, omega: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Summed phase-transform cross-correlation evaluated on the delay grid."""
     total = np.zeros(grid.size)
+    steering = np.exp(1j * np.outer(grid, omega))
     for p in range(cross.shape[0]):
         mag = np.abs(cross[p])
         normed = np.where(mag > 0, cross[p] / np.maximum(mag, 1e-30), 0.0)
         spectrum = normed.sum(axis=1)
-        steering = np.exp(1j * np.outer(grid, omega))
         total += np.real(steering @ spectrum)
     return total
 
@@ -244,7 +250,8 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     after the last M step, so masks and parameters are consistent.
     """
     specs = list(specs)
-    phi, pairs = observed_ipd(specs, cfg.reference_channel)
+    cross, pairs = _cross_spectra(specs, cfg.reference_channel)
+    phi = np.angle(cross)
     if sum(float(np.sum(np.abs(s.bins) ** 2)) for s in specs) == 0.0:
         raise NumericalError("silent input: no energy in any channel")
 
@@ -254,8 +261,6 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     k_total = cfg.n_sources + (1 if cfg.use_garbage else 0)
     omega = 2.0 * np.pi * np.arange(n_freq) / window_size
 
-    ref_bins = specs[cfg.reference_channel].bins
-    cross = np.stack([specs[c].bins * np.conj(ref_bins) for c in pairs])
     grid = np.asarray(cfg.delay_grid, dtype=np.float64)
     if grid.size < cfg.n_sources:
         raise DataError(

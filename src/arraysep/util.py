@@ -1,11 +1,22 @@
-"""Small shared helpers: canonical serialization and config digests."""
+"""Small shared helpers: canonical serialization, config digests, and the
+one reader of YAML documents (pipeline, train, experiment and scene
+configs, and scene manifests).
+
+Every document value is read with _value(doc, key, convert), which names
+the key in the DataError raised when the value is missing or malformed.
+The converters below are the only value conversions of document data.
+"""
 
 import dataclasses
 import enum
 import hashlib
 import json
+import os
 
 import numpy as np
+import yaml
+
+from .errors import DataError
 
 
 def as_plain_data(obj):
@@ -31,3 +42,94 @@ def config_hash(obj) -> str:
     """Stable 12-hex-digit digest of a configuration object."""
     blob = json.dumps(as_plain_data(obj), sort_keys=True).encode("utf-8")
     return hashlib.sha1(blob).hexdigest()[:12]
+
+
+def load_config(source) -> dict:
+    """A config document as a mapping.
+
+    ``source`` is a mapping or the path of a YAML file; an empty file reads
+    as an empty mapping. A file that is not YAML, or a document that is not
+    a mapping, raises DataError.
+    """
+    doc = source
+    if isinstance(source, (str, os.PathLike)):
+        try:
+            with open(source) as handle:
+                doc = yaml.safe_load(handle)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise DataError(f"config {source} is not valid YAML: {exc}") from exc
+        if doc is None:
+            doc = {}
+    if not isinstance(doc, dict):
+        raise DataError(f"config must be a mapping, got {type(doc).__name__}")
+    return doc
+
+
+_REQUIRED = object()
+
+
+def _value(doc: dict, key: str, convert, default=_REQUIRED):
+    """doc[key], or ``default`` when the key is absent, passed through
+    ``convert``. An absent key without a default, or a value that
+    ``convert`` rejects, raises DataError naming the key."""
+    if key in doc:
+        value = doc[key]
+    elif default is _REQUIRED:
+        raise DataError(f"config is missing '{key}'")
+    else:
+        value = default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise DataError(f"config key '{key}' = {value!r}: {exc}") from exc
+
+
+def _expect(kind, what):
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"{type(value).__name__} is not {what}")
+        return value
+    return check
+
+
+_mapping = _expect(dict, "a mapping")
+_list = _expect((list, tuple), "a list")
+_string = _expect(str, "a string")
+_bool = _expect(bool, "true or false")
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _tuple_of(convert):
+    return lambda value: tuple(convert(v) for v in _list(value))
+
+
+_int_tuple = _tuple_of(int)
+_float_tuple = _tuple_of(float)
+
+
+def _float_pair(value) -> tuple:
+    pair = _float_tuple(value)
+    if len(pair) != 2:
+        raise ValueError(f"expected two numbers, got {len(pair)}")
+    return pair
+
+
+def _number_or_range(value):
+    """A float, or a (low, high) pair of floats given as a list."""
+    return _float_pair(value) if isinstance(value, (list, tuple)) else float(value)
+
+
+def _one_of(*choices):
+    def check(value):
+        if value not in choices:
+            raise ValueError("expected " + " or ".join(map(repr, choices)))
+        return value
+    return check
+
+
+def _parsed(kind):
+    """A converter through ``kind.parse`` (a name-parsing enum)."""
+    return lambda value: kind.parse(str(value))

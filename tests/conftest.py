@@ -7,7 +7,7 @@ acceptance tests exercise the full default sizes.
 import numpy as np
 import pytest
 
-from arraysep import MesslConfig, StftConfig, Waveform, random_scene_spec, render_scene
+from arraysep import MesslConfig, StftConfig, random_scene_spec, render_scene
 
 
 @pytest.fixture
@@ -28,19 +28,6 @@ def fast_messl():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def make_tone(freq_hz: float, duration: float = 0.25, sample_rate: int = 16000,
-              amplitude: float = 0.5) -> Waveform:
-    t = np.arange(int(duration * sample_rate)) / sample_rate
-    return Waveform(samples=amplitude * np.sin(2.0 * np.pi * freq_hz * t),
-                    sample_rate=sample_rate)
-
-
-def make_noise(n: int, seed: int = 0, sample_rate: int = 16000,
-               scale: float = 0.3) -> Waveform:
-    gen = np.random.default_rng(seed)
-    return Waveform(samples=scale * gen.standard_normal(n), sample_rate=sample_rate)
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from arraysep.enhancer import (
     hard_sigmoid,
     tensor_order,
 )
-from conftest import make_noise
+from waveforms import make_noise
 
 
 def _stats(n_freq):

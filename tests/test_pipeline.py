@@ -324,6 +324,13 @@ def test_load_config_reads_mappings_only(tmp_path):
         run_experiment([{"scenes": []}])
 
 
+def test_missing_required_key_is_data_error():
+    with pytest.raises(DataError, match="missing 'scenes'"):
+        pipeline.training_config_from_dict({})
+    assert pipeline.pipeline_config_from_dict(
+        {"messl": {"use_garbage": False}}).messl.use_garbage is False
+
+
 def test_training_config_defaults():
     scenes, net, settings, holdout, all_channels = (
         pipeline.training_config_from_dict({"scenes": "data"})
@@ -488,9 +495,13 @@ def test_cli_data_error_exit_code(cli_workspace, tmp_path):
     ]) == 2
 
 
-@pytest.mark.parametrize(
-    "manifest", ["- 1\n", "mixture: 5\nsources: [a.wav]\nnoise: b.wav\n"]
-)
+@pytest.mark.parametrize("manifest", [
+    "- 1\n",
+    "mixture: 5\nsources: [a.wav]\nnoise: b.wav\n",
+    "mixture: a.wav\nsources: a.wav\nnoise: b.wav\n",
+    "mixture: a.wav\nsources: [a.wav]\n",
+    "mixture: [a.wav\n",
+])
 def test_cli_evaluate_malformed_scene_manifest(tmp_path, capsys, manifest):
     estimate = str(tmp_path / "est.wav")
     write_wav(estimate, MultichannelWaveform.from_array(np.ones((1, 800)), 16000))
@@ -547,6 +558,12 @@ def test_cli_numerical_error_exit_code(cli_workspace, tmp_path):
     ("train", "layer_sizes: 5\n", "layer_sizes"),
     ("train", "learning_rate: fast\n", "learning_rate"),
     ("train", "channels: both\n", "channels"),
+    ("enhance", "messl: {use_garbage: 'false'}\n", "use_garbage"),
+    ("simulate", "batch: 5\n", "batch"),
+    ("simulate", "batch: {n_scenes: x}\n", "n_scenes"),
+    ("simulate", "batch: {snr_db: [1, 2, 3]}\n", "snr_db"),
+    ("simulate", "sources: 3\n", "sources"),
+    ("simulate", "sources: [{kind: speechlike, duration: 0.1}]\n", "delays"),
 ])
 def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
                                             command, doc, key):
@@ -554,7 +571,7 @@ def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
     path = tmp_path / "bad.yml"
     path.write_text(doc + (f"scenes: {scenes}\n" if command == "train" else ""))
     extra = {"enhance": ["--input", str(scenes / "scene_000" / "mixture.wav")],
-             "experiment": [], "train": []}[command]
+             "experiment": [], "train": [], "simulate": []}[command]
     code = main([command, "--config", str(path),
                  "--out", str(tmp_path / "out"), *extra])
     err = capsys.readouterr().err

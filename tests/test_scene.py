@@ -315,6 +315,28 @@ def test_load_scene_specs_batch(tmp_path):
                                       b.sources[0].signal.samples)
 
 
+@pytest.mark.parametrize("doc, key", [
+    ("batch: 5\n", "batch"),
+    ("batch: {n_scenes: x}\n", "n_scenes"),
+    ("batch: {snr_db: [1, 2, 3]}\n", "snr_db"),
+    ("batch: {delay_range: 4}\n", "delay_range"),
+    ("seed: 1\n", "missing 'sources'"),
+    ("sources: 3\n", "sources"),
+    ("sources: [3]\n", "sources"),
+    ("sources: [{duration: 0.1}]\n", "missing 'delays'"),
+    ("sources: [{kind: tone, delays: [0, 1]}]\n", "kind"),
+    ("sources: [{kind: wav, delays: [0, 1]}]\n", "missing 'path'"),
+    ("sources: [{duration: 0.1, delays: [0, 1], level: loud}]\n", "level"),
+    ("sources: []\n", "at least one source"),
+    ("- 1\n", "mapping"),
+])
+def test_load_scene_specs_malformed(tmp_path, doc, key):
+    path = tmp_path / "bad.yaml"
+    path.write_text(doc)
+    with pytest.raises(DataError, match=key):
+        load_scene_specs(path)
+
+
 def test_load_scene_specs_explicit(tmp_path):
     path = tmp_path / "one.yaml"
     path.write_text(

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from arraysep import (
     DataError,
     FeatureStats,
     MaskGrid,
+    MultichannelWaveform,
     Spectrogram,
     StftConfig,
     Waveform,
@@ -31,7 +33,7 @@ from arraysep.signal import (
     logit_mask,
     make_window,
 )
-from conftest import make_noise, make_tone
+from waveforms import make_noise, make_tone
 
 
 # ---------------------------------------------------------------- analysis
@@ -286,6 +288,31 @@ def test_wav_multichannel_round_trip(tmp_path, two_channel_render):
 def test_wav_missing_file():
     with pytest.raises(FileNotFoundError):
         read_wav("/nonexistent/file.wav")
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+def test_wav_cut_at_every_length(tmp_path, encoding):
+    full = MultichannelWaveform.from_array(
+        np.random.default_rng(3).uniform(-0.5, 0.5, size=(2, 24)), 8000
+    )
+    path = tmp_path / "full.wav"
+    write_wav(path, full, encoding=encoding)
+    expected = read_wav(path).as_array()
+    blob = path.read_bytes()
+    cut_path = tmp_path / "cut.wav"
+    for cut in range(len(blob)):
+        cut_path.write_bytes(blob[:cut])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                back = read_wav(cut_path)
+            except DataError:
+                continue
+        assert isinstance(back, MultichannelWaveform)
+        assert back.n_channels == 2 and back.sample_rate == 8000
+        np.testing.assert_array_equal(
+            back.as_array(), expected[:, :back.n_samples]
+        )
 
 
 def test_wav_bad_encoding(tmp_path):
