@@ -12,7 +12,6 @@ from .beamformer import (
     beamform,
     estimate_covariances,
     mvdr_weights,
-    supervised_mvdr_reference,
 )
 from .enhancer import (
     EnhancerConfig,
@@ -72,7 +71,6 @@ from .spatial_em import (
     MesslResult,
     binarize,
     default_delay_grid,
-    observed_ipd,
     run_em,
 )
 from .targets import TargetContext, TargetKind, compute_target, loss

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DataError
-from .signal import AMP_FLOOR, MaskGrid, Spectrogram, apply_mask, check_ratio_mask, istft
+from .signal import AMP_FLOOR, MaskGrid, Spectrogram, check_channels, check_ratio_mask
 
 LOAD_FACTOR = 1e-6     # diagonal loading relative to mean eigenvalue
 WEIGHT_FLOOR = 1e-3    # minimum mask weight (in frames) per frequency
@@ -82,13 +82,8 @@ def _weighted_covariances(bins: np.ndarray, weights: np.ndarray):
 
 def estimate_covariances(specs, mask: MaskGrid) -> CovarianceField:
     """Speech covariances weighted by the mask, noise by its complement."""
-    specs = list(specs)
-    if len(specs) < 1:
-        raise DataError("need at least one channel")
+    specs = check_channels(specs)
     shape = specs[0].bins.shape
-    for s in specs:
-        if s.bins.shape != shape:
-            raise DataError("channel spectrograms must share shape")
     m = check_ratio_mask(mask)
     if m.shape != shape:
         raise DataError(
@@ -154,43 +149,14 @@ def mvdr_weights(cov: CovarianceField, reference_channel: int = 0) -> Beamformer
 
 def beamform(specs, bw: BeamformerWeights) -> Spectrogram:
     """Apply weights: output bin = weights^H observations."""
-    specs = list(specs)
+    specs = check_channels(specs)
     if len(specs) != bw.weights.shape[1]:
         raise DataError(
             f"{len(specs)} channels but weights expect {bw.weights.shape[1]}"
         )
-    shape = specs[0].bins.shape
-    for s in specs:
-        if s.bins.shape != shape:
-            raise DataError("channel spectrograms must share shape")
-    if shape[0] != bw.weights.shape[0]:
+    if specs[0].n_freq != bw.weights.shape[0]:
         raise DataError("weights frequency axis does not match spectrograms")
     bins = np.stack([s.bins for s in specs])
     out = np.einsum("fm,mft->ft", np.conj(bw.weights), bins)
     return Spectrogram(bins=out, config=specs[0].config, sample_rate=specs[0].sample_rate)
 
-
-def supervised_mvdr_reference(
-    close_mic: Spectrogram,
-    specs,
-    threshold_db: float = 6.0,
-    reference_channel: int = 0,
-):
-    """Close-mic-driven MVDR reference signal.
-
-    A per-frequency noise floor is the 10th percentile of the close mic's
-    dB levels over time; bins more than threshold_db above the floor form
-    a binary voice-activity mask that drives the covariances, the MVDR
-    weights, and the post filter. Returns the time-domain reference.
-    """
-    from .errors import NumericalError
-
-    if float(np.sum(np.abs(close_mic.bins) ** 2)) == 0.0:
-        raise NumericalError("no speech activity detected: close mic is silent")
-    level = 20.0 * np.log10(np.maximum(np.abs(close_mic.bins), AMP_FLOOR))
-    floor = np.percentile(level, 10, axis=1)
-    vad = MaskGrid(values=(level > floor[:, None] + threshold_db).astype(np.float64))
-    cov = estimate_covariances(specs, vad)
-    bw = mvdr_weights(cov, reference_channel)
-    filtered = apply_mask(vad, beamform(specs, bw))
-    return istft(filtered)

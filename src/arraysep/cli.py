@@ -134,22 +134,14 @@ def cmd_enhance(args) -> int:
     write_wav(args.out, result.waveform)
     if args.dump_masks:
         os.makedirs(args.dump_masks, exist_ok=True)
-        save_mask(
-            result.final_mask,
-            os.path.join(args.dump_masks, "final.mask"),
-            result.config_digest,
-        )
-        save_mask(
-            result.messl_mask,
-            os.path.join(args.dump_masks, "clustering.mask"),
-            result.config_digest,
-        )
-        if result.enhanced_mask is not None:
-            save_mask(
-                result.enhanced_mask,
-                os.path.join(args.dump_masks, "enhanced.mask"),
-                result.config_digest,
-            )
+        for name, mask in (
+            ("final", result.final_mask),
+            ("clustering", result.messl_mask),
+            ("enhanced", result.enhanced_mask),
+        ):
+            if mask is not None:
+                path = os.path.join(args.dump_masks, f"{name}.mask")
+                save_mask(mask, path, result.config_digest)
     print(f"wrote {args.out} (config {result.config_digest})")
     return EXIT_OK
 

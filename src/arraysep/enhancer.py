@@ -16,14 +16,14 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, NumericalError
 from .signal import FeatureStats, MaskGrid, logit_mask, to_log_features
-from .targets import TargetKind, loss_with_grad
+from .targets import TargetContext, TargetKind, compute_target, loss_with_grad
 
 MERGE_MODES = ("sum", "multiply", "average", "concatenate")
 OUTPUT_ACTIVATIONS = ("sigmoid", "hard_sigmoid")
@@ -32,6 +32,8 @@ MODEL_MAGIC = b"ASENH001"
 # Gate order inside every stacked weight matrix and bias:
 # input, forget, cell candidate, output.
 _GATES = 4
+# Parameter-name letter and time step of each recurrent direction.
+_DIRECTIONS = (("f", 1), ("b", -1))
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def tensor_order(config: EnhancerConfig, n_freq: int) -> list:
     order = []
     dim = 2 * n_freq
     for layer, width in enumerate(config.layer_sizes):
-        for direction in ("f", "b"):
+        for direction, _ in _DIRECTIONS:
             prefix = f"l{layer}.{direction}"
             order.append((f"{prefix}.w_x", (_GATES * width, dim)))
             order.append((f"{prefix}.w_h", (_GATES * width, width)))
@@ -214,17 +216,17 @@ def _forward_pass(model: EnhancerModel, x: np.ndarray):
     layer_io = []
     inp = x
     for layer in range(len(model.config.layer_sizes)):
-        hf, cache_f = _lstm_forward(
-            params[f"l{layer}.f.w_x"], params[f"l{layer}.f.w_h"],
-            params[f"l{layer}.f.b"], inp,
-        )
-        hb_rev, cache_b = _lstm_forward(
-            params[f"l{layer}.b.w_x"], params[f"l{layer}.b.w_h"],
-            params[f"l{layer}.b.b"], inp[::-1],
-        )
-        hb = hb_rev[::-1]
-        layer_io.append({"cache_f": cache_f, "cache_b": cache_b, "hf": hf, "hb": hb})
-        inp = _merge(hf, hb, mode)
+        # The backward direction runs on the time-reversed sequence; its
+        # outputs are flipped back to forward time.
+        io = {}
+        for d, step in _DIRECTIONS:
+            p = f"l{layer}.{d}."
+            h, io["cache_" + d] = _lstm_forward(
+                params[p + "w_x"], params[p + "w_h"], params[p + "b"], inp[::step]
+            )
+            io["h" + d] = h[::step]
+        layer_io.append(io)
+        inp = _merge(io["hf"], io["hb"], mode)
     logits = inp @ params["out.w"].T + params["out.b"]
     if model.config.output_activation == "sigmoid":
         pred = expit(logits)
@@ -246,6 +248,15 @@ def forward(model: EnhancerModel, inputs: np.ndarray) -> MaskGrid:
     return MaskGrid(values=pred.T)
 
 
+def _inputs(spec, logits: np.ndarray, stats: FeatureStats) -> np.ndarray:
+    """Network input rows (n_frames, 2 * n_freq) of one channel: normalized
+    dB features, then the clustering mask's log-odds ``logits``."""
+    feats = to_log_features(spec, stats)
+    if feats.shape != logits.shape:
+        raise DataError("mask and spectrogram shapes do not match")
+    return np.concatenate([feats.T, logits.T], axis=1)
+
+
 @dataclass
 class TrainBatch:
     """One training sequence: inputs (T, 2F), target rows (T, F), and the
@@ -261,13 +272,7 @@ def build_batch(
     kind: TargetKind,
 ) -> TrainBatch:
     """Assemble one sequence from spectrograms and the clustering mask."""
-    from .targets import TargetContext, compute_target
-
-    feats = to_log_features(noisy_spec, stats)
-    logits = logit_mask(messl_mask)
-    if logits.shape != feats.shape:
-        raise DataError("mask and spectrogram shapes do not match")
-    inputs = np.concatenate([feats.T, logits.T], axis=1)
+    inputs = _inputs(noisy_spec, logit_mask(messl_mask), stats)
     ctx = TargetContext.from_spectrograms(clean_spec, noisy_spec)
     target = compute_target(ctx, kind).values.T
     mag = None if kind.is_mask else np.abs(noisy_spec.bins).T
@@ -294,19 +299,16 @@ def _batch_loss_and_grads(model: EnhancerModel, batch: TrainBatch):
     mode = model.config.merge_mode
     for layer in range(len(model.config.layer_sizes) - 1, -1, -1):
         io = cache["layers"][layer]
-        d_hf, d_hb = _unmerge(d_merged, io["hf"], io["hb"], mode)
-        g_f, dx_f = _lstm_backward(
-            params[f"l{layer}.f.w_x"], params[f"l{layer}.f.w_h"], d_hf, io["cache_f"]
-        )
-        g_b, dx_b_rev = _lstm_backward(
-            params[f"l{layer}.b.w_x"], params[f"l{layer}.b.w_h"],
-            d_hb[::-1], io["cache_b"],
-        )
-        for key, grad in (("w_x", g_f["w_x"]), ("w_h", g_f["w_h"]), ("b", g_f["b"])):
-            grads[f"l{layer}.f.{key}"] = grad
-        for key, grad in (("w_x", g_b["w_x"]), ("w_h", g_b["w_h"]), ("b", g_b["b"])):
-            grads[f"l{layer}.b.{key}"] = grad
-        d_merged = dx_f + dx_b_rev[::-1]
+        d_h = _unmerge(d_merged, io["hf"], io["hb"], mode)
+        dx = []
+        for (d, step), d_hd in zip(_DIRECTIONS, d_h):
+            p = f"l{layer}.{d}."
+            g, dx_d = _lstm_backward(
+                params[p + "w_x"], params[p + "w_h"], d_hd[::step], io["cache_" + d]
+            )
+            grads.update((p + key, grad) for key, grad in g.items())
+            dx.append(dx_d[::step])
+        d_merged = dx[0] + dx[1]
     return value, grads
 
 
@@ -427,14 +429,9 @@ def save_history(history, path) -> None:
 def enhance_channels(model: EnhancerModel, specs, messl_mask: MaskGrid) -> list:
     """Run the shared model on every channel against one clustering mask."""
     logits = logit_mask(messl_mask)
-    out = []
-    for spec in specs:
-        feats = to_log_features(spec, model.feature_stats)
-        if feats.shape != logits.shape:
-            raise DataError("mask and spectrogram shapes do not match")
-        inputs = np.concatenate([feats.T, logits.T], axis=1)
-        out.append(forward(model, inputs))
-    return out
+    return [
+        forward(model, _inputs(spec, logits, model.feature_stats)) for spec in specs
+    ]
 
 
 def save_model(model: EnhancerModel, path) -> None:

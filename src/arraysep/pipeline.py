@@ -55,12 +55,14 @@ from .spatial_em import (
 from .targets import TargetKind
 from .util import (
     _bool,
+    _int,
     _int_tuple,
     _list,
     _mapping,
     _one_of,
     _optional,
     _parsed,
+    _seed,
     _string,
     _tuple_of,
     _value,
@@ -240,10 +242,10 @@ def evaluate_scene(
 
 
 def _stft_from_dict(d: dict) -> StftConfig:
-    size = _value(d, "window_size", int, 1024)
+    size = _value(d, "window_size", _int, 1024)
     return StftConfig(
         window_size=size,
-        hop_size=_value(d, "hop_size", int, size // 4),
+        hop_size=_value(d, "hop_size", _int, size // 4),
         window=_value(d, "window", _string, "sqrt_hann"),
     )
 
@@ -252,11 +254,11 @@ def _messl_from_dict(d: dict) -> MesslConfig:
     kwargs = {
         key: _value(d, key, convert)
         for key, convert in (
-            ("n_sources", int),
-            ("n_iterations", int),
+            ("n_sources", _int),
+            ("n_iterations", _int),
             ("convergence_tol", float),
             ("use_garbage", _bool),
-            ("target_source", _optional(int)),
+            ("target_source", _optional(_int)),
         )
         if key in d
     }
@@ -279,12 +281,12 @@ def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
         stft=_stft_from_dict(_value(doc, "stft", _mapping, {})),
         messl=_messl_from_dict(_value(doc, "messl", _mapping, {})),
         combine_mode=_value(doc, "combine", _parsed(CombineMode), "avg"),
-        reference_channel=_value(doc, "ref_channel", int, 0),
+        reference_channel=_value(doc, "ref_channel", _int, 0),
         model_path=_value(doc, "model", _optional(_string), None),
         messl_binarize_threshold=_value(
             doc, "messl_binarize_threshold", _optional(float), None
         ),
-        seg_frame=_value(doc, "seg_frame", int, 256),
+        seg_frame=_value(doc, "seg_frame", _int, 256),
     )
 
 
@@ -303,9 +305,9 @@ def training_config_from_dict(doc: dict) -> tuple:
     )
     settings = TrainSettings(
         learning_rate=_value(doc, "learning_rate", float, 1e-3),
-        max_epochs=_value(doc, "max_epochs", int, 30),
-        patience=_value(doc, "patience", int, 5),
-        seed=_value(doc, "seed", int, 0),
+        max_epochs=_value(doc, "max_epochs", _int, 30),
+        patience=_value(doc, "patience", _int, 5),
+        seed=_value(doc, "seed", _seed, 0),
     )
     holdout = _value(doc, "holdout_fraction", float, 0.2)
     channels = _value(doc, "channels", _one_of("reference", "all"), "reference")
@@ -319,9 +321,10 @@ def prepare_training_set(
     """Enhancer training batches from rendered scenes.
 
     Each scene runs analyze() and the target-image STFT at the reference
-    channel, or at every channel with ``all_channels``; the unbinarized EM
-    target mask is the mask input. Feature stats pool the noisy
-    spectrograms of all scenes. Returns (batches per scene, stats).
+    channel, or at every channel with ``all_channels``; the mask input is
+    the clustering mask analyze() gives the enhancer at inference, so it is
+    binarized when cfg.messl_binarize_threshold is set. Feature stats pool
+    the noisy spectrograms of all scenes. Returns (batches per scene, stats).
     """
     scenes, noisy = [], []
     for render in renders:
@@ -335,7 +338,7 @@ def prepare_training_set(
             for c in channels
         ]
         noisy.extend(spec for spec, _ in pairs)
-        scenes.append((analysis.em.target_mask, pairs))
+        scenes.append((analysis.messl_mask, pairs))
     stats = FeatureStats.from_spectrograms(noisy)
     batches = [
         [build_batch(spec, mask, clean, stats, kind) for spec, clean in pairs]

@@ -13,7 +13,7 @@ ground truth for oracle masks and scoring references.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -31,10 +31,12 @@ from .targets import TargetContext, TargetKind, compute_target
 from .util import (
     _float_pair,
     _float_tuple,
+    _int,
     _mapping,
     _number_or_range,
     _one_of,
     _optional,
+    _seed,
     _string,
     _tuple_of,
     _value,
@@ -196,6 +198,8 @@ def speechlike_signal(
     floor estimation), keeps its energy below about 0.55 of Nyquist so
     fractional delays stay accurate, and is deterministic given the rng.
     """
+    if not (np.isfinite(duration) and duration > 0):
+        raise DataError(f"duration must be positive and finite, got {duration}")
     n = int(round(duration * sample_rate))
     if n <= 0:
         raise DataError("duration must be positive")
@@ -336,22 +340,22 @@ def load_scene_specs(path) -> list:
     doc = load_config(path)
     if "batch" in doc:
         batch = _value(doc, "batch", _mapping)
-        rng = np.random.default_rng(_value(batch, "seed", int, 0))
+        rng = np.random.default_rng(_value(batch, "seed", _seed, 0))
         snr = _value(batch, "snr_db", _number_or_range, 10.0)
         layout = dict(
-            n_channels=_value(batch, "n_channels", int, 2),
+            n_channels=_value(batch, "n_channels", _int, 2),
             duration=_value(batch, "duration", float, 2.0),
-            sample_rate=_value(batch, "sample_rate", int, 16000),
+            sample_rate=_value(batch, "sample_rate", _int, 16000),
             target_delay_range=_value(batch, "delay_range", _float_pair, (-4.0, 4.0)),
-            n_interferers=_value(batch, "n_interferers", int, 0),
+            n_interferers=_value(batch, "n_interferers", _int, 0),
         )
         specs = []
-        for _ in range(_value(batch, "n_scenes", int, 1)):
+        for _ in range(_value(batch, "n_scenes", _int, 1)):
             snr_db = rng.uniform(*snr) if isinstance(snr, tuple) else snr
             specs.append(random_scene_spec(rng, snr_db=snr_db, **layout))
         return specs
-    rate = _value(doc, "sample_rate", int, 16000)
-    seed = _value(doc, "seed", int, 0)
+    rate = _value(doc, "sample_rate", _int, 16000)
+    seed = _value(doc, "seed", _seed, 0)
     sources = [
         _source_from_dict(entry, rate, seed * 1000 + i)
         for i, entry in enumerate(_value(doc, "sources", _tuple_of(_mapping)))
@@ -360,7 +364,7 @@ def load_scene_specs(path) -> list:
         SceneSpec(
             sources=tuple(sources),
             n_channels=_value(
-                doc, "n_channels", int, len(sources[0].delays) if sources else 0
+                doc, "n_channels", _int, len(sources[0].delays) if sources else 0
             ),
             sample_rate=rate,
             diffuse_noise_level=_value(doc, "diffuse_noise_level", float, 0.0),

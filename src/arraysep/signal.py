@@ -11,7 +11,8 @@ Axis convention: spectrograms and masks are (n_freq, n_frames).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io.wavfile
@@ -193,6 +194,17 @@ class Spectrogram:
         return self.bins.shape[1]
 
 
+def check_channels(specs) -> list:
+    """The channel spectrograms of one capture as a list, checked to be
+    nonempty and of one shape."""
+    specs = list(specs)
+    if not specs:
+        raise DataError("need at least one channel")
+    if any(s.bins.shape != specs[0].bins.shape for s in specs):
+        raise DataError("channel spectrograms must share shape")
+    return specs
+
+
 @dataclass
 class MaskGrid:
     """Real-valued time-frequency grid, shape (n_freq, n_frames)."""
@@ -318,9 +330,17 @@ def apply_mask(mask: MaskGrid, spec: Spectrogram) -> Spectrogram:
 
 
 def read_wav(path) -> MultichannelWaveform:
-    """Read a RIFF/WAVE file (PCM16, PCM32, float32/64) as float64 channels."""
+    """Read a RIFF/WAVE file (PCM16, PCM32, float32/64) as float64 channels.
+
+    A file that ends before the length its header declares, as one cut
+    inside its data chunk does, raises DataError instead of reading short.
+    """
     try:
-        rate, data = scipy.io.wavfile.read(path)
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "error", "Reached EOF prematurely", scipy.io.wavfile.WavFileWarning
+            )
+            rate, data = scipy.io.wavfile.read(path)
     except FileNotFoundError:
         raise
     except Exception as exc:

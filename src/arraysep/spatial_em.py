@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DataError, NumericalError
-from .signal import MaskGrid
+from .signal import MaskGrid, check_channels
 
 VAR_FLOOR = 1e-4          # rad^2, keeps residual Gaussians proper
 _LOG_UNIFORM = -np.log(2.0 * np.pi)
@@ -184,31 +184,14 @@ def _delay_scores(phi, weight, mean, cand, omega) -> np.ndarray:
     return -err
 
 
-def observed_ipd(specs, reference_channel: int = 0):
-    """Phase of each channel against the reference channel.
-
-    Returns:
-        phi: (n_pairs, n_freq, n_frames) wrapped phase differences in
-            (-pi, pi], pair p being channel pair_channels[p] minus the
-            reference.
-        pair_channels: tuple of non-reference channel indices in order.
-    """
-    cross, pairs = _cross_spectra(specs, reference_channel)
-    return np.angle(cross), pairs
-
-
 def _cross_spectra(specs, reference_channel: int):
     """Each non-reference channel times the conjugate reference, stacked
     as (n_pairs, n_freq, n_frames), and the non-reference channels."""
-    specs = list(specs)
+    specs = check_channels(specs)
     if len(specs) < 2:
         raise DataError("need at least two channels for phase differences")
     if not 0 <= reference_channel < len(specs):
         raise DataError(f"reference channel {reference_channel} out of range")
-    shape = specs[0].bins.shape
-    for s in specs:
-        if s.bins.shape != shape:
-            raise DataError("channel spectrograms must share shape")
     ref = specs[reference_channel].bins
     pairs = tuple(c for c in range(len(specs)) if c != reference_channel)
     return np.stack([specs[c].bins * np.conj(ref) for c in pairs]), pairs

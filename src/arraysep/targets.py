@@ -121,15 +121,10 @@ def loss(prediction: MaskGrid, ctx: TargetContext, kind: TargetKind) -> float:
             f"prediction shape {pred.shape} does not match context "
             f"shape {ctx.noisy.bins.shape}"
         )
+    if kind.is_mask and (pred.min() < 0.0 or pred.max() > 1.0):
+        raise DataError("mask predictions must lie in [0, 1] for cross entropy")
     target = compute_target(ctx, kind).values
-    if kind.loss_kind is LossKind.BCE:
-        if pred.min() < 0.0 or pred.max() > 1.0:
-            raise DataError("mask predictions must lie in [0, 1] for cross entropy")
-        value, _ = bce_with_grad(pred, target)
-    else:
-        noisy_mag = np.abs(ctx.noisy.bins)
-        value, _ = signal_mse_with_grad(pred, noisy_mag, target)
-    return value
+    return loss_with_grad(pred, kind, target, np.abs(ctx.noisy.bins))[0]
 
 
 def loss_with_grad(

@@ -98,6 +98,22 @@ _string = _expect(str, "a string")
 _bool = _expect(bool, "true or false")
 
 
+def _int(value) -> int:
+    """An integer; a number with a fractional part is rejected, not truncated."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError("not an integer")
+    return number
+
+
+def _seed(value) -> int:
+    """A random seed: a nonnegative integer."""
+    number = _int(value)
+    if number < 0:
+        raise ValueError("a seed must not be negative")
+    return number
+
+
 def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
@@ -106,14 +122,17 @@ def _tuple_of(convert):
     return lambda value: tuple(convert(v) for v in _list(value))
 
 
-_int_tuple = _tuple_of(int)
+_int_tuple = _tuple_of(_int)
 _float_tuple = _tuple_of(float)
 
 
 def _float_pair(value) -> tuple:
+    """A (low, high) range of two finite floats."""
     pair = _float_tuple(value)
     if len(pair) != 2:
         raise ValueError(f"expected two numbers, got {len(pair)}")
+    if not (np.all(np.isfinite(pair)) and pair[0] <= pair[1]):
+        raise ValueError("expected a finite range, low <= high")
     return pair
 
 

@@ -1,4 +1,4 @@
-"""Covariance estimation, distortionless weights, and the supervised reference."""
+"""Covariance estimation and distortionless weights."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,12 @@ import pytest
 from arraysep import (
     DataError,
     MultichannelWaveform,
-    NumericalError,
-    SceneSpec,
-    SourceSpec,
     Spectrogram,
     StftConfig,
     beamform,
     estimate_covariances,
     mvdr_weights,
-    render_scene,
-    speechlike_signal,
     stft,
-    supervised_mvdr_reference,
 )
 from arraysep.beamformer import (
     LOAD_FACTOR,
@@ -216,57 +210,3 @@ def test_reference_channel_bounds():
     with pytest.raises(DataError, match="out of range"):
         mvdr_weights(cov, reference_channel=5)
 
-
-# ------------------------------------------------- supervised reference
-
-def _noisy_speech_scene(seed=0, n_channels=3, noise=0.08):
-    sig = speechlike_signal(1.0, 16000, np.random.default_rng(seed))
-    delays = tuple(float(c) * 1.5 for c in range(n_channels))
-    gains = (1.0,) * n_channels
-    spec = SceneSpec(
-        sources=(SourceSpec(signal=sig, delays=delays, gains=gains),),
-        n_channels=n_channels, sample_rate=16000,
-        diffuse_noise_level=noise, seed=seed,
-    )
-    return render_scene(spec)
-
-
-def test_supervised_reference_denoises():
-    render = _noisy_speech_scene(seed=15)
-    specs = [stft(render.mixture.channel(c), SMALL) for c in range(3)]
-    close = stft(render.per_source_images[0].channel(0), SMALL)
-    ref = supervised_mvdr_reference(close, specs)
-
-    clean = render.per_source_images[0].channel(0).samples
-    mixed = render.mixture.channel(0).samples
-    n = min(len(ref), len(clean))
-    lo, hi = SMALL.window_size, n - SMALL.window_size
-    err_ref = np.mean((ref.samples[lo:hi] - clean[lo:hi]) ** 2)
-    err_mix = np.mean((mixed[lo:hi] - clean[lo:hi]) ** 2)
-    assert err_ref < 0.5 * err_mix
-
-
-def test_supervised_reference_threshold_limits():
-    render = _noisy_speech_scene(seed=16)
-    specs = [stft(render.mixture.channel(c), SMALL) for c in range(3)]
-    close = stft(render.per_source_images[0].channel(0), SMALL)
-
-    # An unreachable threshold leaves no active bins: silence comes back.
-    silent = supervised_mvdr_reference(close, specs, threshold_db=1000.0)
-    assert np.max(np.abs(silent.samples)) == 0.0
-
-    # A threshold below the floor keeps every bin; the masking is a no-op
-    # so the output is just the beamformed mixture, which retains energy.
-    full = supervised_mvdr_reference(close, specs, threshold_db=-1000.0)
-    assert full.rms() > 0.01
-
-
-def test_supervised_reference_rejects_silence():
-    cfg = StftConfig(window_size=16, hop_size=4)
-    zero = Spectrogram(bins=np.zeros((9, 12), dtype=complex), config=cfg,
-                       sample_rate=16000)
-    specs = _noise_specs(n_channels=2, n_samples=300, seed=17)
-    zero_like = Spectrogram(bins=np.zeros(specs[0].bins.shape, dtype=complex),
-                            config=SMALL, sample_rate=16000)
-    with pytest.raises(NumericalError, match="no speech activity"):
-        supervised_mvdr_reference(zero_like, specs)

@@ -18,12 +18,14 @@ from arraysep import (
     TargetKind,
     TrainSettings,
     apply_mask,
+    binarize,
     build_batch,
     enhance,
     evaluate_scene,
     init_model,
     istft,
     load_render,
+    logit_mask,
     random_scene_spec,
     render_scene,
     run_experiment,
@@ -331,6 +333,14 @@ def test_missing_required_key_is_data_error():
         {"messl": {"use_garbage": False}}).messl.use_garbage is False
 
 
+def test_integral_values_read_as_ints():
+    cfg = pipeline.pipeline_config_from_dict(
+        {"ref_channel": 1.0, "seg_frame": "128", "messl": {"n_iterations": 3.0}})
+    assert (cfg.reference_channel, cfg.seg_frame, cfg.messl.n_iterations) == (1, 128, 3)
+    assert all(type(v) is int for v in (cfg.reference_channel, cfg.seg_frame,
+                                         cfg.messl.n_iterations))
+
+
 def test_training_config_defaults():
     scenes, net, settings, holdout, all_channels = (
         pipeline.training_config_from_dict({"scenes": "data"})
@@ -361,7 +371,7 @@ def test_prepare_training_set_matches_hand_built(all_channels):
     prepared, noisy = [], []
     for scene in renders:
         specs = [stft(scene.mixture.channel(c), SMALL) for c in range(3)]
-        mask = run_em(specs, messl_cfg).target_mask
+        mask = binarize(run_em(specs, messl_cfg).target_mask, 0.5)
         channels = range(3) if all_channels else [1]
         for c in channels:
             clean = stft(scene.per_source_images[0].channel(c), SMALL)
@@ -377,6 +387,19 @@ def test_prepare_training_set_matches_hand_built(all_channels):
         want = build_batch(spec, mask, clean, expected_stats, kind)
         for name in ("inputs", "target", "noisy_mag"):
             np.testing.assert_array_equal(getattr(batch, name), getattr(want, name))
+
+
+def test_prepare_training_set_feeds_the_inference_mask():
+    """With a binarize threshold, training sees the binarized clustering
+    mask that analyze() hands the enhancer, not the soft EM mask."""
+    render = render_scene(random_scene_spec(np.random.default_rng(44), n_channels=2,
+                                            duration=0.4, n_interferers=1))
+    cfg = _small_cfg(messl_binarize_threshold=0.5)
+    batches, _ = pipeline.prepare_training_set([render], cfg, TargetKind.IA)
+    analysis = analyze(render.mixture, cfg)
+    np.testing.assert_array_equal(batches[0][0].inputs[:, SMALL.n_freq:],
+                                  logit_mask(analysis.messl_mask).T)
+    assert not np.array_equal(analysis.messl_mask.values, analysis.em.target_mask.values)
 
 
 # ------------------------------------------------------------------ CLI
@@ -564,6 +587,13 @@ def test_cli_numerical_error_exit_code(cli_workspace, tmp_path):
     ("simulate", "batch: {snr_db: [1, 2, 3]}\n", "snr_db"),
     ("simulate", "sources: 3\n", "sources"),
     ("simulate", "sources: [{kind: speechlike, duration: 0.1}]\n", "delays"),
+    ("enhance", "ref_channel: 1.9\n", "ref_channel"),
+    ("enhance", "seg_frame: 256.9\n", "seg_frame"),
+    ("experiment", "messl: {n_iterations: 2.7}\n", "n_iterations"),
+    ("train", "layer_sizes: [8.5]\n", "layer_sizes"),
+    ("train", "max_epochs: 1.5\n", "max_epochs"),
+    ("train", "seed: -1\n", "seed"),
+    ("simulate", "batch: {n_scenes: 2.5}\n", "n_scenes"),
 ])
 def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
                                             command, doc, key):

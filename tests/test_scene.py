@@ -329,6 +329,15 @@ def test_load_scene_specs_batch(tmp_path):
     ("sources: [{duration: 0.1, delays: [0, 1], level: loud}]\n", "level"),
     ("sources: []\n", "at least one source"),
     ("- 1\n", "mapping"),
+    ("batch: {n_scenes: 2.5}\n", "n_scenes"),
+    ("batch: {n_channels: 2.5}\n", "n_channels"),
+    ("sample_rate: 16000.5\nsources: [{duration: 0.1, delays: [0, 1]}]\n", "sample_rate"),
+    ("batch: {seed: -1}\n", "seed"),
+    ("seed: -1\nsources: [{duration: 0.1, delays: [0, 1]}]\n", "seed"),
+    ("batch: {duration: .nan}\n", "duration"),
+    ("sources: [{duration: .inf, delays: [0, 1]}]\n", "duration"),
+    ("batch: {delay_range: [0.5, .nan]}\n", "delay_range"),
+    ("batch: {snr_db: [20, 0]}\n", "snr_db"),
 ])
 def test_load_scene_specs_malformed(tmp_path, doc, key):
     path = tmp_path / "bad.yaml"

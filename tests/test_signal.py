@@ -1,4 +1,4 @@
-"""STFT analysis/synthesis, masks, features, and file IO."""
+"""STFT analysis/synthesis, masks, features, file IO, and channel lists."""
 
 import os
 import tempfile
@@ -11,17 +11,22 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from arraysep import (
+    BeamformerWeights,
     DataError,
     FeatureStats,
     MaskGrid,
+    MesslConfig,
     MultichannelWaveform,
     Spectrogram,
     StftConfig,
     Waveform,
     apply_mask,
+    beamform,
+    estimate_covariances,
     istft,
     load_mask,
     read_wav,
+    run_em,
     save_mask,
     stft,
     to_log_features,
@@ -299,11 +304,16 @@ def test_wav_cut_at_every_length(tmp_path, encoding):
     write_wav(path, full, encoding=encoding)
     expected = read_wav(path).as_array()
     blob = path.read_bytes()
+    data_start = blob.index(b"data")
     cut_path = tmp_path / "cut.wav"
     for cut in range(len(blob)):
         cut_path.write_bytes(blob[:cut])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            if cut >= data_start:
+                with pytest.raises(DataError):
+                    read_wav(cut_path)
+                continue
             try:
                 back = read_wav(cut_path)
             except DataError:
@@ -313,6 +323,18 @@ def test_wav_cut_at_every_length(tmp_path, encoding):
         np.testing.assert_array_equal(
             back.as_array(), expected[:, :back.n_samples]
         )
+
+
+def test_wav_unknown_trailing_chunk_only_warns(tmp_path):
+    path = tmp_path / "x.wav"
+    write_wav(path, make_noise(40), encoding="pcm16")
+    blob = bytearray(path.read_bytes())
+    blob += b"abcd" + (2).to_bytes(4, "little") + b"zz"
+    blob[4:8] = (len(blob) - 8).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.warns(UserWarning, match="not understood"):
+        back = read_wav(path)
+    assert back.n_samples == 40
 
 
 def test_wav_bad_encoding(tmp_path):
@@ -400,3 +422,29 @@ def test_spectrogram_freq_axis_checked(small_cfg):
     with pytest.raises(DataError, match="inconsistent"):
         Spectrogram(bins=np.zeros((5, 4), dtype=complex), config=small_cfg,
                     sample_rate=16000)
+
+
+# ------------------------------------------------------------ channel lists
+
+@pytest.mark.parametrize("frames", [(4, 5), (5, 5, 4)])
+@pytest.mark.parametrize("entry", ["run_em", "estimate_covariances", "beamform"])
+def test_unequal_channel_shapes_rejected(tiny_cfg, entry, frames):
+    specs = [
+        Spectrogram(bins=np.ones((tiny_cfg.n_freq, n), dtype=complex),
+                    config=tiny_cfg, sample_rate=16000)
+        for n in frames
+    ]
+    selector = np.zeros((tiny_cfg.n_freq, len(specs)), dtype=complex)
+    selector[:, 0] = 1.0
+    calls = {
+        "run_em": lambda: run_em(specs, MesslConfig()),
+        "estimate_covariances": lambda: estimate_covariances(
+            specs, MaskGrid(np.ones(specs[0].bins.shape))
+        ),
+        "beamform": lambda: beamform(specs, BeamformerWeights(
+            weights=selector, steering=selector,
+            passthrough=np.ones(tiny_cfg.n_freq, dtype=bool), reference_channel=0,
+        )),
+    }
+    with pytest.raises(DataError, match="share shape"):
+        calls[entry]()
