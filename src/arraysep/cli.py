@@ -10,19 +10,11 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import pipeline as pl
 from .enhancer import init_model, save_history, save_model, train
 from .errors import DataError, NumericalError, StageError
 from .fusion import CombineMode
-from .scene import (
-    load_render,
-    load_scene_specs,
-    random_scene_spec,
-    render_scene,
-    save_render,
-)
+from .scene import load_render, load_scene_specs, render_scene, save_render
 from .signal import read_wav, save_mask, write_wav
 from .util import load_config
 
@@ -54,20 +46,9 @@ def _pipeline_config(args) -> pl.PipelineConfig:
 
 
 def cmd_simulate(args) -> int:
-    if args.config:
-        specs = load_scene_specs(args.config)
-    else:
-        rng = np.random.default_rng(args.seed)
-        specs = [
-            random_scene_spec(
-                rng,
-                n_channels=args.channels,
-                duration=args.duration,
-                snr_db=args.snr_db,
-                n_interferers=args.interferers,
-            )
-            for _ in range(args.n_scenes)
-        ]
+    keys = ("n_scenes", "seed", "n_channels", "duration", "snr_db", "n_interferers")
+    batch = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    specs = load_scene_specs(args.config or {"batch": batch})
     os.makedirs(args.out, exist_ok=True)
     for i, spec in enumerate(specs):
         scene_dir = os.path.join(args.out, f"scene_{i:03d}")
@@ -188,11 +169,11 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="scene config YAML")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-scenes", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--channels", type=int, default=2)
-    p.add_argument("--duration", type=float, default=2.0)
-    p.add_argument("--snr-db", type=float, default=10.0)
-    p.add_argument("--interferers", type=int, default=0)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--channels", dest="n_channels", type=int)
+    p.add_argument("--duration", type=float)
+    p.add_argument("--snr-db", type=float)
+    p.add_argument("--interferers", dest="n_interferers", type=int)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("messl", help="spatial clustering mask from a mixture")

@@ -334,9 +334,13 @@ class TrainSettings:
     """Adaptive-moment step size, stopping rule, and seed."""
 
     learning_rate: float = 1e-3
-    max_epochs: int = 100
+    max_epochs: int = 30
     patience: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        if self.max_epochs < 1:
+            raise DataError(f"max_epochs must be at least 1, got {self.max_epochs}")
 
 
 class _Adam:

@@ -29,6 +29,7 @@ from .errors import DataError
 from .signal import Waveform
 
 FILTER_TAPS = 512
+SEG_FRAME = 256
 DB_CLAMP = 100.0
 SEG_SNR_MIN = -10.0
 SEG_SNR_MAX = 35.0
@@ -245,7 +246,7 @@ def bss_eval(
 def seg_snr(
     estimate: Waveform,
     reference: Waveform,
-    frame_len: int = 256,
+    frame_len: int = SEG_FRAME,
 ) -> float:
     """Mean per-frame SNR in dB, each frame clamped to [-10, 35].
 

@@ -32,7 +32,7 @@ from .enhancer import (
 )
 from .errors import StageError
 from .fusion import CombineMode, combine_masks, fuse_channels
-from .metrics import ProjectionBasis, bss_eval, projection_basis, seg_snr
+from .metrics import SEG_FRAME, ProjectionBasis, bss_eval, projection_basis, seg_snr
 from .scene import SceneRender, load_render
 from .signal import (
     FeatureStats,
@@ -55,6 +55,8 @@ from .spatial_em import (
 from .targets import TargetKind
 from .util import (
     _bool,
+    _fraction,
+    _given,
     _int,
     _int_tuple,
     _list,
@@ -81,7 +83,7 @@ class PipelineConfig:
     reference_channel: int = 0
     model_path: str | None = None
     messl_binarize_threshold: float | None = None
-    seg_frame: int = 256
+    seg_frame: int = SEG_FRAME
 
     def digest(self) -> str:
         return config_hash(self)
@@ -197,16 +199,13 @@ def enhance(
 
 def _references(render: SceneRender, reference_channel: int, n: int):
     """The speech and noise references at the reference channel, trimmed
-    to n samples: the target-source image, then every interferer image and
-    the noise image."""
+    to n samples: the target-source image, then those interferer images
+    and the noise image that are not all zero (no diffuse noise, say)."""
     def trim(wave):
         return Waveform(samples=wave.samples[:n], sample_rate=wave.sample_rate)
-    speech = trim(render.per_source_images[0].channel(reference_channel))
-    noises = [
-        trim(img.channel(reference_channel)) for img in render.per_source_images[1:]
-    ]
-    noises.append(trim(render.noise_image.channel(reference_channel)))
-    return speech, noises
+    images = (*render.per_source_images, render.noise_image)
+    speech, *noises = (trim(img.channel(reference_channel)) for img in images)
+    return speech, [noise for noise in noises if noise.samples.any()]
 
 
 def scoring_basis(
@@ -222,14 +221,15 @@ def evaluate_scene(
     estimate: Waveform,
     render: SceneRender,
     reference_channel: int = 0,
-    seg_frame: int = 256,
+    seg_frame: int = SEG_FRAME,
     basis: ProjectionBasis | None = None,
 ):
     """Score an estimate against a render's exact references.
 
     The speech reference is the target-source image at the reference
     channel; interferer images and the noise image there act as noise
-    references. Signals are trimmed to the shortest common length.
+    references, except those that are all zero after trimming. Signals
+    are trimmed to the shortest common length.
     ``basis`` may come from scoring_basis() for that length.
     """
     n = min(len(estimate), render.mixture.n_samples)
@@ -242,31 +242,20 @@ def evaluate_scene(
 
 
 def _stft_from_dict(d: dict) -> StftConfig:
-    size = _value(d, "window_size", _int, 1024)
-    return StftConfig(
-        window_size=size,
-        hop_size=_value(d, "hop_size", _int, size // 4),
-        window=_value(d, "window", _string, "sqrt_hann"),
-    )
+    kwargs = _given(d, window_size=_int, hop_size=_int, window=_string)
+    if "window_size" in kwargs:
+        kwargs.setdefault("hop_size", kwargs["window_size"] // 4)
+    return StftConfig(**kwargs)
 
 
 def _messl_from_dict(d: dict) -> MesslConfig:
-    kwargs = {
-        key: _value(d, key, convert)
-        for key, convert in (
-            ("n_sources", _int),
-            ("n_iterations", _int),
-            ("convergence_tol", float),
-            ("use_garbage", _bool),
-            ("target_source", _optional(_int)),
-        )
-        if key in d
-    }
-    if "max_delay" in d or "grid_step" in d:
-        kwargs["delay_grid"] = default_delay_grid(
-            max_delay=_value(d, "max_delay", float, 8.0),
-            step=_value(d, "grid_step", float, 0.25),
-        )
+    kwargs = _given(
+        d, n_sources=_int, n_iterations=_int, convergence_tol=float,
+        use_garbage=_bool, target_source=_optional(_int),
+    )
+    grid = _given(d, max_delay=float, step=("grid_step", float))
+    if grid:
+        kwargs["delay_grid"] = default_delay_grid(**grid)
     return MesslConfig(**kwargs)
 
 
@@ -280,13 +269,12 @@ def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
     return PipelineConfig(
         stft=_stft_from_dict(_value(doc, "stft", _mapping, {})),
         messl=_messl_from_dict(_value(doc, "messl", _mapping, {})),
-        combine_mode=_value(doc, "combine", _parsed(CombineMode), "avg"),
-        reference_channel=_value(doc, "ref_channel", _int, 0),
-        model_path=_value(doc, "model", _optional(_string), None),
-        messl_binarize_threshold=_value(
-            doc, "messl_binarize_threshold", _optional(float), None
+        **_given(
+            doc, combine_mode=("combine", _parsed(CombineMode)),
+            reference_channel=("ref_channel", _int),
+            model_path=("model", _optional(_string)),
+            messl_binarize_threshold=_optional(float), seg_frame=_int,
         ),
-        seg_frame=_value(doc, "seg_frame", _int, 256),
     )
 
 
@@ -297,19 +285,14 @@ def training_config_from_dict(doc: dict) -> tuple:
     holdout_fraction, all_channels); all_channels is true when every
     channel, not only the reference channel, gives a training sequence.
     """
-    net = EnhancerConfig(
-        layer_sizes=_value(doc, "layer_sizes", _int_tuple, [64]),
-        merge_mode=_value(doc, "merge_mode", _string, "average"),
-        output_activation=_value(doc, "output_activation", _string, "sigmoid"),
-        target_kind=_value(doc, "target_kind", _parsed(TargetKind), "ia"),
-    )
-    settings = TrainSettings(
-        learning_rate=_value(doc, "learning_rate", float, 1e-3),
-        max_epochs=_value(doc, "max_epochs", _int, 30),
-        patience=_value(doc, "patience", _int, 5),
-        seed=_value(doc, "seed", _seed, 0),
-    )
-    holdout = _value(doc, "holdout_fraction", float, 0.2)
+    net = EnhancerConfig(**_given(
+        doc, layer_sizes=_int_tuple, merge_mode=_string,
+        output_activation=_string, target_kind=_parsed(TargetKind),
+    ))
+    settings = TrainSettings(**_given(
+        doc, learning_rate=float, max_epochs=_int, patience=_int, seed=_seed,
+    ))
+    holdout = _value(doc, "holdout_fraction", _fraction, 0.2)
     channels = _value(doc, "channels", _one_of("reference", "all"), "reference")
     scenes = _value(doc, "scenes", _string)
     return scenes, net, settings, holdout, channels == "all"

@@ -29,8 +29,10 @@ from .signal import (
 )
 from .targets import TargetContext, TargetKind, compute_target
 from .util import (
+    _at_least,
     _float_pair,
     _float_tuple,
+    _given,
     _int,
     _mapping,
     _number_or_range,
@@ -274,6 +276,8 @@ def random_scene_spec(
     remaining channels get random delays and mild gain jitter. snr_db sets
     the diffuse noise level relative to the target signal power.
     """
+    if n_interferers < 0:
+        raise DataError(f"n_interferers must not be negative, got {n_interferers}")
 
     def placement(delay_range):
         delays = [0.0] + [rng.uniform(*delay_range) for _ in range(n_channels - 1)]
@@ -334,25 +338,25 @@ def load_scene_specs(path) -> list:
     n_channels, seed, diffuse_noise_level, sources) or a batch descriptor
     under a 'batch' key (n_scenes, seed, n_channels, sample_rate, duration,
     snr_db, n_interferers, delay_range) expanded through random_scene_spec.
-    snr_db is a number or a [low, high] range drawn from per scene. A
-    missing or malformed value raises DataError naming its key.
+    snr_db is a number or a [low, high] range drawn from per scene; keys
+    left out take random_scene_spec's and SceneSpec's defaults. A missing
+    or malformed value (n_scenes below 1, say) raises DataError naming it.
     """
     doc = load_config(path)
     if "batch" in doc:
         batch = _value(doc, "batch", _mapping)
         rng = np.random.default_rng(_value(batch, "seed", _seed, 0))
-        snr = _value(batch, "snr_db", _number_or_range, 10.0)
-        layout = dict(
-            n_channels=_value(batch, "n_channels", _int, 2),
-            duration=_value(batch, "duration", float, 2.0),
-            sample_rate=_value(batch, "sample_rate", _int, 16000),
-            target_delay_range=_value(batch, "delay_range", _float_pair, (-4.0, 4.0)),
-            n_interferers=_value(batch, "n_interferers", _int, 0),
+        layout = _given(
+            batch, snr_db=_number_or_range, n_channels=_int, duration=float,
+            sample_rate=_int, target_delay_range=("delay_range", _float_pair),
+            n_interferers=_int,
         )
+        snr = layout.get("snr_db")
         specs = []
-        for _ in range(_value(batch, "n_scenes", _int, 1)):
-            snr_db = rng.uniform(*snr) if isinstance(snr, tuple) else snr
-            specs.append(random_scene_spec(rng, snr_db=snr_db, **layout))
+        for _ in range(_value(batch, "n_scenes", _at_least(1), 1)):
+            if isinstance(snr, tuple):
+                layout["snr_db"] = rng.uniform(*snr)
+            specs.append(random_scene_spec(rng, **layout))
         return specs
     rate = _value(doc, "sample_rate", _int, 16000)
     seed = _value(doc, "seed", _seed, 0)
@@ -367,8 +371,8 @@ def load_scene_specs(path) -> list:
                 doc, "n_channels", _int, len(sources[0].delays) if sources else 0
             ),
             sample_rate=rate,
-            diffuse_noise_level=_value(doc, "diffuse_noise_level", float, 0.0),
             seed=seed,
+            **_given(doc, diffuse_noise_level=float),
         )
     ]
 
@@ -403,6 +407,8 @@ def load_render(directory) -> SceneRender:
     manifest = load_config(manifest_path)
     mixture = _value(manifest, "mixture", _string)
     sources = _value(manifest, "sources", _tuple_of(_string))
+    if not sources:
+        raise DataError(f"scene manifest {manifest_path} lists no sources")
     noise = _value(manifest, "noise", _string)
 
     def read(name):

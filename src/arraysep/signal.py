@@ -93,6 +93,8 @@ class MultichannelWaveform:
         return self.channels[0].sample_rate
 
     def channel(self, index: int) -> Waveform:
+        if not 0 <= index < self.n_channels:
+            raise DataError(f"channel {index} out of range for {self.n_channels}")
         return self.channels[index]
 
     def as_array(self) -> np.ndarray:

@@ -6,9 +6,10 @@ prediction plus a per-frequency Gaussian residual; an optional uniform
 outlier component absorbs diffuse noise. Posterior source probabilities
 double as soft separation masks (MESSL-style clustering, phase only).
 
-Delays are updated by search over a fixed candidate set that always
-contains the incumbent, so every M step is a coordinate ascent on the
-expected complete-data log likelihood and the log likelihood trace is
+Delays start at grid points (the strongest PHAT peaks) and are updated by
+search over the same fixed grid, which therefore always contains the
+incumbent, so every M step is a coordinate ascent on the expected
+complete-data log likelihood and the log likelihood trace is
 non-decreasing. Each candidate's weighted squared wrapped residual is
 evaluated exactly in closed form: with the phases of a frequency sorted,
 the frames whose residual wraps form a prefix and a suffix, so prefix sums
@@ -29,6 +30,7 @@ from .errors import DataError, NumericalError
 from .signal import MaskGrid, check_channels
 
 VAR_FLOOR = 1e-4          # rad^2, keeps residual Gaussians proper
+MAX_DELAY_CANDIDATES = 4097   # bounds the (sources, freqs, candidates) scores
 _LOG_UNIFORM = -np.log(2.0 * np.pi)
 _PRIOR_FLOOR = 1e-300
 
@@ -38,8 +40,10 @@ def default_delay_grid(max_delay: float = 8.0, step: float = 0.25) -> np.ndarray
     if not (step > 0 and np.isfinite(max_delay)):
         raise DataError(f"delay grid needs step > 0 and a finite max_delay, "
                         f"got step {step}, max_delay {max_delay}")
-    n = int(round(max_delay / step))
-    return np.arange(-n, n + 1) * step
+    n = np.round(max_delay / step)
+    if 2 * n + 1 > MAX_DELAY_CANDIDATES:
+        raise DataError(f"delay grid of {2 * n + 1:g} candidates, limit {MAX_DELAY_CANDIDATES}")
+    return np.arange(-int(n), int(n) + 1) * step
 
 
 @dataclass
@@ -297,19 +301,12 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
                 break
 
         # M step, coordinate ascent: delays first (old mean/var), then the
-        # residual Gaussians in closed form, then the priors.
-        # Each source searches the grid plus its own incumbent when that
-        # lies off the grid; the first maximum wins.
+        # residual Gaussians in closed form, then the priors. Delays start
+        # on the grid and are searched over it; the first maximum wins.
         weight = gamma[: cfg.n_sources] / (2.0 * var[:, :, None])
         for p in range(n_pairs):
-            off = ~np.any(np.abs(grid[None] - delays[:, p, None]) < 1e-12, axis=1)
-            cand = np.append(grid, delays[off, p])
-            score = _delay_scores(phi[p], weight, mean, cand, omega)
-            own = (np.flatnonzero(off), grid.size + np.arange(off.sum()))
-            incumbent = score[own]
-            score[:, grid.size:] = -np.inf
-            score[own] = incumbent
-            delays[:, p] = cand[np.argmax(score, axis=1)]
+            score = _delay_scores(phi[p], weight, mean, grid, omega)
+            delays[:, p] = grid[np.argmax(score, axis=1)]
 
         for k in range(cfg.n_sources):
             r = residuals(k)

@@ -84,6 +84,18 @@ def _value(doc: dict, key: str, convert, default=_REQUIRED):
         raise DataError(f"config key '{key}' = {value!r}: {exc}") from exc
 
 
+def _given(doc: dict, **fields) -> dict:
+    """{field: value} read by _value for each key ``doc`` sets. A keyword
+    maps a field to its converter, or to (document key, converter); a
+    field left out keeps the default of the callee it is passed to."""
+    out = {}
+    for name, convert in fields.items():
+        key, convert = convert if isinstance(convert, tuple) else (name, convert)
+        if key in doc:
+            out[name] = _value(doc, key, convert)
+    return out
+
+
 def _expect(kind, what):
     def check(value):
         if not isinstance(value, kind):
@@ -106,11 +118,24 @@ def _int(value) -> int:
     return number
 
 
-def _seed(value) -> int:
-    """A random seed: a nonnegative integer."""
-    number = _int(value)
-    if number < 0:
-        raise ValueError("a seed must not be negative")
+def _at_least(low):
+    """An integer (see _int) of at least ``low``."""
+    def check(value):
+        number = _int(value)
+        if number < low:
+            raise ValueError(f"must be at least {low}")
+        return number
+    return check
+
+
+_seed = _at_least(0)
+
+
+def _fraction(value) -> float:
+    """A finite float in [0, 1)."""
+    number = float(value)
+    if not 0.0 <= number < 1.0:
+        raise ValueError("expected a finite number in [0, 1)")
     return number
 
 

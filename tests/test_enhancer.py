@@ -263,6 +263,13 @@ def test_early_stopping_bounds_epochs():
     assert len(history) <= best_epoch + 1 + settings.patience
 
 
+def test_train_settings_need_an_epoch():
+    assert TrainSettings().max_epochs == 30
+    for epochs in (0, -2):
+        with pytest.raises(DataError, match="max_epochs"):
+            TrainSettings(max_epochs=epochs)
+
+
 def test_train_requires_batches():
     config = EnhancerConfig(layer_sizes=(4,))
     model = init_model(config, n_freq=4, feature_stats=_stats(4))

@@ -17,9 +17,11 @@ from arraysep import (
     StftConfig,
     TargetKind,
     TrainSettings,
+    Waveform,
     apply_mask,
     binarize,
     build_batch,
+    bss_eval,
     enhance,
     evaluate_scene,
     init_model,
@@ -171,6 +173,35 @@ def test_evaluate_scene_perfect_estimate(render):
     scores = evaluate_scene(target, render)
     assert scores.sdr > 60.0
     assert scores.seg_snr == 35.0
+
+
+@pytest.mark.parametrize("n_sources", [1, 2])
+def test_scene_without_diffuse_noise_is_scored(tmp_path, n_sources):
+    sources = "".join(f"  - {{duration: 0.4, delays: [0.0, {1.5 * (i + 1)}]}}\n"
+                      for i in range(n_sources))
+    config = tmp_path / "scene.yml"
+    config.write_text("n_channels: 2\nseed: 4\nsources:\n" + sources)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    scene_dir = str(tmp_path / "scene_000")
+    render = load_render(scene_dir)
+    assert not render.noise_image.as_array().any()
+
+    estimate = enhance(render.mixture, _small_cfg()).waveform
+    scores = evaluate_scene(estimate, render)
+    n = min(len(estimate), render.mixture.n_samples)
+
+    def trim(wave):
+        return Waveform(samples=wave.samples[:n], sample_rate=wave.sample_rate)
+    expected = bss_eval(trim(estimate), trim(render.per_source_images[0].channel(0)),
+                        [trim(img.channel(0)) for img in render.per_source_images[1:]])
+    assert (scores.sdr, scores.sir, scores.sar) == (expected.sdr, expected.sir,
+                                                    expected.sar)
+    rows = run_experiment({"scenes": [scene_dir], "stft": {"window_size": 64},
+                           "messl": {"n_iterations": 2}})
+    assert [row["error"] for row in rows] == [""]
+    estimate_path = str(tmp_path / "estimate.wav")
+    write_wav(estimate_path, estimate)
+    assert main(["evaluate", "--input", estimate_path, "--scene", scene_dir]) == 0
 
 
 def test_evaluate_scene_trims_longer_estimate(render):
@@ -421,6 +452,39 @@ def cli_workspace(tmp_path_factory):
     return root
 
 
+def test_cli_simulate_flags_expand_as_batch_config(tmp_path):
+    flags = ["--n-scenes", "2", "--seed", "5", "--channels", "3",
+             "--duration", "0.3", "--snr-db", "7", "--interferers", "1"]
+    config = tmp_path / "batch.yml"
+    config.write_text("batch: {n_scenes: 2, seed: 5, n_channels: 3, duration: 0.3,"
+                      " snr_db: 7, n_interferers: 1}\n")
+    assert main(["simulate", "--out", str(tmp_path / "flags"), *flags]) == 0
+    assert main(["simulate", "--out", str(tmp_path / "config"),
+                 "--config", str(config)]) == 0
+    names = sorted(os.listdir(tmp_path / "flags"))
+    assert names == ["scene_000", "scene_001"]
+    for scene in names:
+        files = sorted(os.listdir(tmp_path / "flags" / scene))
+        assert files == sorted(os.listdir(tmp_path / "config" / scene))
+        for name in files:
+            assert ((tmp_path / "flags" / scene / name).read_bytes()
+                    == (tmp_path / "config" / scene / name).read_bytes())
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--n-scenes", "0"], "n_scenes"),
+    (["--n-scenes", "-1"], "n_scenes"),
+    (["--interferers", "-1"], "n_interferers"),
+    (["--seed", "-1"], "seed"),
+    (["--duration", "nan"], "duration"),
+])
+def test_cli_simulate_flags_share_the_batch_checks(tmp_path, capsys, flags, key):
+    code = main(["simulate", "--out", str(tmp_path / "out"), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err and "Traceback" not in err
+
+
 def test_cli_usage_errors():
     assert main(["no-such-command"]) == 1
     assert main(["enhance"]) == 1
@@ -536,6 +600,15 @@ def test_cli_evaluate_malformed_scene_manifest(tmp_path, capsys, manifest):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_cli_evaluate_reference_channel_out_of_range(cli_workspace, capsys):
+    scene = str(cli_workspace / "scenes" / "scene_000")
+    code = main(["evaluate", "--input", os.path.join(scene, "mixture.wav"),
+                 "--scene", scene, "--ref-channel", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "out of range" in err and "Traceback" not in err
+
+
 def test_cli_experiment_truncated_model_is_data_error(cli_workspace, tmp_path,
                                                       capsys):
     model_path = tmp_path / "cut.model"
@@ -594,6 +667,16 @@ def test_cli_numerical_error_exit_code(cli_workspace, tmp_path):
     ("train", "max_epochs: 1.5\n", "max_epochs"),
     ("train", "seed: -1\n", "seed"),
     ("simulate", "batch: {n_scenes: 2.5}\n", "n_scenes"),
+    ("enhance", "messl: {grid_step: 1.0e-300}\n", "candidates"),
+    ("experiment", "messl: {max_delay: 2000, grid_step: 0.25}\n", "candidates"),
+    ("train", "max_epochs: 0\n", "max_epochs"),
+    ("train", "max_epochs: -3\n", "max_epochs"),
+    ("train", "holdout_fraction: .nan\n", "holdout_fraction"),
+    ("train", "holdout_fraction: .inf\n", "holdout_fraction"),
+    ("train", "holdout_fraction: 1\n", "holdout_fraction"),
+    ("simulate", "batch: {n_scenes: 0}\n", "n_scenes"),
+    ("simulate", "batch: {n_scenes: -1}\n", "n_scenes"),
+    ("simulate", "batch: {n_interferers: -1}\n", "n_interferers"),
 ])
 def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
                                             command, doc, key):

@@ -176,6 +176,8 @@ def test_scene_spec_validation():
                   n_channels=2, sample_rate=16000)
     with pytest.raises(DataError, match="positive"):
         SourceSpec(sig, (0.0, 0.0), (1.0, 0.0))
+    with pytest.raises(DataError, match="n_interferers"):
+        random_scene_spec(np.random.default_rng(0), duration=0.1, n_interferers=-1)
 
 
 # -------------------------------------------------------------- oracle masks
@@ -291,6 +293,7 @@ def _saved_scene(tmp_path):
         ("mixture: mixture.wav\nsources: [3]\nnoise: noise.wav\n", "not a string"),
         ("mixture: mixture.wav\nsources: [source_00.wav]\nnoise: [a]\n", "not a string"),
         ("mixture: mixture.wav\nsources: [source_00.wav]\n", "missing 'noise'"),
+        ("mixture: mixture.wav\nsources: []\nnoise: noise.wav\n", "no sources"),
     ],
 )
 def test_load_render_malformed_manifest(tmp_path, manifest, message):
@@ -338,6 +341,9 @@ def test_load_scene_specs_batch(tmp_path):
     ("sources: [{duration: .inf, delays: [0, 1]}]\n", "duration"),
     ("batch: {delay_range: [0.5, .nan]}\n", "delay_range"),
     ("batch: {snr_db: [20, 0]}\n", "snr_db"),
+    ("batch: {n_scenes: 0}\n", "n_scenes"),
+    ("batch: {n_scenes: -1}\n", "n_scenes"),
+    ("batch: {n_interferers: -1}\n", "n_interferers"),
 ])
 def test_load_scene_specs_malformed(tmp_path, doc, key):
     path = tmp_path / "bad.yaml"

@@ -290,6 +290,14 @@ def test_wav_multichannel_round_trip(tmp_path, two_channel_render):
     np.testing.assert_allclose(back.as_array(), mix.as_array(), atol=1e-7)
 
 
+def test_channel_index_out_of_range():
+    mix = MultichannelWaveform.from_array(np.ones((2, 8)), 16000)
+    assert mix.channel(1) is mix.channels[1]
+    for index in (2, -1):
+        with pytest.raises(DataError, match="out of range"):
+            mix.channel(index)
+
+
 def test_wav_missing_file():
     with pytest.raises(FileNotFoundError):
         read_wav("/nonexistent/file.wav")

@@ -1,5 +1,6 @@
 """Spatial clustering EM: phase model, initialization, convergence, masks."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from arraysep import (
     stft,
 )
 from arraysep.signal import MaskGrid, Waveform
-from arraysep.spatial_em import _delay_scores, _wrap
+from arraysep.spatial_em import MAX_DELAY_CANDIDATES, _delay_scores, _wrap
 
 
 def _delayed_scene(delay: float, seed: int = 0, noise: float = 0.0,
@@ -407,6 +408,14 @@ def test_default_delay_grid():
     assert grid[0] == -4.0 and grid[-1] == 4.0
     assert 0.0 in grid
     assert len(grid) == 17
+
+
+def test_default_delay_grid_is_capped():
+    assert default_delay_grid(1024.0, 0.5).size == MAX_DELAY_CANDIDATES
+    for max_delay, step, count in ((1024.5, 0.5, "4099"), (8.0, 1e-300, "1.6e+301"),
+                                   (1e308, 1e-10, "inf")):
+        with pytest.raises(DataError, match=re.escape(f"{count} candidates")):
+            default_delay_grid(max_delay, step)
 
 
 def test_binarize_strict_threshold():
