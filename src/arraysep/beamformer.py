@@ -1,11 +1,15 @@
 """Mask-driven spatial covariance estimation and MVDR beamforming.
 
 Speech and noise covariance matrices are mask-weighted outer-product
-averages per frequency. The distortionless-response weights are computed
-with Hermitian positive-definite solves against the steering vector (the
-principal eigenvector of the speech covariance); no matrix is ever
-explicitly inverted. Frequencies whose covariances are degenerate fall
-back to a reference-channel selector and are flagged.
+averages per frequency, built for all frequencies in one batched matrix
+product. The distortionless-response weights come from one batched
+linear solve of every usable noise covariance against its steering
+vector (the principal eigenvector of the speech covariance); no matrix
+is ever explicitly inverted. A batched Cholesky factorization serves as
+the positive-definiteness test; only when it fails are the covariances
+factored one frequency at a time, to find the ones that are not. Those
+frequencies, and those whose covariances are degenerate or not finite,
+fall back to a reference-channel selector and are flagged.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError
 from .signal import AMP_FLOOR, MaskGrid, Spectrogram, check_channels, check_ratio_mask
@@ -54,24 +57,25 @@ class BeamformerWeights:
     reference_channel: int
 
 
-def _weighted_covariances(bins: np.ndarray, weights: np.ndarray):
+def _weighted_covariances(bins: np.ndarray, adjoint: np.ndarray, weights: np.ndarray):
     """Mask-weighted outer-product average per frequency.
 
-    bins: (n_channels, n_freq, n_frames) complex. weights: (n_freq,
-    n_frames) in [0, 1]. Returns (covariances, degenerate flags).
+    bins: (n_freq, n_channels, n_frames) complex; adjoint: its conjugate
+    transpose per frequency, (n_freq, n_frames, n_channels). weights:
+    (n_freq, n_frames) in [0, 1]. Returns (covariances, degenerate flags).
     """
-    n_channels, n_freq, _ = bins.shape
+    n_channels = bins.shape[1]
     weight_sum = weights.sum(axis=1)
     degenerate = weight_sum < WEIGHT_FLOOR
-    cov = np.einsum("ft,mft,nft->fmn", weights, bins, np.conj(bins))
+    cov = (bins * weights[:, None, :]) @ adjoint
     safe = np.where(degenerate, 1.0, weight_sum)
     cov /= safe[:, None, None]
     if degenerate.any():
         # Identity scaled by the mean per-channel power keeps the field usable.
-        power = np.mean(np.abs(bins) ** 2, axis=(0, 2))
-        eye = np.eye(n_channels)
-        for f in np.nonzero(degenerate)[0]:
-            cov[f] = max(power[f], AMP_FLOOR ** 2) * eye
+        power = np.mean(np.abs(bins[degenerate]) ** 2, axis=(1, 2))
+        cov[degenerate] = np.maximum(power, AMP_FLOOR ** 2)[:, None, None] * np.eye(
+            n_channels
+        )
     # Diagonal loading and exact Hermitian symmetry.
     trace = np.real(np.trace(cov, axis1=1, axis2=2))
     load = LOAD_FACTOR * trace / n_channels
@@ -89,12 +93,32 @@ def estimate_covariances(specs, mask: MaskGrid) -> CovarianceField:
         raise DataError(
             f"mask shape {m.shape} does not match spectrogram shape {shape}"
         )
-    bins = np.stack([s.bins for s in specs])
-    speech, deg_s = _weighted_covariances(bins, m)
-    noise, deg_n = _weighted_covariances(bins, 1.0 - m)
+    bins = np.stack([s.bins for s in specs], axis=1)
+    adjoint = np.swapaxes(np.conj(bins), 1, 2)
+    speech, deg_s = _weighted_covariances(bins, adjoint, m)
+    noise, deg_n = _weighted_covariances(bins, adjoint, 1.0 - m)
     return CovarianceField(
         speech=speech, noise=noise, degenerate_speech=deg_s, degenerate_noise=deg_n
     )
+
+
+def _positive_definite(matrices: np.ndarray) -> np.ndarray:
+    """Flags, per matrix of a (k, m, m) stack, whose Cholesky factorization
+    succeeds. The stack is factored at once; only if that fails is each
+    matrix factored alone, to locate the ones that are not positive
+    definite."""
+    try:
+        np.linalg.cholesky(matrices)
+        return np.ones(len(matrices), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    flags = np.ones(len(matrices), dtype=bool)
+    for k, matrix in enumerate(matrices):
+        try:
+            np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            flags[k] = False
+    return flags
 
 
 def mvdr_weights(cov: CovarianceField, reference_channel: int = 0) -> BeamformerWeights:
@@ -117,28 +141,27 @@ def mvdr_weights(cov: CovarianceField, reference_channel: int = 0) -> Beamformer
 
     _, eigvecs = np.linalg.eigh(cov.speech)
     principal = eigvecs[:, :, -1]
-    for f in range(n_freq):
-        if cov.degenerate_speech[f] or cov.degenerate_noise[f]:
-            continue
-        d = principal[f]
-        ref = d[reference_channel]
-        if np.abs(ref) > 1e-12:
-            d = d * (np.conj(ref) / np.abs(ref))
-        d = d * np.sqrt(n_channels)
-        try:
-            factor = scipy.linalg.cho_factor(cov.noise[f])
-            solved = scipy.linalg.cho_solve(factor, d)
-        except (scipy.linalg.LinAlgError, ValueError):
-            continue
-        denom = np.real(np.vdot(d, solved))
-        if not np.isfinite(denom) or denom <= 0:
-            continue
-        w = solved / denom
-        if not np.all(np.isfinite(w)):
-            continue
-        weights[f] = w
-        steering[f] = d
-        passthrough[f] = False
+    ref = principal[:, reference_channel]
+    magnitude = np.abs(ref)
+    rotate = magnitude > 1e-12
+    phase = np.ones(n_freq, dtype=np.complex128)
+    phase[rotate] = np.conj(ref[rotate]) / magnitude[rotate]
+    d = principal * phase[:, None] * np.sqrt(n_channels)
+
+    usable = ~(cov.degenerate_speech | cov.degenerate_noise)
+    usable &= np.all(np.isfinite(cov.noise), axis=(1, 2))
+    usable &= np.all(np.isfinite(d), axis=1)
+    idx = np.flatnonzero(usable)
+    idx = idx[_positive_definite(cov.noise[idx])]
+    solved = np.linalg.solve(cov.noise[idx], d[idx][:, :, None])[:, :, 0]
+    denom = np.real(np.sum(np.conj(d[idx]) * solved, axis=1))
+    valid = np.isfinite(denom) & (denom > 0)
+    w = solved / np.where(valid, denom, 1.0)[:, None]
+    valid &= np.all(np.isfinite(w), axis=1)
+    idx, w = idx[valid], w[valid]
+    weights[idx] = w
+    steering[idx] = d[idx]
+    passthrough[idx] = False
     return BeamformerWeights(
         weights=weights,
         steering=steering,

@@ -250,11 +250,13 @@ def forward(model: EnhancerModel, inputs: np.ndarray) -> MaskGrid:
 
 def _inputs(spec, logits: np.ndarray, stats: FeatureStats) -> np.ndarray:
     """Network input rows (n_frames, 2 * n_freq) of one channel: normalized
-    dB features, then the clustering mask's log-odds ``logits``."""
+    dB features, then the clustering mask's log-odds ``logits``. The rows
+    are C-contiguous; a transpose of the (n_freq, n_frames) grids is not,
+    and the per-frame recurrences and their matrix products read rows."""
     feats = to_log_features(spec, stats)
     if feats.shape != logits.shape:
         raise DataError("mask and spectrogram shapes do not match")
-    return np.concatenate([feats.T, logits.T], axis=1)
+    return np.ascontiguousarray(np.concatenate([feats.T, logits.T], axis=1))
 
 
 @dataclass
@@ -274,8 +276,8 @@ def build_batch(
     """Assemble one sequence from spectrograms and the clustering mask."""
     inputs = _inputs(noisy_spec, logit_mask(messl_mask), stats)
     ctx = TargetContext.from_spectrograms(clean_spec, noisy_spec)
-    target = compute_target(ctx, kind).values.T
-    mag = None if kind.is_mask else np.abs(noisy_spec.bins).T
+    target = np.ascontiguousarray(compute_target(ctx, kind).values.T)
+    mag = None if kind.is_mask else np.ascontiguousarray(np.abs(noisy_spec.bins).T)
     return TrainBatch(inputs=inputs, target=target, noisy_mag=mag)
 
 
@@ -339,8 +341,15 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self):
+        # A learning rate of 0 is kept: it evaluates without updating.
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise DataError(
+                f"learning_rate must be finite and not negative, got {self.learning_rate}"
+            )
         if self.max_epochs < 1:
             raise DataError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if self.patience < 1:
+            raise DataError(f"patience must be at least 1, got {self.patience}")
 
 
 class _Adam:

@@ -60,6 +60,7 @@ from .util import (
     _int,
     _int_tuple,
     _list,
+    _located,
     _mapping,
     _one_of,
     _optional,
@@ -241,6 +242,7 @@ def evaluate_scene(
     )
 
 
+@_located("stft")
 def _stft_from_dict(d: dict) -> StftConfig:
     kwargs = _given(d, window_size=_int, hop_size=_int, window=_string)
     if "window_size" in kwargs:
@@ -248,6 +250,7 @@ def _stft_from_dict(d: dict) -> StftConfig:
     return StftConfig(**kwargs)
 
 
+@_located("messl")
 def _messl_from_dict(d: dict) -> MesslConfig:
     kwargs = _given(
         d, n_sources=_int, n_iterations=_int, convergence_tol=float,

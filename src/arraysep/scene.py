@@ -34,6 +34,7 @@ from .util import (
     _float_tuple,
     _given,
     _int,
+    _located,
     _mapping,
     _number_or_range,
     _one_of,
@@ -360,10 +361,10 @@ def load_scene_specs(path) -> list:
         return specs
     rate = _value(doc, "sample_rate", _int, 16000)
     seed = _value(doc, "seed", _seed, 0)
-    sources = [
-        _source_from_dict(entry, rate, seed * 1000 + i)
-        for i, entry in enumerate(_value(doc, "sources", _tuple_of(_mapping)))
-    ]
+    sources = []
+    for i, entry in enumerate(_value(doc, "sources", _tuple_of(_mapping))):
+        with _located(f"sources[{i}]"):
+            sources.append(_source_from_dict(entry, rate, seed * 1000 + i))
     return [
         SceneSpec(
             sources=tuple(sources),
@@ -400,22 +401,23 @@ def save_render(render: SceneRender, directory, extras: dict | None = None) -> N
 
 
 def load_render(directory) -> SceneRender:
-    """Read back a render written by save_render."""
+    """Read back a render written by save_render. Errors name the manifest."""
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise DataError(f"no scene manifest at {manifest_path}")
-    manifest = load_config(manifest_path)
-    mixture = _value(manifest, "mixture", _string)
-    sources = _value(manifest, "sources", _tuple_of(_string))
-    if not sources:
-        raise DataError(f"scene manifest {manifest_path} lists no sources")
-    noise = _value(manifest, "noise", _string)
 
     def read(name):
         return read_wav(os.path.join(directory, name))
 
-    return SceneRender(
-        mixture=read(mixture),
-        per_source_images=tuple(read(name) for name in sources),
-        noise_image=read(noise),
-    )
+    with _located(f"scene manifest {manifest_path}"):
+        manifest = load_config(manifest_path)
+        mixture = _value(manifest, "mixture", _string)
+        sources = _value(manifest, "sources", _tuple_of(_string))
+        if not sources:
+            raise DataError("lists no sources")
+        noise = _value(manifest, "noise", _string)
+        return SceneRender(
+            mixture=read(mixture),
+            per_source_images=tuple(read(name) for name in sources),
+            noise_image=read(noise),
+        )

@@ -280,7 +280,9 @@ def stft(wave: Waveform, cfg: StftConfig) -> Spectrogram:
         )
     window = make_window(cfg.window, size)
     frames = np.lib.stride_tricks.sliding_window_view(x, size)[::hop]
-    bins = np.fft.rfft(frames * window, axis=1).T
+    # C-contiguous (n_freq, n_frames) bins: every consumer reads them bin by
+    # bin, and a transposed view would make each stack of channels strided.
+    bins = np.ascontiguousarray(np.fft.rfft(frames * window, axis=1).T)
     return Spectrogram(bins=bins, config=cfg, sample_rate=wave.sample_rate)
 
 

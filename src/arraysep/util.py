@@ -4,9 +4,12 @@ configs, and scene manifests).
 
 Every document value is read with _value(doc, key, convert), which names
 the key in the DataError raised when the value is missing or malformed.
+Readers of a nested section or of a file wrap their work in _located, so
+that the error also says where the key sits.
 The converters below are the only value conversions of document data.
 """
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
@@ -82,6 +85,16 @@ def _value(doc: dict, key: str, convert, default=_REQUIRED):
         return convert(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DataError(f"config key '{key}' = {value!r}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _located(where: str):
+    """Prefix ``where`` (a section, a list entry or a file) to the message
+    of any DataError raised in the block."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def _given(doc: dict, **fields) -> dict:

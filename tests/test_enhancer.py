@@ -270,6 +270,16 @@ def test_train_settings_need_an_epoch():
             TrainSettings(max_epochs=epochs)
 
 
+def test_train_settings_need_a_usable_rate_and_patience():
+    for rate in (-0.5, -1e-12, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DataError, match="learning_rate"):
+            TrainSettings(learning_rate=rate)
+    for patience in (0, -4):
+        with pytest.raises(DataError, match="patience"):
+            TrainSettings(patience=patience)
+    assert TrainSettings(learning_rate=0.0, patience=1).patience == 1
+
+
 def test_train_requires_batches():
     config = EnhancerConfig(layer_sizes=(4,))
     model = init_model(config, n_freq=4, feature_stats=_stats(4))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -677,6 +678,10 @@ def test_cli_numerical_error_exit_code(cli_workspace, tmp_path):
     ("simulate", "batch: {n_scenes: 0}\n", "n_scenes"),
     ("simulate", "batch: {n_scenes: -1}\n", "n_scenes"),
     ("simulate", "batch: {n_interferers: -1}\n", "n_interferers"),
+    ("train", "learning_rate: -0.5\n", "learning_rate"),
+    ("train", "learning_rate: .nan\n", "learning_rate"),
+    ("train", "patience: -4\n", "patience"),
+    ("train", "patience: 0\n", "patience"),
 ])
 def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
                                             command, doc, key):
@@ -690,3 +695,36 @@ def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 2
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc, where, key", [
+    ("simulate", "sources: [{duration: 0.1}]\n", "sources[0]", "delays"),
+    ("simulate", "sources: [{duration: 0.1, delays: [0, 1]},"
+                 " {duration: 0.1, delays: [0, .nan]}]\n", "sources[1]", "finite"),
+    ("enhance", "messl: {n_iterations: x}\n", "messl", "n_iterations"),
+    ("experiment", "stft: {window_size: 0}\n", "stft", "window_size"),
+])
+def test_cli_config_errors_name_their_section(cli_workspace, tmp_path, capsys,
+                                              command, doc, where, key):
+    scenes = cli_workspace / "scenes"
+    path = tmp_path / "bad.yml"
+    path.write_text(doc)
+    extra = ["--input", str(scenes / "scene_000" / "mixture.wav")] \
+        if command == "enhance" else []
+    code = main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out"), *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{where}: " in err and key in err and "Traceback" not in err
+
+
+def test_cli_evaluate_names_a_malformed_manifest(cli_workspace, tmp_path, capsys):
+    scene = tmp_path / "scene"
+    shutil.copytree(cli_workspace / "scenes" / "scene_000", scene)
+    (scene / "manifest.yaml").write_text("mixture: mixture.wav\nsources: [3]\n")
+    code = main(["evaluate", "--input", str(scene / "mixture.wav"),
+                 "--scene", str(scene)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"scene manifest {scene / 'manifest.yaml'}: " in err
+    assert "Traceback" not in err

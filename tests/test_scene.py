@@ -1,5 +1,7 @@
 """Scene simulation: delays, rendering, oracle masks, signal generator, IO."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +302,19 @@ def test_load_render_malformed_manifest(tmp_path, manifest, message):
     scene_dir = _saved_scene(tmp_path)
     (scene_dir / "manifest.yaml").write_text(manifest)
     with pytest.raises(DataError, match=message):
+        load_render(scene_dir)
+
+
+@pytest.mark.parametrize("manifest", [
+    "mixture: 5\nsources: [source_00.wav]\nnoise: noise.wav\n",
+    "mixture: mixture.wav\nsources: []\nnoise: noise.wav\n",
+    "mixture: mixture.wav\nsources: [source_00.wav]\n",
+])
+def test_load_render_errors_name_the_manifest(tmp_path, manifest):
+    scene_dir = _saved_scene(tmp_path)
+    path = scene_dir / "manifest.yaml"
+    path.write_text(manifest)
+    with pytest.raises(DataError, match="^" + re.escape(f"scene manifest {path}: ")):
         load_render(scene_dir)
 
 

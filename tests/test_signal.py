@@ -59,6 +59,19 @@ def test_stft_matches_direct_dft(small_cfg):
     np.testing.assert_allclose(spec.bins[:, 0], direct, atol=1e-9)
 
 
+@pytest.mark.parametrize("size, hop, window", [
+    (64, 16, "sqrt_hann"), (512, 128, "hann"), (32, 32, "rect"), (9, 2, "hann"),
+])
+def test_stft_bins_are_contiguous_transposed_rfft(size, hop, window):
+    cfg = StftConfig(window_size=size, hop_size=hop, window=window)
+    x = np.random.default_rng(size).standard_normal(5 * size + 3)
+    spec = stft(Waveform(x, 8000), cfg)
+    frames = np.lib.stride_tricks.sliding_window_view(x, size)[::hop]
+    expected = np.fft.rfft(frames * make_window(window, size), axis=1).T
+    assert spec.bins.flags.c_contiguous
+    np.testing.assert_array_equal(spec.bins, expected)
+
+
 def test_stft_sine_peaks_at_expected_bin():
     # Window 64 at 16 kHz puts bin spacing at 250 Hz; a 2 kHz sine is bin 8.
     cfg = StftConfig(window_size=64, hop_size=16)
