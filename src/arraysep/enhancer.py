@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -24,6 +24,7 @@ from scipy.special import expit
 from .errors import DataError, NumericalError
 from .signal import FeatureStats, MaskGrid, logit_mask, to_log_features
 from .targets import TargetContext, TargetKind, compute_target, loss_with_grad
+from .util import _located, as_plain_data
 
 MERGE_MODES = ("sum", "multiply", "average", "concatenate")
 OUTPUT_ACTIVATIONS = ("sigmoid", "hard_sigmoid")
@@ -55,8 +56,9 @@ class EnhancerConfig:
             raise DataError(f"merge_mode must be one of {MERGE_MODES}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise DataError(f"output_activation must be one of {OUTPUT_ACTIVATIONS}")
-        if isinstance(self.target_kind, str):
-            object.__setattr__(self, "target_kind", TargetKind.parse(self.target_kind))
+        if not isinstance(self.target_kind, TargetKind):
+            kind = TargetKind.parse(str(self.target_kind))
+            object.__setattr__(self, "target_kind", kind)
 
 
 @dataclass
@@ -67,6 +69,11 @@ class EnhancerModel:
     n_freq: int
     params: dict
     feature_stats: FeatureStats
+
+    def __post_init__(self):
+        if self.feature_stats.mean.shape != (self.n_freq,):
+            stats = self.feature_stats.mean.shape[0]
+            raise DataError(f"feature stats have {stats} bins, the model {self.n_freq}")
 
     @property
     def input_dim(self) -> int:
@@ -104,8 +111,6 @@ def init_model(
     seed: int = 0,
 ) -> EnhancerModel:
     """Uniform +-1/sqrt(fan_in) weights; forget-gate bias one, others zero."""
-    if feature_stats.mean.shape[0] != n_freq:
-        raise DataError("feature stats do not match n_freq")
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in tensor_order(config, n_freq):
@@ -129,14 +134,13 @@ def hard_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _lstm_forward(w_x, w_h, b, x):
-    """Run one direction over a (T, D) sequence; returns (T, H) and a cache."""
+    """Run one direction over a (T, D) sequence; returns (T, H) and a cache.
+    Row t of the cached ``gates`` holds step t's i, f, g, o activations."""
     steps = x.shape[0]
     width = w_h.shape[1]
     zx = x @ w_x.T + b
-    i = np.empty((steps, width))
-    f = np.empty((steps, width))
-    g = np.empty((steps, width))
-    o = np.empty((steps, width))
+    gates = np.empty((steps, _GATES * width))
+    i, f, g, o = np.split(gates, _GATES, axis=1)
     c = np.empty((steps, width))
     tanh_c = np.empty((steps, width))
     h = np.empty((steps, width))
@@ -144,42 +148,44 @@ def _lstm_forward(w_x, w_h, b, x):
     c_prev = np.zeros(width)
     for t in range(steps):
         z = zx[t] + h_prev @ w_h.T
-        i[t] = expit(z[:width])
-        f[t] = expit(z[width:2 * width])
-        g[t] = np.tanh(z[2 * width:3 * width])
-        o[t] = expit(z[3 * width:])
-        c[t] = f[t] * c_prev + i[t] * g[t]
-        tanh_c[t] = np.tanh(c[t])
-        h[t] = o[t] * tanh_c[t]
+        expit(z, out=gates[t])
+        np.tanh(z[2 * width:3 * width], out=g[t])
+        np.add(f[t] * c_prev, i[t] * g[t], out=c[t])
+        np.tanh(c[t], out=tanh_c[t])
+        np.multiply(o[t], tanh_c[t], out=h[t])
         h_prev = h[t]
         c_prev = c[t]
-    cache = {"x": x, "i": i, "f": f, "g": g, "o": o, "c": c, "tanh_c": tanh_c, "h": h}
-    return h, cache
+    return h, (x, gates, c, tanh_c, h)
 
 
 def _lstm_backward(w_x, w_h, dh_seq, cache):
-    """Backpropagate through time; returns parameter grads and dL/dx."""
-    x = cache["x"]
-    i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
-    c, tanh_c, h = cache["c"], cache["tanh_c"], cache["h"]
+    """Backpropagate through time; returns parameter grads and dL/dx.
+
+    Each gate's dL/dz is ((carrier * partner) * first) * second, the carrier
+    being dL/dc for i, f, g and dL/dh for o. Only carriers recur, so the
+    other factors are stacked once. Keep the product order: it sets the bits.
+    """
+    x, gates, c, tanh_c, h = cache
     steps, width = h.shape
-    dz = np.empty((steps, _GATES * width))
+    i, f, g, o = np.split(gates, _GATES, axis=1)
+    c_prev = np.concatenate([np.zeros((1, width)), c[:-1]])
+    partner = np.stack([g, c_prev, i, tanh_c], axis=1)
+    first = np.stack([i, f, 1.0 - g ** 2, o], axis=1)
+    second = np.stack([1.0 - i, 1.0 - f, np.ones_like(g), 1.0 - o], axis=1)
+    dtanh = 1.0 - tanh_c ** 2
+    dz = np.empty((steps, _GATES, width))
+    carrier = np.empty((_GATES, width))
     dh_next = np.zeros(width)
     dc_next = np.zeros(width)
     for t in range(steps - 1, -1, -1):
         dh = dh_seq[t] + dh_next
-        do = dh * tanh_c[t]
-        dc = dc_next + dh * o[t] * (1.0 - tanh_c[t] ** 2)
-        c_prev = c[t - 1] if t > 0 else 0.0
-        di = dc * g[t]
-        df = dc * c_prev
-        dg = dc * i[t]
+        dc = dc_next + dh * o[t] * dtanh[t]
+        carrier[:3] = dc
+        carrier[3] = dh
+        np.multiply(carrier * partner[t] * first[t], second[t], out=dz[t])
         dc_next = dc * f[t]
-        dz[t, :width] = di * i[t] * (1.0 - i[t])
-        dz[t, width:2 * width] = df * f[t] * (1.0 - f[t])
-        dz[t, 2 * width:3 * width] = dg * (1.0 - g[t] ** 2)
-        dz[t, 3 * width:] = do * o[t] * (1.0 - o[t])
-        dh_next = dz[t] @ w_h
+        dh_next = dz[t].reshape(-1) @ w_h
+    dz = dz.reshape(steps, -1)
     grads = {
         "w_x": dz.T @ x,
         "w_h": dz[1:].T @ h[:-1] if steps > 1 else np.zeros_like(w_h),
@@ -211,29 +217,30 @@ def _unmerge(d_merged, h_fwd, h_bwd, mode):
 
 
 def _forward_pass(model: EnhancerModel, x: np.ndarray):
+    """The mask rows and the cache (layers, merged, logits). Each entry of
+    ``layers`` holds one (h, lstm cache) pair per direction, h in forward
+    time."""
     params = model.params
-    mode = model.config.merge_mode
-    layer_io = []
+    layers = []
     inp = x
     for layer in range(len(model.config.layer_sizes)):
         # The backward direction runs on the time-reversed sequence; its
         # outputs are flipped back to forward time.
-        io = {}
+        runs = []
         for d, step in _DIRECTIONS:
             p = f"l{layer}.{d}."
-            h, io["cache_" + d] = _lstm_forward(
+            h, cache = _lstm_forward(
                 params[p + "w_x"], params[p + "w_h"], params[p + "b"], inp[::step]
             )
-            io["h" + d] = h[::step]
-        layer_io.append(io)
-        inp = _merge(io["hf"], io["hb"], mode)
+            runs.append((h[::step], cache))
+        layers.append(runs)
+        inp = _merge(runs[0][0], runs[1][0], model.config.merge_mode)
     logits = inp @ params["out.w"].T + params["out.b"]
     if model.config.output_activation == "sigmoid":
         pred = expit(logits)
     else:
         pred = hard_sigmoid(logits)
-    cache = {"layers": layer_io, "merged": inp, "logits": logits}
-    return pred, cache
+    return pred, (layers, inp, logits)
 
 
 def forward(model: EnhancerModel, inputs: np.ndarray) -> MaskGrid:
@@ -282,31 +289,29 @@ def build_batch(
 
 
 def _batch_loss_and_grads(model: EnhancerModel, batch: TrainBatch):
-    pred, cache = _forward_pass(model, batch.inputs)
+    pred, (layers, merged, logits) = _forward_pass(model, batch.inputs)
     kind = model.config.target_kind
     value, d_pred = loss_with_grad(pred, kind, batch.target, batch.noisy_mag)
 
     if model.config.output_activation == "sigmoid":
         d_logits = d_pred * pred * (1.0 - pred)
     else:
-        logits = cache["logits"]
         inside = (logits > -2.5) & (logits < 2.5)
         d_logits = d_pred * 0.2 * inside
 
     params = model.params
     grads = {}
-    grads["out.w"] = d_logits.T @ cache["merged"]
+    grads["out.w"] = d_logits.T @ merged
     grads["out.b"] = d_logits.sum(axis=0)
     d_merged = d_logits @ params["out.w"]
-    mode = model.config.merge_mode
-    for layer in range(len(model.config.layer_sizes) - 1, -1, -1):
-        io = cache["layers"][layer]
-        d_h = _unmerge(d_merged, io["hf"], io["hb"], mode)
+    for layer in range(len(layers) - 1, -1, -1):
+        runs = layers[layer]
+        d_h = _unmerge(d_merged, runs[0][0], runs[1][0], model.config.merge_mode)
         dx = []
-        for (d, step), d_hd in zip(_DIRECTIONS, d_h):
+        for (d, step), d_hd, (_, cache) in zip(_DIRECTIONS, d_h, runs):
             p = f"l{layer}.{d}."
             g, dx_d = _lstm_backward(
-                params[p + "w_x"], params[p + "w_h"], d_hd[::step], io["cache_" + d]
+                params[p + "w_x"], params[p + "w_h"], d_hd[::step], cache
             )
             grads.update((p + key, grad) for key, grad in g.items())
             dx.append(dx_d[::step])
@@ -453,12 +458,7 @@ def save_model(model: EnhancerModel, path) -> None:
     order = tensor_order(model.config, model.n_freq)
     header = {
         "format": 1,
-        "config": {
-            "layer_sizes": list(model.config.layer_sizes),
-            "merge_mode": model.config.merge_mode,
-            "output_activation": model.config.output_activation,
-            "target_kind": model.config.target_kind.value,
-        },
+        "config": as_plain_data(model.config),
         "n_freq": model.n_freq,
         "input_dim": model.input_dim,
         "stats": {
@@ -480,24 +480,18 @@ def save_model(model: EnhancerModel, path) -> None:
 
 
 def load_model(path) -> EnhancerModel:
-    """Read a model written by save_model; a malformed file raises DataError."""
-    with open(path, "rb") as handle:
-        magic = handle.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise DataError(f"{path} is not a model file")
+    """Read a model written by save_model; a malformed file raises DataError
+    naming it."""
+    with open(path, "rb") as handle, _located(f"model file {path}"):
+        if handle.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
+            raise DataError("not a model file")
         try:
             (header_len,) = struct.unpack("<I", handle.read(4))
             header = json.loads(handle.read(header_len).decode("utf-8"))
-            config = EnhancerConfig(
-                layer_sizes=tuple(header["config"]["layer_sizes"]),
-                merge_mode=header["config"]["merge_mode"],
-                output_activation=header["config"]["output_activation"],
-                target_kind=TargetKind.parse(header["config"]["target_kind"]),
-            )
-            stats = FeatureStats(
-                mean=np.array(header["stats"]["mean"], dtype=np.float64),
-                std=np.array(header["stats"]["std"], dtype=np.float64),
-            )
+            if set(header["config"]) != {f.name for f in fields(EnhancerConfig)}:
+                raise DataError(f"config keys are {sorted(header['config'])}")
+            config = EnhancerConfig(**header["config"])
+            stats = FeatureStats(header["stats"]["mean"], header["stats"]["std"])
             n_freq = int(header["n_freq"])
             shapes = [
                 (str(entry["name"]), tuple(int(n) for n in entry["shape"]))
@@ -506,18 +500,18 @@ def load_model(path) -> EnhancerModel:
         except DataError:
             raise
         except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise DataError(f"model file {path} has a malformed header: {exc!r}") from exc
+            raise DataError(f"malformed header: {exc!r}") from exc
         if n_freq < 1 or dict(shapes) != dict(tensor_order(config, n_freq)):
-            raise DataError(f"model file {path} has unexpected tensor set")
+            raise DataError("unexpected tensor set")
         params = {}
         for name, shape in shapes:
             count = int(np.prod(shape))
             raw = handle.read(4 * count)
             if len(raw) != 4 * count:
-                raise DataError(f"model file {path} is truncated")
+                raise DataError("truncated")
             params[name] = (
                 np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
             )
-    return EnhancerModel(
-        config=config, n_freq=n_freq, params=params, feature_stats=stats
-    )
+        return EnhancerModel(
+            config=config, n_freq=n_freq, params=params, feature_stats=stats
+        )

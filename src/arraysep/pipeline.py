@@ -54,6 +54,7 @@ from .spatial_em import (
 )
 from .targets import TargetKind
 from .util import (
+    _at_least,
     _bool,
     _fraction,
     _given,
@@ -276,7 +277,7 @@ def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
             doc, combine_mode=("combine", _parsed(CombineMode)),
             reference_channel=("ref_channel", _int),
             model_path=("model", _optional(_string)),
-            messl_binarize_threshold=_optional(float), seg_frame=_int,
+            messl_binarize_threshold=_optional(float), seg_frame=_at_least(1),
         ),
     )
 

@@ -346,18 +346,19 @@ def load_scene_specs(path) -> list:
     doc = load_config(path)
     if "batch" in doc:
         batch = _value(doc, "batch", _mapping)
-        rng = np.random.default_rng(_value(batch, "seed", _seed, 0))
-        layout = _given(
-            batch, snr_db=_number_or_range, n_channels=_int, duration=float,
-            sample_rate=_int, target_delay_range=("delay_range", _float_pair),
-            n_interferers=_int,
-        )
-        snr = layout.get("snr_db")
-        specs = []
-        for _ in range(_value(batch, "n_scenes", _at_least(1), 1)):
-            if isinstance(snr, tuple):
-                layout["snr_db"] = rng.uniform(*snr)
-            specs.append(random_scene_spec(rng, **layout))
+        with _located("batch"):
+            rng = np.random.default_rng(_value(batch, "seed", _seed, 0))
+            layout = _given(
+                batch, snr_db=_number_or_range, n_channels=_int, duration=float,
+                sample_rate=_int, target_delay_range=("delay_range", _float_pair),
+                n_interferers=_int,
+            )
+            snr = layout.get("snr_db")
+            specs = []
+            for _ in range(_value(batch, "n_scenes", _at_least(1), 1)):
+                if isinstance(snr, tuple):
+                    layout["snr_db"] = rng.uniform(*snr)
+                specs.append(random_scene_spec(rng, **layout))
         return specs
     rate = _value(doc, "sample_rate", _int, 16000)
     seed = _value(doc, "seed", _seed, 0)

@@ -52,10 +52,12 @@ def load_config(source) -> dict:
 
     ``source`` is a mapping or the path of a YAML file; an empty file reads
     as an empty mapping. A file that is not YAML, or a document that is not
-    a mapping, raises DataError.
+    a mapping, raises DataError naming the file.
     """
     doc = source
+    where = "config"
     if isinstance(source, (str, os.PathLike)):
+        where = f"config {source}"
         try:
             with open(source) as handle:
                 doc = yaml.safe_load(handle)
@@ -64,7 +66,7 @@ def load_config(source) -> dict:
         if doc is None:
             doc = {}
     if not isinstance(doc, dict):
-        raise DataError(f"config must be a mapping, got {type(doc).__name__}")
+        raise DataError(f"{where}: must be a mapping, got {type(doc).__name__}")
     return doc
 
 

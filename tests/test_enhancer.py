@@ -8,6 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from arraysep import (
     DataError,
@@ -31,6 +32,8 @@ from arraysep.enhancer import (
     MODEL_MAGIC,
     EnhancerConfig,
     _batch_loss_and_grads,
+    _lstm_backward,
+    _lstm_forward,
     batch_loss,
     hard_sigmoid,
     tensor_order,
@@ -195,6 +198,87 @@ def test_hard_sigmoid_gradient_is_descent_direction():
     assert batch_loss(model, batch) < value
 
 
+def _reference_lstm_forward(w_x, w_h, b, x):
+    """One array per gate, each activation computed on its own slice."""
+    steps = x.shape[0]
+    width = w_h.shape[1]
+    zx = x @ w_x.T + b
+    i, f, g, o, c, tanh_c, h = (np.empty((steps, width)) for _ in range(7))
+    h_prev = np.zeros(width)
+    c_prev = np.zeros(width)
+    for t in range(steps):
+        z = zx[t] + h_prev @ w_h.T
+        i[t] = expit(z[:width])
+        f[t] = expit(z[width:2 * width])
+        g[t] = np.tanh(z[2 * width:3 * width])
+        o[t] = expit(z[3 * width:])
+        c[t] = f[t] * c_prev + i[t] * g[t]
+        tanh_c[t] = np.tanh(c[t])
+        h[t] = o[t] * tanh_c[t]
+        h_prev = h[t]
+        c_prev = c[t]
+    return h, (x, i, f, g, o, c, tanh_c, h)
+
+
+def _reference_lstm_backward(w_x, w_h, dh_seq, cache):
+    """Each gate's derivative worked out per step from the forward values."""
+    x, i, f, g, o, c, tanh_c, h = cache
+    steps, width = h.shape
+    dz = np.empty((steps, 4 * width))
+    dh_next = np.zeros(width)
+    dc_next = np.zeros(width)
+    for t in range(steps - 1, -1, -1):
+        dh = dh_seq[t] + dh_next
+        do = dh * tanh_c[t]
+        dc = dc_next + dh * o[t] * (1.0 - tanh_c[t] ** 2)
+        c_prev = c[t - 1] if t > 0 else 0.0
+        di = dc * g[t]
+        df = dc * c_prev
+        dg = dc * i[t]
+        dc_next = dc * f[t]
+        dz[t, :width] = di * i[t] * (1.0 - i[t])
+        dz[t, width:2 * width] = df * f[t] * (1.0 - f[t])
+        dz[t, 2 * width:3 * width] = dg * (1.0 - g[t] ** 2)
+        dz[t, 3 * width:] = do * o[t] * (1.0 - o[t])
+        dh_next = dz[t] @ w_h
+    grads = {
+        "w_x": dz.T @ x,
+        "w_h": dz[1:].T @ h[:-1] if steps > 1 else np.zeros_like(w_h),
+        "b": dz.sum(axis=0),
+    }
+    return grads, dz @ w_x
+
+
+@pytest.mark.parametrize("steps", [1, 2, 40, 147])
+@pytest.mark.parametrize("width", [1, 3, 32])
+def test_lstm_matches_per_gate_reference_bit_for_bit(steps, width):
+    gen = np.random.default_rng(steps * 100 + width)
+    dim = 10
+    w_x = 0.5 * gen.standard_normal((4 * width, dim))
+    w_h = 0.5 * gen.standard_normal((4 * width, width))
+    b = gen.standard_normal(4 * width)
+    x = 2.0 * gen.standard_normal((steps, dim))
+    dh_seq = gen.standard_normal((steps, width))
+    h, cache = _lstm_forward(w_x, w_h, b, x)
+    h_ref, cache_ref = _reference_lstm_forward(w_x, w_h, b, x)
+    assert np.array_equal(h, h_ref)
+    grads, dx = _lstm_backward(w_x, w_h, dh_seq, cache)
+    grads_ref, dx_ref = _reference_lstm_backward(w_x, w_h, dh_seq, cache_ref)
+    assert list(grads) == list(grads_ref)
+    for key in grads_ref:
+        assert np.array_equal(grads[key], grads_ref[key]), key
+    assert np.array_equal(dx, dx_ref)
+
+
+def test_gradient_order_is_output_then_layers_last_first():
+    # _clip_grads sums the squared norms in this order, so it fixes the bits.
+    config = EnhancerConfig(layer_sizes=(3, 2), merge_mode="concatenate")
+    _, grads = _batch_loss_and_grads(_random_model(config, 4), _random_batch(config, 4))
+    lstm = [f"l{layer}.{d}.{p}" for layer in (1, 0) for d in "fb"
+            for p in ("w_x", "w_h", "b")]
+    assert list(grads) == ["out.w", "out.b", *lstm]
+
+
 # ---------------------------------------------------------------- training
 
 def test_overfit_single_batch():
@@ -318,6 +402,8 @@ def test_config_validation():
     with pytest.raises(DataError, match="output_activation"):
         EnhancerConfig(output_activation="relu")
     assert EnhancerConfig(target_kind="ps").target_kind is TargetKind.PS
+    with pytest.raises(DataError, match="target kind"):
+        EnhancerConfig(target_kind=5)
 
 
 # ----------------------------------------------------------------- batches
@@ -435,7 +521,12 @@ def _with_header(header: bytes) -> bytes:
         "n_freq": -3, "stats": {"mean": [0.0], "std": [1.0]},
         "tensors": [{"name": "out.b", "shape": [-3]}],
     }).encode()),
-], ids=["utf8", "json", "list", "missing-key", "kind-type", "bad-shape"])
+    _with_header(json.dumps({
+        "config": {"layer_sizes": [1], "merge_mode": "average", "target_kind": "ia"},
+        "n_freq": 1, "stats": {"mean": [0.0], "std": [1.0]}, "tensors": [],
+    }).encode()),
+], ids=["utf8", "json", "list", "missing-key", "kind-type", "bad-shape",
+        "config-key"])
 def test_model_file_bad_header_is_data_error(tmp_path, blob):
     path = tmp_path / "model.bin"
     path.write_bytes(blob)

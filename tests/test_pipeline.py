@@ -1,8 +1,10 @@
 """Full-pipeline behavior, experiment loops, and the CLI surface."""
 
 import dataclasses
+import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -630,6 +632,32 @@ def test_cli_experiment_truncated_model_is_data_error(cli_workspace, tmp_path,
     assert "load_model" in err and "Traceback" not in err
 
 
+def test_cli_experiment_model_stats_must_match_bins(cli_workspace, tmp_path,
+                                                    capsys):
+    model_path = tmp_path / "cut.model"
+    save_model(_zero_model(33), model_path)
+    blob = model_path.read_bytes()
+    (size,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + size])
+    header["stats"] = {"mean": [0.0] * 5, "std": [1.0] * 5}
+    text = json.dumps(header).encode()
+    model_path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
+                           + blob[12 + size:])
+    manifest = {
+        "scenes": [str(cli_workspace / "scenes" / "scene_000")],
+        "model": str(model_path),
+        "stft": {"window_size": 64, "hop_size": 16},
+    }
+    path = tmp_path / "experiment.yml"
+    path.write_text(yaml.safe_dump(manifest))
+    code = main(["experiment", "--config", str(path),
+                 "--out", str(tmp_path / "scores.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"model file {model_path}: feature stats have 5 bins" in err
+    assert "Traceback" not in err
+
+
 def test_cli_numerical_error_exit_code(cli_workspace, tmp_path):
     silent = MultichannelWaveform.from_array(np.zeros((2, 8000)), 16000)
     path = str(tmp_path / "silent.wav")
@@ -682,6 +710,8 @@ def test_cli_numerical_error_exit_code(cli_workspace, tmp_path):
     ("train", "learning_rate: .nan\n", "learning_rate"),
     ("train", "patience: -4\n", "patience"),
     ("train", "patience: 0\n", "patience"),
+    ("experiment", "seg_frame: 0\n", "seg_frame"),
+    ("experiment", "seg_frame: -5\n", "seg_frame"),
 ])
 def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
                                             command, doc, key):
@@ -703,6 +733,8 @@ def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
                  " {duration: 0.1, delays: [0, .nan]}]\n", "sources[1]", "finite"),
     ("enhance", "messl: {n_iterations: x}\n", "messl", "n_iterations"),
     ("experiment", "stft: {window_size: 0}\n", "stft", "window_size"),
+    ("simulate", "- 1\n", "bad.yml", "mapping"),
+    ("simulate", "batch: {n_scenes: 0}\n", "batch", "n_scenes"),
 ])
 def test_cli_config_errors_name_their_section(cli_workspace, tmp_path, capsys,
                                               command, doc, where, key):
