@@ -277,7 +277,7 @@ def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
             doc, combine_mode=("combine", _parsed(CombineMode)),
             reference_channel=("ref_channel", _int),
             model_path=("model", _optional(_string)),
-            messl_binarize_threshold=_optional(float), seg_frame=_at_least(1),
+            messl_binarize_threshold=_optional(_fraction), seg_frame=_at_least(1),
         ),
     )
 

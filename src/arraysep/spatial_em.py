@@ -21,6 +21,7 @@ evaluation costs O(G F T) in both.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +38,8 @@ _PRIOR_FLOOR = 1e-300
 
 def default_delay_grid(max_delay: float = 8.0, step: float = 0.25) -> np.ndarray:
     """Symmetric candidate delays in samples, always including zero."""
-    if not (step > 0 and np.isfinite(max_delay)):
-        raise DataError(f"delay grid needs step > 0 and a finite max_delay, "
+    if not (0 < step < np.inf and np.isfinite(max_delay)):
+        raise DataError(f"delay grid needs a finite step > 0 and max_delay, "
                         f"got step {step}, max_delay {max_delay}")
     n = np.round(max_delay / step)
     if 2 * n + 1 > MAX_DELAY_CANDIDATES:
@@ -59,15 +60,26 @@ class MesslConfig:
     target_source: int | None = None
 
     def __post_init__(self):
-        self.delay_grid = np.asarray(self.delay_grid, dtype=np.float64)
+        try:
+            grid = self.delay_grid = np.asarray(self.delay_grid, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"delay grid must be an array of delays: {exc}") from None
         if self.n_sources < 1:
             raise DataError("need at least one source")
         if self.n_iterations < 1:
             raise DataError("need at least one EM iteration")
-        if self.delay_grid.size == 0:
-            raise DataError("delay grid must be nonempty")
-        if np.abs(self.delay_grid).min() > 1e-12:
+        if grid.ndim != 1 or not np.all(np.isfinite(grid)):
+            raise DataError("delay grid must be a 1-D array of finite delays")
+        if not self.n_sources <= grid.size <= MAX_DELAY_CANDIDATES:
+            raise DataError(
+                f"delay grid has {grid.size} candidates for {self.n_sources} "
+                f"sources, limit {MAX_DELAY_CANDIDATES}"
+            )
+        if np.abs(grid).min() > 1e-12:
             raise DataError("delay grid must contain zero")
+        if not 0.0 <= self.convergence_tol < np.inf:
+            raise DataError(f"convergence_tol must be finite and at least 0, "
+                            f"got {self.convergence_tol}")
         if self.target_source is not None and not (
             0 <= self.target_source < self.n_sources
         ):
@@ -214,27 +226,25 @@ def _phat_correlation(cross: np.ndarray, omega: np.ndarray, grid: np.ndarray) ->
 
 
 def _top_peaks(values: np.ndarray, grid: np.ndarray, count: int, min_sep: float) -> np.ndarray:
-    """Greedy selection of the strongest grid points with minimum spacing."""
-    order = np.argsort(values)[::-1]
+    """The strongest grid points at least min_sep apart, strongest first;
+    when too few are that far apart, the strongest of the rest fill up."""
     chosen = []
-    for idx in order:
-        if all(abs(grid[idx] - grid[j]) >= min_sep for j in chosen):
-            chosen.append(idx)
+    for spaced, idx in itertools.product((True, False), np.argsort(values)[::-1]):
         if len(chosen) == count:
             break
-    while len(chosen) < count:
-        for idx in order:
-            if idx not in chosen:
-                chosen.append(idx)
-                break
-    return grid[np.array(chosen[:count])]
+        if idx not in chosen and (
+            not spaced or all(abs(grid[idx] - grid[j]) >= min_sep for j in chosen)
+        ):
+            chosen.append(idx)
+    return grid[np.array(chosen)]
 
 
 def run_em(specs, cfg: MesslConfig) -> MesslResult:
     """Fit the clustering model and return posterior masks.
 
     The trace holds one log likelihood per E step including a final pass
-    after the last M step, so masks and parameters are consistent.
+    after the last M step, so masks and parameters are consistent. On
+    convergence EM stops before an M step, so the last value repeats.
     """
     specs = list(specs)
     cross, pairs = _cross_spectra(specs, cfg.reference_channel)
@@ -247,12 +257,7 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     n_pairs = len(pairs)
     k_total = cfg.n_sources + (1 if cfg.use_garbage else 0)
     omega = 2.0 * np.pi * np.arange(n_freq) / window_size
-
-    grid = np.asarray(cfg.delay_grid, dtype=np.float64)
-    if grid.size < cfg.n_sources:
-        raise DataError(
-            f"delay grid has {grid.size} candidates for {cfg.n_sources} sources"
-        )
+    grid = cfg.delay_grid
 
     peaks = _top_peaks(
         _phat_correlation(cross, omega, grid),
@@ -265,64 +270,59 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     var = np.ones((cfg.n_sources, n_freq))
     log_priors = np.full(k_total, -np.log(k_total))
 
-    def residuals(k: int) -> np.ndarray:
+    def residuals() -> np.ndarray:
         # A channel lagging the reference by tau samples shows the phase
         # difference -omega * tau, so the residual adds the prediction back.
-        pred = np.outer(delays[k], omega)          # (n_pairs, n_freq)
-        return _wrap(phi + pred[:, :, None])
+        return _wrap(phi + (delays[:, :, None] * omega)[..., None])
 
-    def e_step():
+    # Squared residual deviations from the means, (sources, pairs, F, T),
+    # formed by each M step for the next E step; the means start at zero.
+    sq = np.square(residuals())
+
+    trace = []
+    converged = False
+    for iteration in range(cfg.n_iterations + 1):
         log_post = np.empty((k_total, n_freq, n_frames))
-        for k in range(cfg.n_sources):
-            r = residuals(k)
-            dev = r - mean[k][None, :, None]
-            log_norm = -0.5 * np.log(2.0 * np.pi * var[k])
-            log_post[k] = (
-                log_norm[None, :, None]
-                - dev * dev / (2.0 * var[k][None, :, None])
-            ).sum(axis=0)
+        log_norm = -0.5 * np.log(2.0 * np.pi * var)
+        log_post[: cfg.n_sources] = (
+            log_norm[:, None, :, None] - sq / (2.0 * var)[:, None, :, None]
+        ).sum(axis=1)
+        del sq  # freed before the M step forms the next one
         if cfg.use_garbage:
             log_post[-1] = n_pairs * _LOG_UNIFORM
         log_post += log_priors[:, None, None]
         total = logsumexp(log_post, axis=0)
         gamma = np.exp(log_post - total[None])
-        return gamma, float(np.sum(total))
-
-    trace = []
-    gamma = None
-    converged = False
-    for iteration in range(cfg.n_iterations):
-        gamma, loglik = e_step()
-        trace.append(loglik)
+        trace.append(float(np.sum(total)))
+        if iteration == cfg.n_iterations:
+            break
         if iteration >= 1:
             prev = trace[-2]
-            if abs(loglik - prev) <= cfg.convergence_tol * (abs(prev) + 1.0):
+            if abs(trace[-1] - prev) <= cfg.convergence_tol * (abs(prev) + 1.0):
                 converged = True
+                trace.append(trace[-1])
                 break
 
         # M step, coordinate ascent: delays first (old mean/var), then the
         # residual Gaussians in closed form, then the priors. Delays start
         # on the grid and are searched over it; the first maximum wins.
-        weight = gamma[: cfg.n_sources] / (2.0 * var[:, :, None])
+        resp = gamma[: cfg.n_sources]
+        weight = resp / (2.0 * var[:, :, None])
         for p in range(n_pairs):
             score = _delay_scores(phi[p], weight, mean, grid, omega)
             delays[:, p] = grid[np.argmax(score, axis=1)]
 
-        for k in range(cfg.n_sources):
-            r = residuals(k)
-            denom = n_pairs * gamma[k].sum(axis=1)            # (n_freq,)
-            ok = denom > 1e-12
-            num_mean = np.einsum("pft,ft->f", r, gamma[k])
-            mean[k][ok] = num_mean[ok] / denom[ok]
-            dev = r - mean[k][None, :, None]
-            num_var = np.einsum("pft,ft->f", dev * dev, gamma[k])
-            var[k][ok] = np.maximum(num_var[ok] / denom[ok], VAR_FLOOR)
+        sq = residuals()                      # squared in place below
+        denom = n_pairs * resp.sum(axis=2)    # (n_sources, n_freq)
+        ok = denom > 1e-12
+        mean[ok] = np.einsum("kpft,kft->kf", sq, resp)[ok] / denom[ok]
+        sq -= mean[:, None, :, None]
+        np.square(sq, out=sq)
+        num_var = np.einsum("kpft,kft->kf", sq, resp)
+        var[ok] = np.maximum(num_var[ok] / denom[ok], VAR_FLOOR)
 
         priors = gamma.reshape(k_total, -1).mean(axis=1)
         log_priors = np.log(np.maximum(priors, _PRIOR_FLOOR))
-
-    gamma, loglik = e_step()
-    trace.append(loglik)
 
     if cfg.target_source is not None:
         target_index = cfg.target_source

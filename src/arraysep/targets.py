@@ -20,11 +20,6 @@ from .errors import DataError
 from .signal import AMP_FLOOR, MASK_EPS, MaskGrid, Spectrogram
 
 
-class LossKind(enum.Enum):
-    BCE = "bce"
-    MSE = "mse"
-
-
 class TargetKind(enum.Enum):
     IA = "ia"
     PS = "ps"
@@ -32,12 +27,9 @@ class TargetKind(enum.Enum):
     PA = "pa"
 
     @property
-    def loss_kind(self) -> LossKind:
-        return LossKind.BCE if self in (TargetKind.IA, TargetKind.PS) else LossKind.MSE
-
-    @property
     def is_mask(self) -> bool:
-        return self.loss_kind is LossKind.BCE
+        """Ratio masks (scored with cross entropy), not magnitude spectra."""
+        return self in (TargetKind.IA, TargetKind.PS)
 
     @classmethod
     def parse(cls, name: str) -> "TargetKind":
@@ -134,7 +126,7 @@ def loss_with_grad(
     noisy_mag: np.ndarray | None = None,
 ):
     """Array-level loss and gradient used by the trainer."""
-    if kind.loss_kind is LossKind.BCE:
+    if kind.is_mask:
         return bce_with_grad(pred, target)
     if noisy_mag is None:
         raise DataError(f"target kind {kind.value} needs the noisy magnitude")

@@ -712,6 +712,10 @@ def test_cli_numerical_error_exit_code(cli_workspace, tmp_path):
     ("train", "patience: 0\n", "patience"),
     ("experiment", "seg_frame: 0\n", "seg_frame"),
     ("experiment", "seg_frame: -5\n", "seg_frame"),
+    ("enhance", "messl_binarize_threshold: 5.0\n", "messl_binarize_threshold"),
+    ("enhance", "messl_binarize_threshold: .nan\n", "messl_binarize_threshold"),
+    ("enhance", "messl_binarize_threshold: 1.0\n", "messl_binarize_threshold"),
+    ("enhance", "messl: {grid_step: .inf}\n", "step"),
 ])
 def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
                                             command, doc, key):
@@ -735,6 +739,8 @@ def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
     ("experiment", "stft: {window_size: 0}\n", "stft", "window_size"),
     ("simulate", "- 1\n", "bad.yml", "mapping"),
     ("simulate", "batch: {n_scenes: 0}\n", "batch", "n_scenes"),
+    ("enhance", "messl: {convergence_tol: -1}\n", "messl", "convergence_tol"),
+    ("experiment", "messl: {n_sources: 2, max_delay: 0.1}\n", "messl", "2 sources"),
 ])
 def test_cli_config_errors_name_their_section(cli_workspace, tmp_path, capsys,
                                               command, doc, where, key):

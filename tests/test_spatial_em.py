@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from arraysep import (
     DataError,
@@ -16,13 +17,21 @@ from arraysep import (
     StftConfig,
     binarize,
     default_delay_grid,
+    random_scene_spec,
     render_scene,
     run_em,
     speechlike_signal,
     stft,
 )
 from arraysep.signal import MaskGrid, Waveform
-from arraysep.spatial_em import MAX_DELAY_CANDIDATES, _delay_scores, _wrap
+from arraysep.spatial_em import (
+    MAX_DELAY_CANDIDATES,
+    VAR_FLOOR,
+    _cross_spectra,
+    _delay_scores,
+    _phat_correlation,
+    _wrap,
+)
 
 
 def _delayed_scene(delay: float, seed: int = 0, noise: float = 0.0,
@@ -391,6 +400,122 @@ def test_em_reference_channel_variant():
     assert result.params.delays[0, 0] == pytest.approx(-2.0, abs=0.25)
 
 
+def _reference_top_peaks(values, grid, count, min_sep):
+    """Greedy spaced selection, then a fill loop: the original code."""
+    order = np.argsort(values)[::-1]
+    chosen = []
+    for idx in order:
+        if all(abs(grid[idx] - grid[j]) >= min_sep for j in chosen):
+            chosen.append(idx)
+        if len(chosen) == count:
+            break
+    while len(chosen) < count:
+        for idx in order:
+            if idx not in chosen:
+                chosen.append(idx)
+                break
+    return grid[np.array(chosen[:count])]
+
+
+def _reference_run_em(specs, cfg):
+    """EM with one residual pass per source in each step and a separate
+    final E step: the original loop, kept as a bitwise oracle."""
+    cross, pairs = _cross_spectra(specs, cfg.reference_channel)
+    phi = np.angle(cross)
+    n_freq, n_frames = specs[0].bins.shape
+    n_pairs = len(pairs)
+    k_total = cfg.n_sources + (1 if cfg.use_garbage else 0)
+    omega = 2.0 * np.pi * np.arange(n_freq) / specs[0].config.window_size
+    grid = cfg.delay_grid
+    peaks = _reference_top_peaks(_phat_correlation(cross, omega, grid), grid,
+                                 cfg.n_sources, max(cfg.grid_step, 1.0))
+    delays = np.tile(peaks[:, None], (1, n_pairs))
+    mean = np.zeros((cfg.n_sources, n_freq))
+    var = np.ones((cfg.n_sources, n_freq))
+    log_priors = np.full(k_total, -np.log(k_total))
+
+    def residuals(k):
+        return _wrap(phi + np.outer(delays[k], omega)[:, :, None])
+
+    def e_step():
+        log_post = np.empty((k_total, n_freq, n_frames))
+        for k in range(cfg.n_sources):
+            dev = residuals(k) - mean[k][None, :, None]
+            log_norm = -0.5 * np.log(2.0 * np.pi * var[k])
+            log_post[k] = (log_norm[None, :, None]
+                           - dev * dev / (2.0 * var[k][None, :, None])).sum(axis=0)
+        if cfg.use_garbage:
+            log_post[-1] = n_pairs * -np.log(2.0 * np.pi)
+        log_post += log_priors[:, None, None]
+        total = logsumexp(log_post, axis=0)
+        return np.exp(log_post - total[None]), float(np.sum(total))
+
+    trace, converged = [], False
+    for iteration in range(cfg.n_iterations):
+        gamma, loglik = e_step()
+        trace.append(loglik)
+        if iteration >= 1:
+            prev = trace[-2]
+            if abs(loglik - prev) <= cfg.convergence_tol * (abs(prev) + 1.0):
+                converged = True
+                break
+        weight = gamma[: cfg.n_sources] / (2.0 * var[:, :, None])
+        for p in range(n_pairs):
+            score = _delay_scores(phi[p], weight, mean, grid, omega)
+            delays[:, p] = grid[np.argmax(score, axis=1)]
+        for k in range(cfg.n_sources):
+            r = residuals(k)
+            denom = n_pairs * gamma[k].sum(axis=1)
+            ok = denom > 1e-12
+            mean[k][ok] = np.einsum("pft,ft->f", r, gamma[k])[ok] / denom[ok]
+            dev = r - mean[k][None, :, None]
+            num_var = np.einsum("pft,ft->f", dev * dev, gamma[k])
+            var[k][ok] = np.maximum(num_var[ok] / denom[ok], VAR_FLOOR)
+        priors = gamma.reshape(k_total, -1).mean(axis=1)
+        log_priors = np.log(np.maximum(priors, 1e-300))
+    gamma, loglik = e_step()
+    trace.append(loglik)
+    if cfg.target_source is not None:
+        target_index = cfg.target_source
+    else:
+        target_index = int(np.argmin(np.mean(np.abs(delays), axis=1)))
+    return dict(masks=list(gamma), loglik_trace=np.asarray(trace), delays=delays,
+                residual_mean=mean, residual_var=var, priors=np.exp(log_priors),
+                target_index=target_index, pair_channels=tuple(pairs),
+                converged=converged)
+
+
+@pytest.mark.parametrize("n_channels,n_sources,garbage,n_iterations,tol,ref,grid,converges", [
+    (2, 1, True, 8, 1e-5, 0, None, False),
+    (2, 2, False, 1, 1e-5, 1, None, False),
+    (4, 3, True, 8, 3e-2, 0, None, True),
+    (4, 2, True, 8, 1e-3, 3, (4.0, 0.5), True),
+    (8, 1, False, 8, 3e-2, 7, None, True),
+    (8, 3, False, 1, 1e-5, 0, (2.0, 1.0), False),
+    (8, 2, True, 8, 1e-5, 0, None, False),
+    (2, 3, True, 8, 3e-2, 0, (0.5, 0.5), True),   # too few spaced peaks: fill path
+])
+def test_em_matches_per_source_reference_bit_for_bit(
+        n_channels, n_sources, garbage, n_iterations, tol, ref, grid, converges):
+    rng = np.random.default_rng(n_channels * 10 + n_sources)
+    render = render_scene(random_scene_spec(rng, n_channels=n_channels, duration=0.4,
+                                            n_interferers=2))
+    cfg = MesslConfig(n_sources=n_sources, n_iterations=n_iterations,
+                      convergence_tol=tol, use_garbage=garbage, reference_channel=ref,
+                      **({} if grid is None else {"delay_grid": default_delay_grid(*grid)}))
+    specs = _channel_specs(render, SMALL)
+    got = run_em(specs, cfg)
+    want = _reference_run_em(specs, cfg)
+    fields = dict(masks=[m.values for m in got.masks], loglik_trace=got.loglik_trace,
+                  target_index=got.target_index, pair_channels=got.pair_channels,
+                  converged=got.converged, **vars(got.params))
+    assert fields.keys() == want.keys()
+    for key, value in want.items():
+        assert np.array_equal(fields[key], value), key
+        assert np.asarray(fields[key]).dtype == np.asarray(value).dtype, key
+    assert got.converged is converges
+
+
 # ------------------------------------------------------------------ config
 
 def test_config_validation():
@@ -400,6 +525,20 @@ def test_config_validation():
         MesslConfig(n_sources=0)
     with pytest.raises(DataError, match="out of range"):
         MesslConfig(n_sources=2, target_source=2)
+    for grid in ([[0.0, 1.0], [2.0, 3.0]], [np.nan, 0.0, 1.0], [0.0, np.inf], 0.0):
+        with pytest.raises(DataError, match="1-D array of finite delays"):
+            MesslConfig(delay_grid=grid)
+    with pytest.raises(DataError, match="array of delays"):
+        MesslConfig(delay_grid=["zero", "one"])
+    with pytest.raises(DataError, match="10001 candidates for 1 sources"):
+        MesslConfig(delay_grid=np.arange(-5000, 5001) * 0.25)
+    with pytest.raises(DataError, match="1 candidates for 2 sources"):
+        MesslConfig(n_sources=2, delay_grid=[0.0])
+    for tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(DataError, match="convergence_tol"):
+            MesslConfig(convergence_tol=tol)
+    assert MesslConfig(n_sources=2, delay_grid=[0.0, 0.5]).n_sources == 2
+    assert MesslConfig(convergence_tol=0.0).convergence_tol == 0.0
     assert MesslConfig().grid_step == pytest.approx(0.25)
 
 
@@ -415,6 +554,9 @@ def test_default_delay_grid_is_capped():
     for max_delay, step, count in ((1024.5, 0.5, "4099"), (8.0, 1e-300, "1.6e+301"),
                                    (1e308, 1e-10, "inf")):
         with pytest.raises(DataError, match=re.escape(f"{count} candidates")):
+            default_delay_grid(max_delay, step)
+    for max_delay, step in ((8.0, np.inf), (8.0, np.nan), (np.nan, 0.25), (8.0, 0.0)):
+        with pytest.raises(DataError, match="finite step > 0"):
             default_delay_grid(max_delay, step)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arraysep import MaskGrid, Spectrogram, StftConfig, TargetContext, TargetKind, compute_target, loss
 from arraysep.signal import AMP_FLOOR
-from arraysep.targets import LossKind, bce_with_grad, loss_with_grad, signal_mse_with_grad
+from arraysep.targets import bce_with_grad, loss_with_grad, signal_mse_with_grad
 
 
 def _ctx_from_bins(clean_bins, noisy_bins, cfg=None):
@@ -194,10 +194,9 @@ def test_phase_sensitive_below_amplitude(seed):
 
 
 def test_loss_kind_mapping():
-    assert TargetKind.IA.loss_kind is LossKind.BCE
-    assert TargetKind.PS.loss_kind is LossKind.BCE
-    assert TargetKind.MA.loss_kind is LossKind.MSE
-    assert TargetKind.PA.loss_kind is LossKind.MSE
+    # Mask targets are scored with cross entropy, spectra with masked MSE.
+    assert TargetKind.IA.is_mask and TargetKind.PS.is_mask
+    assert not TargetKind.MA.is_mask and not TargetKind.PA.is_mask
     assert TargetKind.parse(" PS ") is TargetKind.PS
     with pytest.raises(Exception, match="unknown target kind"):
         TargetKind.parse("irm")
