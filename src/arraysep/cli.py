@@ -13,7 +13,6 @@ import sys
 from . import pipeline as pl
 from .enhancer import init_model, save_history, save_model, train
 from .errors import DataError, NumericalError, StageError
-from .fusion import CombineMode
 from .scene import load_render, load_scene_specs, render_scene, save_render
 from .signal import read_wav, save_mask, write_wav
 from .util import load_config
@@ -34,15 +33,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _pipeline_config(args) -> pl.PipelineConfig:
+    """The --config document, with each --model, --combine or --ref-channel
+    flag given read as its key model, combine or ref_channel."""
     doc = load_config(args.config) if args.config else {}
-    cfg = pl.pipeline_config_from_dict(doc)
-    if getattr(args, "model", None):
-        cfg.model_path = args.model
-    if getattr(args, "combine", None):
-        cfg.combine_mode = CombineMode.parse(args.combine)
-    if getattr(args, "ref_channel", None) is not None:
-        cfg.reference_channel = args.ref_channel
-    return cfg
+    for key in ("model", "combine", "ref_channel"):
+        if getattr(args, key, None) is not None:
+            doc[key] = getattr(args, key)
+    return pl.pipeline_config_from_dict(doc)
 
 
 def cmd_simulate(args) -> int:
@@ -194,7 +191,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output WAV")
     p.add_argument("--config", help="pipeline config YAML")
     p.add_argument("--model", help="enhancement model file")
-    p.add_argument("--combine", choices=[m.value for m in CombineMode])
+    p.add_argument("--combine", help="combine mode, as the config key combine")
     p.add_argument("--ref-channel", type=int, default=None)
     p.add_argument("--dump-masks", help="directory for mask dumps")
     p.set_defaults(func=cmd_enhance)

@@ -336,7 +336,7 @@ ADAM_EPSILON = 1e-8
 CLIP_NORM = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSettings:
     """Adaptive-moment step size, stopping rule, and seed."""
 
@@ -355,6 +355,8 @@ class TrainSettings:
             raise DataError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if self.patience < 1:
             raise DataError(f"patience must be at least 1, got {self.patience}")
+        if self.seed < 0:
+            raise DataError(f"seed must be at least 0, got {self.seed}")
 
 
 class _Adam:

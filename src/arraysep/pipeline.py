@@ -30,7 +30,7 @@ from .enhancer import (
     enhance_channels,
     load_model,
 )
-from .errors import StageError
+from .errors import DataError, StageError
 from .fusion import CombineMode, combine_masks, fuse_channels
 from .metrics import SEG_FRAME, ProjectionBasis, bss_eval, projection_basis, seg_snr
 from .scene import SceneRender, load_render
@@ -54,7 +54,6 @@ from .spatial_em import (
 )
 from .targets import TargetKind
 from .util import (
-    _at_least,
     _bool,
     _fraction,
     _given,
@@ -66,7 +65,6 @@ from .util import (
     _one_of,
     _optional,
     _parsed,
-    _seed,
     _string,
     _tuple_of,
     _value,
@@ -75,7 +73,7 @@ from .util import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Everything the enhancement pipeline needs besides the audio."""
 
@@ -86,6 +84,13 @@ class PipelineConfig:
     model_path: str | None = None
     messl_binarize_threshold: float | None = None
     seg_frame: int = SEG_FRAME
+
+    def __post_init__(self):
+        threshold = self.messl_binarize_threshold
+        if threshold is not None and not 0.0 <= threshold < 1.0:
+            raise DataError(f"messl_binarize_threshold must be in [0, 1), got {threshold}")
+        if self.seg_frame < 1:
+            raise DataError(f"seg_frame must be at least 1, got {self.seg_frame}")
 
     def digest(self) -> str:
         return config_hash(self)
@@ -269,7 +274,6 @@ def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
     Sections must be mappings and values must convert to their types;
     otherwise DataError names the key.
     """
-    doc = doc or {}
     return PipelineConfig(
         stft=_stft_from_dict(_value(doc, "stft", _mapping, {})),
         messl=_messl_from_dict(_value(doc, "messl", _mapping, {})),
@@ -277,7 +281,7 @@ def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
             doc, combine_mode=("combine", _parsed(CombineMode)),
             reference_channel=("ref_channel", _int),
             model_path=("model", _optional(_string)),
-            messl_binarize_threshold=_optional(_fraction), seg_frame=_at_least(1),
+            messl_binarize_threshold=_optional(float), seg_frame=_int,
         ),
     )
 
@@ -294,7 +298,7 @@ def training_config_from_dict(doc: dict) -> tuple:
         output_activation=_string, target_kind=_parsed(TargetKind),
     ))
     settings = TrainSettings(**_given(
-        doc, learning_rate=float, max_epochs=_int, patience=_int, seed=_seed,
+        doc, learning_rate=float, max_epochs=_int, patience=_int, seed=_int,
     ))
     holdout = _value(doc, "holdout_fraction", _fraction, 0.2)
     channels = _value(doc, "channels", _one_of("reference", "all"), "reference")

@@ -59,7 +59,7 @@ SPEECH_RMS = 0.15
 GAIN_JITTER = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceSpec:
     """One source signal and its per-channel placement."""
 
@@ -68,8 +68,8 @@ class SourceSpec:
     gains: tuple
 
     def __post_init__(self):
-        self.delays = tuple(float(d) for d in self.delays)
-        self.gains = tuple(float(g) for g in self.gains)
+        object.__setattr__(self, "delays", tuple(float(d) for d in self.delays))
+        object.__setattr__(self, "gains", tuple(float(g) for g in self.gains))
         if len(self.delays) != len(self.gains):
             raise DataError("delays and gains must have one entry per channel")
         if not all(np.isfinite(self.delays)):
@@ -78,7 +78,7 @@ class SourceSpec:
             raise DataError("gains must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
     """Full description of a synthetic capture; deterministic given seed."""
 
@@ -89,13 +89,16 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.sources = tuple(self.sources)
+        object.__setattr__(self, "sources", tuple(self.sources))
         if not self.sources:
             raise DataError("scene needs at least one source")
         if self.n_channels < 2:
             raise DataError("scene needs at least two channels")
-        if self.diffuse_noise_level < 0:
-            raise DataError("noise level must be nonnegative")
+        if not 0.0 <= self.diffuse_noise_level < np.inf:
+            raise DataError(f"diffuse_noise_level must be finite and nonnegative, "
+                            f"got {self.diffuse_noise_level}")
+        if self.seed < 0:
+            raise DataError(f"seed must be at least 0, got {self.seed}")
         for src in self.sources:
             if len(src.delays) != self.n_channels:
                 raise DataError(

@@ -362,23 +362,10 @@ def read_wav(path) -> MultichannelWaveform:
     return MultichannelWaveform.from_array(data.T, rate)
 
 
-def write_wav(path, wave, encoding: str = "float32") -> None:
-    """Write a Waveform or MultichannelWaveform as PCM16 or float32."""
-    if isinstance(wave, Waveform):
-        arr = wave.samples[:, None]
-        rate = wave.sample_rate
-    else:
-        arr = wave.as_array().T
-        rate = wave.sample_rate
-    if arr.shape[1] == 1:
-        arr = arr[:, 0]
-    if encoding == "float32":
-        scipy.io.wavfile.write(path, rate, arr.astype(np.float32))
-    elif encoding == "pcm16":
-        clipped = np.clip(arr, -1.0, 1.0)
-        scipy.io.wavfile.write(path, rate, (clipped * 32767.0).astype(np.int16))
-    else:
-        raise DataError(f"unsupported encoding '{encoding}'")
+def write_wav(path, wave) -> None:
+    """Write a Waveform or MultichannelWaveform as float32."""
+    arr = wave.samples if isinstance(wave, Waveform) else wave.as_array().T
+    scipy.io.wavfile.write(path, wave.sample_rate, arr.astype(np.float32))
 
 
 MASK_MAGIC = b"ASMASK1"

@@ -47,7 +47,7 @@ def default_delay_grid(max_delay: float = 8.0, step: float = 0.25) -> np.ndarray
     return np.arange(-int(n), int(n) + 1) * step
 
 
-@dataclass
+@dataclass(frozen=True)
 class MesslConfig:
     """Clustering model size, delay search grid, and stopping rule."""
 
@@ -60,10 +60,13 @@ class MesslConfig:
     target_source: int | None = None
 
     def __post_init__(self):
+        # A read-only copy, so that no in-place write skips these checks.
         try:
-            grid = self.delay_grid = np.asarray(self.delay_grid, dtype=np.float64)
+            grid = np.array(self.delay_grid, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise DataError(f"delay grid must be an array of delays: {exc}") from None
+        grid.flags.writeable = False
+        object.__setattr__(self, "delay_grid", grid)
         if self.n_sources < 1:
             raise DataError("need at least one source")
         if self.n_iterations < 1:

@@ -1,6 +1,7 @@
 """Recurrent mask enhancer: forward math, gradients, training, files."""
 
 import copy
+import dataclasses
 import json
 import os
 import struct
@@ -404,6 +405,10 @@ def test_config_validation():
     assert EnhancerConfig(target_kind="ps").target_kind is TargetKind.PS
     with pytest.raises(DataError, match="target kind"):
         EnhancerConfig(target_kind=5)
+    with pytest.raises(DataError, match="seed"):
+        TrainSettings(seed=-1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainSettings().seed = 3
 
 
 # ----------------------------------------------------------------- batches

@@ -167,6 +167,20 @@ def test_enhance_reuses_analysis_bit_for_bit(render):
 def test_config_digest_tracks_content():
     assert _small_cfg().digest() == _small_cfg().digest()
     assert _small_cfg().digest() != _small_cfg(reference_channel=1).digest()
+    # Digests are written into score CSVs and mask files.
+    assert PipelineConfig().digest() == "d6d4f4f5b9da"
+    assert PipelineConfig(reference_channel=1).digest() == "370bc5a15c75"
+
+
+def test_config_validation():
+    for threshold in (5.0, np.nan, 1.0):
+        with pytest.raises(DataError, match="messl_binarize_threshold"):
+            PipelineConfig(messl_binarize_threshold=threshold)
+    with pytest.raises(DataError, match="seg_frame"):
+        dataclasses.replace(PipelineConfig(), seg_frame=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PipelineConfig().messl_binarize_threshold = 5.0
+    assert PipelineConfig(messl_binarize_threshold=0.0).messl_binarize_threshold == 0.0
 
 
 # -------------------------------------------------------- evaluate_scene
@@ -472,6 +486,32 @@ def test_cli_simulate_flags_expand_as_batch_config(tmp_path):
         for name in files:
             assert ((tmp_path / "flags" / scene / name).read_bytes()
                     == (tmp_path / "config" / scene / name).read_bytes())
+
+
+def test_cli_enhance_flags_read_as_config_keys(cli_workspace, tmp_path, capsys):
+    doc = yaml.safe_load((cli_workspace / "pipeline.yml").read_text())
+    doc_with_keys = {**doc, "ref_channel": 1, "combine": "max"}
+    keys = tmp_path / "keys.yml"
+    keys.write_text(yaml.safe_dump(doc_with_keys))
+    flags = ["--config", str(cli_workspace / "pipeline.yml"),
+             "--ref-channel", "1", "--combine", "max"]
+    mixture = str(cli_workspace / "scenes" / "scene_000" / "mixture.wav")
+    for name, args in (("flags", flags), ("keys", ["--config", str(keys)])):
+        assert main(["enhance", "--input", mixture, "--out", str(tmp_path / name),
+                     "--dump-masks", str(tmp_path / f"{name}_masks"), *args]) == 0
+    outputs = ["", *(f"_masks/{m}" for m in os.listdir(tmp_path / "flags_masks"))]
+    assert len(outputs) == 3
+    for suffix in outputs:
+        flag_bytes = (tmp_path / f"flags{suffix}").read_bytes()
+        assert flag_bytes == (tmp_path / f"keys{suffix}").read_bytes(), suffix
+    digest = pipeline.pipeline_config_from_dict(doc_with_keys).digest()
+    header = f"\nconfig {digest}\n".encode()
+    assert header in (tmp_path / "flags_masks" / "final.mask").read_bytes()
+    capsys.readouterr()
+    assert main(["enhance", "--input", mixture, "--out", str(tmp_path / "x.wav"),
+                 *flags[:2], "--combine", "median"]) == 2
+    err = capsys.readouterr().err
+    assert "combine mode" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags, key", [

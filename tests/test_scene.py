@@ -1,5 +1,6 @@
 """Scene simulation: delays, rendering, oracle masks, signal generator, IO."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -180,6 +181,14 @@ def test_scene_spec_validation():
         SourceSpec(sig, (0.0, 0.0), (1.0, 0.0))
     with pytest.raises(DataError, match="n_interferers"):
         random_scene_spec(np.random.default_rng(0), duration=0.1, n_interferers=-1)
+    spec = random_scene_spec(np.random.default_rng(0), duration=0.1)
+    with pytest.raises(DataError, match="seed"):
+        dataclasses.replace(spec, seed=-1)
+    with pytest.raises(DataError, match="diffuse_noise_level"):
+        dataclasses.replace(spec, diffuse_noise_level=np.nan)
+    for obj, name in ((spec, "seed"), (spec.sources[0], "delays")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 0)
 
 
 # -------------------------------------------------------------- oracle masks

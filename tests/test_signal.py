@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 from scipy.special import expit
 
 from arraysep import (
@@ -285,10 +286,16 @@ def test_wav_float32_round_trip(tmp_path):
     np.testing.assert_allclose(back.channel(0).samples, wave.samples, atol=1e-7)
 
 
+def _write_pcm16(path, rows, sample_rate):
+    """write_wav writes float32 only; read_wav's int16 path reads this."""
+    samples = np.clip(np.asarray(rows).T, -1.0, 1.0) * 32767.0
+    wavfile.write(path, sample_rate, samples.astype(np.int16))
+
+
 def test_wav_pcm16_round_trip(tmp_path):
     wave = make_tone(440.0, duration=0.02)
     path = tmp_path / "t.wav"
-    write_wav(path, wave, encoding="pcm16")
+    _write_pcm16(path, wave.samples, wave.sample_rate)
     back = read_wav(path)
     np.testing.assert_allclose(back.channel(0).samples, wave.samples,
                                atol=1.5 / 32768.0)
@@ -322,7 +329,10 @@ def test_wav_cut_at_every_length(tmp_path, encoding):
         np.random.default_rng(3).uniform(-0.5, 0.5, size=(2, 24)), 8000
     )
     path = tmp_path / "full.wav"
-    write_wav(path, full, encoding=encoding)
+    if encoding == "pcm16":
+        _write_pcm16(path, full.as_array(), full.sample_rate)
+    else:
+        write_wav(path, full)
     expected = read_wav(path).as_array()
     blob = path.read_bytes()
     data_start = blob.index(b"data")
@@ -348,7 +358,7 @@ def test_wav_cut_at_every_length(tmp_path, encoding):
 
 def test_wav_unknown_trailing_chunk_only_warns(tmp_path):
     path = tmp_path / "x.wav"
-    write_wav(path, make_noise(40), encoding="pcm16")
+    _write_pcm16(path, make_noise(40).samples, 16000)
     blob = bytearray(path.read_bytes())
     blob += b"abcd" + (2).to_bytes(4, "little") + b"zz"
     blob[4:8] = (len(blob) - 8).to_bytes(4, "little")
@@ -356,11 +366,6 @@ def test_wav_unknown_trailing_chunk_only_warns(tmp_path):
     with pytest.warns(UserWarning, match="not understood"):
         back = read_wav(path)
     assert back.n_samples == 40
-
-
-def test_wav_bad_encoding(tmp_path):
-    with pytest.raises(DataError, match="unsupported encoding"):
-        write_wav(tmp_path / "x.wav", make_noise(10), encoding="mp3")
 
 
 # -------------------------------------------------------------- mask files

@@ -1,5 +1,6 @@
 """Spatial clustering EM: phase model, initialization, convergence, masks."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -538,6 +539,16 @@ def test_config_validation():
         with pytest.raises(DataError, match="convergence_tol"):
             MesslConfig(convergence_tol=tol)
     assert MesslConfig(n_sources=2, delay_grid=[0.0, 0.5]).n_sources == 2
+    cfg = MesslConfig()
+    for name, value in (("delay_grid", [[0, 1], [2, 3]]), ("convergence_tol", np.nan)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.delay_grid[0] = 7.0
+    grid = np.array([-0.5, 0.0, 0.5])
+    own = MesslConfig(delay_grid=grid).delay_grid
+    grid[0] = 7.0
+    assert own[0] == -0.5 and not own.flags.writeable
     assert MesslConfig(convergence_tol=0.0).convergence_tol == 0.0
     assert MesslConfig().grid_step == pytest.approx(0.25)
 
