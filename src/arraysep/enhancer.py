@@ -24,7 +24,7 @@ from scipy.special import expit
 from .errors import DataError, NumericalError
 from .signal import FeatureStats, MaskGrid, logit_mask, to_log_features
 from .targets import TargetContext, TargetKind, compute_target, loss_with_grad
-from .util import _located, as_plain_data
+from .util import _int, _located, as_plain_data
 
 MERGE_MODES = ("sum", "multiply", "average", "concatenate")
 OUTPUT_ACTIVATIONS = ("sigmoid", "hard_sigmoid")
@@ -47,7 +47,12 @@ class EnhancerConfig:
     target_kind: TargetKind = TargetKind.IA
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(w) for w in self.layer_sizes))
+        try:
+            sizes = tuple(_int(w) for w in self.layer_sizes)
+        except (TypeError, ValueError):
+            raise DataError(f"layer_sizes must be whole numbers, "
+                            f"got {self.layer_sizes!r}") from None
+        object.__setattr__(self, "layer_sizes", sizes)
         if not 1 <= len(self.layer_sizes) <= 2:
             raise DataError("one or two recurrent layers are supported")
         if any(w < 1 for w in self.layer_sizes):
@@ -338,7 +343,11 @@ CLIP_NORM = 10.0
 
 @dataclass(frozen=True)
 class TrainSettings:
-    """Adaptive-moment step size, stopping rule, and seed."""
+    """Adaptive-moment step size, stopping rule, and seed.
+
+    train() draws no random numbers and never reads ``seed``; it is the
+    seed that ``cli.cmd_train`` hands to init_model.
+    """
 
     learning_rate: float = 1e-3
     max_epochs: int = 30
@@ -394,8 +403,9 @@ def train(
 ):
     """Full-sequence gradient training with early stopping.
 
-    Batches are visited in their given order each epoch, so the run is
-    deterministic under a fixed seed. The model is left holding the
+    Batches are visited in their given order each epoch and no random
+    numbers are drawn, so the run is deterministic for given batches and
+    model (settings.seed is not read). The model is left holding the
     parameters of the best validation epoch; the history records one row
     of train and validation loss per epoch.
     """

@@ -14,9 +14,11 @@ non-decreasing. Each candidate's weighted squared wrapped residual is
 evaluated exactly in closed form: with the phases of a frequency sorted,
 the frames whose residual wraps form a prefix and a suffix, so prefix sums
 over the sorted frames and a binary search per candidate and frequency give
-every score. One pair costs O(F T log T + G F log T) time and O(F T + G F)
-memory for F frequencies, T frames and G candidates, where direct
-evaluation costs O(G F T) in both.
+every score. The sort and the search depend only on the phases and the grid,
+so each call does them once, in O(P F T log T + P G F log T) time and
+O(P (F T + G F)) int32 memory for P pairs, F frequencies, T frames and G
+candidates. Each M step then costs O(K P (F T + G F)) for K sources, where
+direct evaluation costs O(K P G F T).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DataError, NumericalError
 from .signal import MaskGrid, check_channels
@@ -133,20 +134,17 @@ def _wrap(x: np.ndarray) -> np.ndarray:
     return x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
 
 
-def _delay_scores(phi, weight, mean, cand, omega) -> np.ndarray:
-    """Score every candidate delay of one pair for every source.
+def _delay_splits(phi, cand, omega):
+    """Sort each pair's phases and find every candidate's wrap splits.
 
-    Returns (n_sources, n_cand) values of
-    -sum_ft weight[k] * (_wrap(phi + omega * cand[g]) - mean[k]) ** 2,
-    computed in closed form without a candidate x frame array.
-
-    phi: (n_freq, n_frames) phase differences in [-pi, pi] of one pair.
-    weight: (n_sources, n_freq, n_frames); mean: (n_sources, n_freq).
+    phi: (n_pairs, n_freq, n_frames) phase differences in [-pi, pi].
+    Returns int32 (n_pairs, n_freq, n_frames) sorting permutations into
+    each pair's flattened phases, the (n_freq, n_cand) wrapped prediction
+    shift, and int32 (n_pairs, n_freq, n_cand) prefix ends lo and suffix
+    starts hi into each pair's flattened (n_freq, n_frames + 1) prefix
+    sums. None of it depends on the EM parameters, so EM computes it once.
     """
-    n_freq, n_frames = phi.shape
-    order = np.argsort(phi, axis=1) + n_frames * np.arange(n_freq)[:, None]
-    phi = phi.reshape(-1)[order]
-
+    n_pairs, n_freq, n_frames = phi.shape
     # With turns = round(omega tau / 2 pi) and shift = omega tau - 2 pi turns
     # in [-pi, pi], the residual is phi + shift - mean, less 2 pi on frames
     # with phi > pi - shift and plus 2 pi on frames with phi < -pi - shift:
@@ -164,43 +162,84 @@ def _delay_scores(phi, weight, mean, cand, omega) -> np.ndarray:
     # direct evaluation's wrap decision is itself set by rounding.
     freq = np.broadcast_to(np.arange(n_freq)[:, None], shift.shape)
     offset = 4.0 * np.pi * freq
-    keys = (phi + offset[:, :1]).ravel()
 
-    def split(select, edge, inclusive):
-        # Frames of the row below the edge ("<=" where inclusive, else "<").
+    def edges(select, edge, inclusive):
+        # Searching for these finds the frames of a row below the edge
+        # ("<=" where inclusive, else "<").
         edge = edge[select] + offset[select]
-        edge = np.where(inclusive[select], np.nextafter(edge, np.inf), edge)
-        return np.searchsorted(keys, edge) + freq[select]
+        return np.where(inclusive[select], np.nextafter(edge, np.inf), edge)
 
-    lo = freq * (n_frames + 1)                             # prefix ends
-    hi = lo + n_frames                                     # suffix starts
     down, up = shift >= 0.0, shift <= 0.0
-    hi[down] = split(down, np.pi - shift, ~odd)
-    lo[up] = split(up, -np.pi - shift, odd)
+    down_edges = edges(down, np.pi - shift, ~odd)
+    up_edges = edges(up, -np.pi - shift, odd)
+    order = np.argsort(phi, axis=2).astype(np.int32)
+    order += (n_frames * np.arange(n_freq, dtype=np.int32))[:, None]
+    lo = np.broadcast_to(freq * (n_frames + 1), (n_pairs,) + shift.shape).astype(np.int32)
+    hi = lo + n_frames
+    for p in range(n_pairs):
+        keys = (phi[p].reshape(-1)[order[p]] + offset[:, :1]).ravel()
+        hi[p][down] = np.searchsorted(keys, down_edges) + freq[down]
+        lo[p][up] = np.searchsorted(keys, up_edges) + freq[up]
+    return order, shift, lo, hi
 
-    w = weight.reshape(len(weight), -1)[:, order]          # (K, F, T)
-    dev = phi[None] - mean[:, :, None]
-    wdev = w * dev
-    cum_w = np.zeros(w.shape[:2] + (n_frames + 1,))
-    cum_d = np.zeros(w.shape[:2] + (n_frames + 1,))
-    np.cumsum(w, axis=2, out=cum_w[:, :, 1:])
-    np.cumsum(wdev, axis=2, out=cum_d[:, :, 1:])
-    tot_w, tot_d = cum_w[:, :, -1], cum_d[:, :, -1]         # (K, F)
-    cum_w, cum_d = cum_w.reshape(len(w), -1), cum_d.reshape(len(w), -1)
-    # (dev + shift + c)^2 summed over frames, with c = 2 pi on the prefix,
-    # -2 pi on the suffix and 0 elsewhere.
-    up_w = np.take(cum_w, lo, axis=1)                      # (K, F, G)
-    down_w = tot_w[:, :, None] - np.take(cum_w, hi, axis=1)
-    net_d = np.take(cum_d, lo, axis=1) + np.take(cum_d, hi, axis=1)
-    err = (
-        np.sum(wdev * dev, axis=(1, 2))[:, None]
-        + np.einsum("kf,fg->kg", 2.0 * tot_d, shift)
-        + np.einsum("kf,fg->kg", tot_w, shift * shift)
-        + np.einsum("kfg,fg->kg", up_w, 4.0 * np.pi * (np.pi + shift))
-        + np.einsum("kfg,fg->kg", down_w, 4.0 * np.pi * (np.pi - shift))
-        + 4.0 * np.pi * (net_d.sum(axis=1) - tot_d.sum(axis=1)[:, None])
-    )
-    return -err
+
+def _delay_scores(phi, splits, weight, mean) -> np.ndarray:
+    """Score every candidate delay of every pair for every source.
+
+    Returns (n_pairs, n_sources, n_cand) values of
+    -sum_ft weight[k] * (_wrap(phi[p] + omega * cand[g]) - mean[k]) ** 2,
+    computed in closed form without a candidate x frame array.
+
+    phi: (n_pairs, n_freq, n_frames); splits: _delay_splits(phi, cand,
+    omega). weight: (n_sources, n_freq, n_frames); mean: (n_sources, n_freq).
+    """
+    orders, shift, los, his = splits
+    n_frames = phi.shape[2]
+    flat_weight = weight.reshape(len(weight), -1)
+    scores = []
+    for phi_p, order, lo, hi in zip(phi, orders, los, his):
+        phi_p = phi_p.reshape(-1)[order]
+        w = flat_weight[:, order]                          # (K, F, T)
+        dev = phi_p[None] - mean[:, :, None]
+        wdev = w * dev
+        cum_w = np.zeros(w.shape[:2] + (n_frames + 1,))
+        cum_d = np.zeros(w.shape[:2] + (n_frames + 1,))
+        np.cumsum(w, axis=2, out=cum_w[:, :, 1:])
+        np.cumsum(wdev, axis=2, out=cum_d[:, :, 1:])
+        tot_w, tot_d = cum_w[:, :, -1], cum_d[:, :, -1]     # (K, F)
+        cum_w, cum_d = cum_w.reshape(len(w), -1), cum_d.reshape(len(w), -1)
+        # (dev + shift + c)^2 summed over frames, with c = 2 pi on the
+        # prefix, -2 pi on the suffix and 0 elsewhere.
+        up_w = np.take(cum_w, lo, axis=1)                  # (K, F, G)
+        down_w = tot_w[:, :, None] - np.take(cum_w, hi, axis=1)
+        net_d = np.take(cum_d, lo, axis=1) + np.take(cum_d, hi, axis=1)
+        err = (
+            np.sum(wdev * dev, axis=(1, 2))[:, None]
+            + np.einsum("kf,fg->kg", 2.0 * tot_d, shift)
+            + np.einsum("kf,fg->kg", tot_w, shift * shift)
+            + np.einsum("kfg,fg->kg", up_w, 4.0 * np.pi * (np.pi + shift))
+            + np.einsum("kfg,fg->kg", down_w, 4.0 * np.pi * (np.pi - shift))
+            + 4.0 * np.pi * (net_d.sum(axis=1) - tot_d.sum(axis=1)[:, None])
+        )
+        scores.append(-err)
+    return np.stack(scores)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """scipy.special.logsumexp(a, axis=0), computed as scipy 1.17 does.
+
+    The maxima are taken out of the sum and added back as log(count), so
+    the result is bit for bit scipy's, an all -inf column included.
+    """
+    top = a.max(axis=0)
+    is_top = a == top
+    with np.errstate(invalid="ignore"):   # -inf - -inf, zeroed below
+        e = np.exp(a - top)
+    e[is_top] = 0.0
+    s = e.sum(axis=0)
+    m = is_top.sum(axis=0, dtype=np.float64)
+    s = np.where(s == 0, s, s / m)
+    return np.log1p(s) + np.log(m) + top
 
 
 def _cross_spectra(specs, reference_channel: int):
@@ -268,6 +307,8 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
         cfg.n_sources,
         min_sep=max(cfg.grid_step, 1.0),
     )
+    del cross
+    splits = _delay_splits(phi, grid, omega)
     delays = np.tile(peaks[:, None], (1, n_pairs))
     mean = np.zeros((cfg.n_sources, n_freq))
     var = np.ones((cfg.n_sources, n_freq))
@@ -287,15 +328,16 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     for iteration in range(cfg.n_iterations + 1):
         log_post = np.empty((k_total, n_freq, n_frames))
         log_norm = -0.5 * np.log(2.0 * np.pi * var)
-        log_post[: cfg.n_sources] = (
-            log_norm[:, None, :, None] - sq / (2.0 * var)[:, None, :, None]
-        ).sum(axis=1)
+        sq /= (2.0 * var)[:, None, :, None]
+        np.subtract(log_norm[:, None, :, None], sq, out=sq)
+        log_post[: cfg.n_sources] = sq.sum(axis=1)
         del sq  # freed before the M step forms the next one
         if cfg.use_garbage:
             log_post[-1] = n_pairs * _LOG_UNIFORM
         log_post += log_priors[:, None, None]
-        total = logsumexp(log_post, axis=0)
-        gamma = np.exp(log_post - total[None])
+        total = _logsumexp(log_post)
+        log_post -= total
+        gamma = np.exp(log_post, out=log_post)
         trace.append(float(np.sum(total)))
         if iteration == cfg.n_iterations:
             break
@@ -311,9 +353,8 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
         # on the grid and are searched over it; the first maximum wins.
         resp = gamma[: cfg.n_sources]
         weight = resp / (2.0 * var[:, :, None])
-        for p in range(n_pairs):
-            score = _delay_scores(phi[p], weight, mean, grid, omega)
-            delays[:, p] = grid[np.argmax(score, axis=1)]
+        score = _delay_scores(phi, splits, weight, mean)
+        delays[:] = grid[np.argmax(score, axis=2)].T
 
         sq = residuals()                      # squared in place below
         denom = n_pairs * resp.sum(axis=2)    # (n_sources, n_freq)

@@ -311,18 +311,20 @@ def test_zero_learning_rate_keeps_params():
 
 
 def test_training_deterministic():
-    def run():
+    # train draws no random numbers, so settings.seed changes nothing.
+    def run(seed):
         config = EnhancerConfig(layer_sizes=(5,))
         model = init_model(config, n_freq=4, feature_stats=_stats(4), seed=4)
         batches = [_random_batch(config, 4, seed=s) for s in (10, 11, 12)]
-        settings = TrainSettings(learning_rate=5e-3, max_epochs=6, patience=6)
+        settings = TrainSettings(learning_rate=5e-3, max_epochs=6, patience=6, seed=seed)
         return train(model, batches[:2], batches[2:], settings)
 
-    model_a, hist_a = run()
-    model_b, hist_b = run()
-    assert hist_a == hist_b
-    for key in model_a.params:
-        np.testing.assert_array_equal(model_a.params[key], model_b.params[key])
+    model_a, hist_a = run(0)
+    for seed in (0, 7):
+        model_b, hist_b = run(seed)
+        assert hist_a == hist_b
+        for key in model_a.params:
+            np.testing.assert_array_equal(model_a.params[key], model_b.params[key])
 
 
 def test_returned_model_holds_best_validation_params():
@@ -398,6 +400,10 @@ def test_init_model_weight_bounds():
 def test_config_validation():
     with pytest.raises(DataError, match="one or two"):
         EnhancerConfig(layer_sizes=(4, 4, 4))
+    for sizes in ((8.5,), (2.0000001,), (4, None), 4):
+        with pytest.raises(DataError, match="layer_sizes"):
+            EnhancerConfig(layer_sizes=sizes)
+    assert EnhancerConfig(layer_sizes=(8.0, np.int64(3))).layer_sizes == (8, 3)
     with pytest.raises(DataError, match="merge_mode"):
         EnhancerConfig(merge_mode="median")
     with pytest.raises(DataError, match="output_activation"):

@@ -30,6 +30,8 @@ from arraysep.spatial_em import (
     VAR_FLOOR,
     _cross_spectra,
     _delay_scores,
+    _delay_splits,
+    _logsumexp,
     _phat_correlation,
     _wrap,
 )
@@ -166,11 +168,34 @@ def test_delay_scores_match_brute_force(window, n_frames, n_sources, seed):
     assert omega[-1] * grid[grid == 1.0][0] == np.pi  # Nyquist shift hits pi
     cand = np.append(grid, gen.uniform(-8.0, 8.0))    # off-grid incumbent
 
-    fast = _delay_scores(phi, weight, mean, cand, omega)
+    fast = _delay_scores(phi[None], _delay_splits(phi[None], cand, omega), weight, mean)[0]
     slow = _brute_delay_scores(phi, weight, mean, cand, omega)
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
     np.testing.assert_array_equal(np.argmax(fast, axis=1),
                                   np.argmax(slow, axis=1))
+
+
+# ------------------------------------------------------------ log-sum-exp
+
+@pytest.mark.parametrize("n_components", [1, 2, 3, 4])
+def test_logsumexp_matches_scipy_bit_for_bit(n_components):
+    gen = np.random.default_rng(n_components)
+    shape = (n_components, 7, 9)
+    for trial in range(60):
+        a = gen.normal(0.0, 10.0 ** gen.integers(-2, 4), shape)
+        if trial % 2:
+            a = np.round(a)                                      # ties anywhere
+        a = np.where(gen.random(shape) < 0.2, a.max(axis=0), a)  # ties at the top
+        a[:, gen.random(shape[1:]) < 0.1] = gen.normal()         # constant columns
+        a[gen.random(shape) < 0.1] = -np.inf
+        a[:, gen.random(shape[1:]) < 0.1] = -np.inf              # all -inf columns
+        if trial % 5 == 0:
+            a[gen.integers(n_components)] = -np.inf              # a -inf component
+        if trial % 7 == 0:
+            a[gen.random(shape) < 0.2] = gen.choice([-1e308, 1e308])
+        got, want = _logsumexp(a), logsumexp(a, axis=0)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), trial
 
 
 # --------------------------------------------------------------------- em
@@ -462,7 +487,9 @@ def _reference_run_em(specs, cfg):
                 break
         weight = gamma[: cfg.n_sources] / (2.0 * var[:, :, None])
         for p in range(n_pairs):
-            score = _delay_scores(phi[p], weight, mean, grid, omega)
+            # Splits per pair and per iteration; run_em forms them once per call.
+            one = phi[p:p + 1]
+            score = _delay_scores(one, _delay_splits(one, grid, omega), weight, mean)[0]
             delays[:, p] = grid[np.argmax(score, axis=1)]
         for k in range(cfg.n_sources):
             r = residuals(k)
