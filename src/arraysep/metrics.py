@@ -6,15 +6,23 @@ target component, extending the basis with the noise references' shifts
 gives the interference component, and the remainder is artifacts. The
 three components sum to the estimate exactly by construction.
 
-One Cholesky factor of the Gram matrix of all reference shifts serves both
-projections: its leading block factors the speech-only Gram block. A
-ProjectionBasis holds that factor with the references' rFFTs, so scoring
-several estimates against one reference set factors once; each estimate
-then costs one rFFT, triangular solves, and the projections as products
-with the stored rFFTs. Collinear references, whose Gram matrix is not
-positive definite, fall back to least squares. Ratios are
-reported in dB, clamped to +-100. A segmental SNR over fixed frames is
-provided as a perceptual proxy.
+The normal equations of the projection need only the references' lagged
+cross-correlations. With p references and ``taps`` shifts each, ordered
+tap-major, the Gram matrix of all shifts is block Toeplitz with p x p
+blocks, so multichannel Levinson recursion (Whittle 1963) factors it in
+O(taps^2 p^3) as L G L^T = blockdiag(E), L unit block-lower triangular;
+each solve then costs O((p taps)^2). The speech-only Gram block is scalar
+Toeplitz and is solved by Levinson-Durbin in O(taps^2). A ProjectionBasis
+holds the factorization with the references' rFFTs, so scoring several
+estimates against one reference set factors once; each estimate then
+costs one rFFT, the solves, and the projections as products with the
+stored rFFTs. The Gram matrix is singular by construction when there
+are more shifts than padded samples (p taps > n + taps - 1), and
+numerically singular when an error block of the recursion is not
+positive definite (collinear references); then, and only then, the
+dense Gram matrix is built and solved by least squares. Ratios are
+reported in dB, clamped to +-100. A segmental SNR over fixed frames is provided as a
+perceptual proxy.
 """
 
 from __future__ import annotations
@@ -53,13 +61,6 @@ def _safe_db(num: float, den: float) -> float:
     return float(np.clip(10.0 * np.log10(num / den), -DB_CLAMP, DB_CLAMP))
 
 
-def _gram_block(c: np.ndarray, taps: int) -> np.ndarray:
-    """Toeplitz block G[a, b] = c[a - b] from a circular correlation."""
-    col = c[:taps]
-    row = np.concatenate(([c[0]], c[-1:-taps:-1]))
-    return scipy.linalg.toeplitz(col, row)
-
-
 def _check_references(refs, n: int, sample_rate: int) -> None:
     for ref in refs:
         if len(ref) != n:
@@ -70,36 +71,88 @@ def _check_references(refs, n: int, sample_rate: int) -> None:
             raise DataError("zero-energy reference")
 
 
-def _cholesky(gram: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor, or None when gram is not positive definite."""
+def _lags(spectra: np.ndarray, nfft: int, taps: int) -> np.ndarray:
+    """(taps, p, p) lag blocks R(k)[i, j] = sum_t r_i[t] r_j[t + k] of the
+    references whose rFFTs are ``spectra``; nfft >= n + taps, so no lag
+    wraps. Block (a, b) of the tap-major Gram matrix is R(a - b), with
+    R(-k) = R(k)^T."""
+    corr = np.fft.irfft(np.conj(spectra)[:, None] * spectra[None], nfft)
+    return np.ascontiguousarray(corr[..., :taps].transpose(2, 0, 1))
+
+
+def _dense_gram(lags: np.ndarray) -> np.ndarray:
+    """The Gram matrix of all reference shifts, reference-major:
+    G[i taps + a, j taps + b] = R(a - b)[i, j]."""
+    taps, p, _ = lags.shape
+    # R(1 - taps) .. R(taps - 1), then block (a, b) of the tap-major matrix.
+    both = np.concatenate((lags[:0:-1].transpose(0, 2, 1), lags))
+    shift = np.arange(taps)
+    blocks = both[shift[:, None] - shift[None, :] + taps - 1]
+    return blocks.transpose(2, 0, 3, 1).reshape(p * taps, p * taps)
+
+
+def _block_levinson(lags: np.ndarray):
+    """Factor the tap-major block Toeplitz Gram matrix of ``lags`` as
+    L G L^T = blockdiag(E) by Whittle's recursion.
+
+    Row block m of the unit block-lower L is the order-m backward
+    predictor, E[m] its error. The forward and backward predictors are
+    kept as (p, taps p) row blocks, so each order is a few 2-D GEMMs.
+    Returns (L, E), or None when an error block is not positive definite
+    or is singular.
+    """
+    taps, p, _ = lags.shape
+    size = taps * p
+    col = lags.reshape(size, p)            # R(0), R(1), ... stacked
+    lower = np.zeros((size, size))
+    lower[:p, :p] = np.eye(p)
+    forward = np.zeros((p, size))
+    forward[:, :p] = np.eye(p)
+    errors = np.empty((taps, p, p))
+    errors[0] = lags[0]
+    pair = np.stack((lags[0], lags[0]))    # forward and backward errors
+    deltas = np.empty((2, p, p))
+    gains = np.empty((2, p, p))
     try:
-        return scipy.linalg.cholesky(gram, lower=True, check_finite=False)
+        for m in range(1, taps):
+            width = m * p
+            back = lower[width - p:width, :width]
+            # D_b = sum_a B[a] R(a + 1) and D_f = D_b^T correlate each
+            # order-(m - 1) error with the shift it does not yet cover.
+            np.matmul(back, col[p:width + p], out=deltas[1])
+            deltas[0] = deltas[1].T
+            # Gains K_f = D_f E_b^-1 and K_b = D_b E_f^-1, then
+            # A = [A, 0] - K_f [0, B] and B = [0, B] - K_b [A, 0].
+            np.matmul(deltas, np.linalg.inv(pair[::-1]), out=gains)
+            pair -= gains @ deltas[::-1]
+            new = lower[width:width + p, :width + p]
+            new[:, p:] = back
+            new[:, :width] -= gains[1] @ forward[:, :width]
+            forward[:, p:width + p] -= gains[0] @ back
+            errors[m] = pair[1]
+        if not np.isfinite(errors).all():
+            return None
+        # Every E must be positive definite, and nonsingular to the LU
+        # factorization that np.linalg.solve applies to it in _solve.
+        np.linalg.cholesky(errors)
+        np.linalg.inv(errors)
     except np.linalg.LinAlgError:
         return None
-
-
-def _solve(factor, gram, rhs: np.ndarray) -> np.ndarray:
-    """Solve gram x = rhs by two triangular solves with its lower Cholesky
-    factor, or by least squares when there is no factor."""
-    if factor is None:
-        return np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    half = scipy.linalg.solve_triangular(factor, rhs, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(
-        factor, half, lower=True, trans="T", check_finite=False
-    )
+    return lower, errors
 
 
 @dataclass(eq=False)
 class ProjectionBasis:
     """The shifted-reference basis of one reference set, factored once.
 
-    ``spectra`` holds the references' rFFTs (speech first). ``factor`` is
-    the lower Cholesky factor of the Gram matrix of all their shifts; its
-    leading taps x taps block, ``speech_factor``, factors the speech-only
-    block. When the references are collinear the Gram matrix is not
-    positive definite: ``factor`` is None, ``gram`` keeps the matrix for a
-    least-squares solve and ``speech_factor`` factors the speech block
-    alone (None if that fails too).
+    ``spectra`` holds the references' rFFTs (speech first) and ``lags``
+    their (taps, p, p) lag blocks; the speech-only projection solves the
+    scalar Toeplitz system of ``lags[:, 0, 0]``. With noise references,
+    ``lower`` and ``errors`` are the block Levinson factorization
+    L G L^T = blockdiag(E) of the tap-major Gram matrix G of all shifts.
+    When G is singular by construction or an error block is not positive
+    definite they are None, and ``gram`` holds the dense reference-major
+    G for a least-squares solve; no other basis builds it.
     """
 
     signals: tuple
@@ -107,9 +160,10 @@ class ProjectionBasis:
     taps: int
     nfft: int
     spectra: np.ndarray
+    lags: np.ndarray
+    lower: np.ndarray | None
+    errors: np.ndarray | None
     gram: np.ndarray | None
-    factor: np.ndarray | None
-    speech_factor: np.ndarray | None
 
     def matches(self, refs, taps: int) -> bool:
         return (
@@ -121,6 +175,19 @@ class ProjectionBasis:
                 for ref, sig in zip(refs, self.signals)
             )
         )
+
+
+def _solve(basis: ProjectionBasis, rhs: np.ndarray) -> np.ndarray:
+    """Reference-major coefficients of the projection onto all reference
+    shifts, from the (p, taps) correlations ``rhs`` of each shift with the
+    estimate: x = L^T E^-1 L rhs in tap-major order, or least squares on
+    the dense Gram matrix when there is no factorization."""
+    if basis.gram is not None:
+        return np.linalg.lstsq(basis.gram, rhs.ravel(), rcond=None)[0]
+    taps, p, _ = basis.errors.shape
+    half = (basis.lower @ rhs.T.ravel()).reshape(taps, p, 1)
+    half = np.linalg.solve(basis.errors, half)
+    return (basis.lower.T @ half.ravel()).reshape(taps, p).T
 
 
 def projection_basis(
@@ -141,25 +208,20 @@ def projection_basis(
     nfft = scipy.fft.next_fast_len(n + taps)
     signals = tuple(ref.samples for ref in refs)
     spectra = np.fft.rfft(np.stack(signals), nfft)
+    lags = _lags(spectra, nfft, taps)
     n_refs = len(signals)
-    # Fortran order is what LAPACK factors, so the Cholesky copies nothing.
-    gram = np.empty((n_refs * taps, n_refs * taps), order="F")
-    for i in range(n_refs):
-        for j in range(i, n_refs):
-            c = np.fft.irfft(np.conj(spectra[i]) * spectra[j], nfft)
-            block = _gram_block(c, taps)
-            gram[i * taps:(i + 1) * taps, j * taps:(j + 1) * taps] = block
-            if j > i:
-                gram[j * taps:(j + 1) * taps, i * taps:(i + 1) * taps] = block.T
-    factor = _cholesky(gram)
-    if factor is not None:
-        gram, speech_factor = None, np.asfortranarray(factor[:taps, :taps])
-    else:
-        speech_factor = _cholesky(gram[:taps, :taps])
+    factored = gram = None
+    if n_refs > 1:
+        # More shifts than padded samples leave G singular by construction.
+        if n_refs * taps <= n + taps - 1:
+            factored = _block_levinson(lags)
+        if factored is None:
+            gram = _dense_gram(lags)
+    lower, errors = factored or (None, None)
     return ProjectionBasis(
         signals=signals, sample_rate=speech_ref.sample_rate, taps=taps,
-        nfft=nfft, spectra=spectra, gram=gram, factor=factor,
-        speech_factor=speech_factor,
+        nfft=nfft, spectra=spectra, lags=lags, lower=lower, errors=errors,
+        gram=gram,
     )
 
 
@@ -201,15 +263,14 @@ def decompose(
     est[:n] = estimate.samples
     est_spectrum = np.fft.rfft(estimate.samples, basis.nfft)
     rhs = np.fft.irfft(np.conj(basis.spectra) * est_spectrum, basis.nfft)
-    rhs = rhs[:, :taps].ravel()
+    rhs = rhs[:, :taps]
 
-    gram = basis.gram
-    speech_gram = None if gram is None else gram[:taps, :taps]
-    speech_coeffs = _solve(basis.speech_factor, speech_gram, rhs[:taps])
+    speech_coeffs = scipy.linalg.solve_toeplitz(
+        basis.lags[:, 0, 0], rhs[0], check_finite=False
+    )
     s_target = _project(basis, speech_coeffs, length)
     if len(basis.signals) > 1:
-        all_coeffs = _solve(basis.factor, gram, rhs)
-        full_proj = _project(basis, all_coeffs, length)
+        full_proj = _project(basis, _solve(basis, rhs), length)
     else:
         full_proj = s_target
     e_interf = full_proj - s_target

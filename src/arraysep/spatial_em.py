@@ -130,8 +130,16 @@ class MesslResult:
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
-    """Wrap phases to (-pi, pi] up to the sign of the boundary."""
-    return x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
+    """Wrap phases to (-pi, pi] up to the sign of the boundary, in place.
+
+    Returns x. Only one temporary the size of x is alive at a time, so
+    pass a fresh array, such as a sum.
+    """
+    t = x / (2.0 * np.pi)
+    np.round(t, out=t)
+    t *= 2.0 * np.pi
+    x -= t
+    return x
 
 
 def _delay_splits(phi, cand, omega):

@@ -19,7 +19,7 @@ from arraysep import (
     render_scene,
     seg_snr,
 )
-from arraysep.metrics import _safe_db, projection_basis
+from arraysep.metrics import _block_levinson, _safe_db, projection_basis
 
 
 def _wave(samples, rate=16000):
@@ -130,6 +130,16 @@ def _lu_decompose(est, speech, noises, taps):
     return s_target, full - s_target, padded - full
 
 
+def _took_levinson(basis):
+    """Factored by block Levinson recursion, without a dense Gram matrix."""
+    return basis.lower is not None and basis.gram is None
+
+
+def _took_fallback(basis):
+    """Least squares on the dense Gram matrix, the only path that builds it."""
+    return basis.lower is None and basis.gram is not None
+
+
 def _assert_matches_oracle(est, speech, noises, taps, rtol=1e-12):
     got = decompose(_wave(est), _wave(speech), [_wave(x) for x in noises],
                     filters_len=taps)
@@ -157,8 +167,77 @@ def test_factored_decompose_matches_lu_oracle_on_rendered_scene():
               render.noise_image.channel(0).samples]
     est = render.mixture.channel(1).samples
     basis = projection_basis(_wave(speech), [_wave(x) for x in noises])
-    assert basis.factor is not None
+    assert _took_levinson(basis)
     _assert_matches_oracle(est, speech, noises, 512)
+
+
+@pytest.mark.parametrize("n_refs", [1, 2, 3, 4])
+@pytest.mark.parametrize("taps", [1, 2, 64])
+def test_block_levinson_factors_the_gram_matrix(n_refs, taps):
+    """L G L^T = blockdiag(E) for the tap-major Gram matrix G of all
+    reference shifts, built here from the shifted signals themselves."""
+    gen = np.random.default_rng(100 * n_refs + taps)
+    n = 400
+    refs = gen.standard_normal((n_refs, n))
+    # Column a * n_refs + i holds reference i delayed by a samples.
+    shifts = np.stack([_shift_matrix(np.concatenate([r, np.zeros(taps - 1)]), taps)
+                       for r in refs], axis=2).reshape(n + taps - 1, taps * n_refs)
+    gram = shifts.T @ shifts
+    lags = gram[:, :n_refs].reshape(taps, n_refs, n_refs)
+    lower, errors = _block_levinson(lags)
+    size = taps * n_refs
+    blocks = np.arange(size) // n_refs
+    assert np.all(lower[blocks[:, None] < blocks[None, :]] == 0.0)
+    np.testing.assert_array_equal(lower[blocks[:, None] == blocks[None, :]],
+                                  np.eye(size)[blocks[:, None] == blocks[None, :]])
+    want = scipy.linalg.block_diag(*errors)
+    scale = np.linalg.norm(lower) ** 2 * np.linalg.norm(gram)
+    assert np.linalg.norm(lower @ gram @ lower.T - want) <= 1e-15 * scale
+    assert np.all(np.linalg.eigvalsh(errors) > 0.0)
+
+
+def test_short_signals_take_the_fallback_and_match_oracle():
+    """3 references x 512 taps > n + 511 padded samples: the Gram matrix is
+    singular by construction, so only least squares is attempted. The
+    recursion alone can accept such a matrix on rounding, as it does at
+    n = 1024 here. The LU oracle solves the singular system only to about
+    its own rounding (1.4e-12 of the estimate at n = 800), so it is
+    compared at n = 600."""
+    gen = np.random.default_rng(44)
+    for n in (600, 800, 1024):
+        speech = gen.standard_normal(n)
+        noises = [gen.standard_normal(n) for _ in range(2)]
+        est = speech + 0.5 * sum(noises) + 0.2 * gen.standard_normal(n)
+        basis = projection_basis(_wave(speech), [_wave(x) for x in noises])
+        assert _took_fallback(basis)
+        if n == 600:
+            _assert_matches_oracle(est, speech, noises, 512)
+
+
+def _energy_scores(parts):
+    """SDR, SIR and SAR of decomposed components, as bss_eval forms them."""
+    _, e_interf, e_artif = parts
+    target, interf, artif = (float(np.sum(x ** 2)) for x in parts)
+    distortion = float(np.sum((e_interf + e_artif) ** 2))
+    return np.array([_safe_db(target, distortion), _safe_db(target, interf),
+                     _safe_db(target + interf, artif)])
+
+
+@pytest.mark.parametrize("tones", [(440.0,), (440.0, 1250.0)])
+def test_tone_references_match_oracle_scores(tones):
+    """A tonal speech reference makes both Gram matrices ill-conditioned;
+    the scores still agree with the LU oracle."""
+    gen = np.random.default_rng(45)
+    n, rate = 4000, 16000
+    t = np.arange(n) / rate
+    speech = sum(np.sin(2.0 * np.pi * f * t + k) for k, f in enumerate(tones))
+    noises = [gen.standard_normal(n), gen.standard_normal(n)]
+    est = speech + 0.3 * noises[0] + 0.1 * gen.standard_normal(n)
+    basis = projection_basis(_wave(speech), [_wave(x) for x in noises])
+    got = _energy_scores(decompose(_wave(est), _wave(speech),
+                                   [_wave(x) for x in noises], basis=basis))
+    want = _energy_scores(_lu_decompose(est, speech, noises, 512))
+    np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 def test_shared_basis_gives_the_same_scores():
@@ -189,14 +268,16 @@ def test_collinear_references_match_oracle(kind, sdr, sir):
     """A noise reference equal to the speech reference makes the Gram
     matrix singular, so projections fall back to least squares. A copy
     shifted by one sample differs from the speech shifts in one sample
-    only: ill-conditioned but still positive definite."""
+    only: ill-conditioned but still positive definite, so block Levinson
+    recursion factors it."""
     gen = np.random.default_rng(0)
     n, taps = 4000, 128
     speech = gen.standard_normal(n)
     est = speech + 0.3 * gen.standard_normal(n)
     noise = speech.copy() if kind == "equal" else np.concatenate(([0.0], speech[:-1]))
     basis = projection_basis(_wave(speech), [_wave(noise)], taps)
-    assert (basis.factor is None) == (kind == "equal")
+    assert _took_levinson(basis) == (kind == "shifted")
+    assert _took_fallback(basis) == (kind == "equal")
     parts = decompose(_wave(est), _wave(speech), [_wave(noise)], taps, basis)
     padded = np.concatenate([est, np.zeros(taps - 1)])
     assert np.max(np.abs(sum(parts) - padded)) < 1e-9
@@ -204,6 +285,30 @@ def test_collinear_references_match_oracle(kind, sdr, sir):
     scores = bss_eval(_wave(est), _wave(speech), [_wave(noise)], taps, basis)
     assert scores.sdr == pytest.approx(sdr, abs=5e-5)
     assert scores.sir == pytest.approx(sir, abs=5e-5)
+
+
+@pytest.mark.parametrize("kind, taps", [("delayed", 128), ("delayed", 512),
+                                         ("doubled", 1)])
+def test_exactly_dependent_shifts_take_the_fallback(kind, taps):
+    """A one-sample delayed copy of a speech reference that ends in zero
+    is exactly the speech's next shift: R(0) is positive definite and an
+    error block later in the recursion is singular. Twice a constant
+    speech reference at one tap makes R(0) singular to LU, though its
+    Cholesky factorization passes on rounding. Both take the
+    least-squares fallback."""
+    gen = np.random.default_rng(46)
+    n = 3000
+    if kind == "delayed":
+        speech = gen.standard_normal(n)
+        speech[-1] = 0.0
+        noise = np.concatenate(([0.0], speech[:-1]))
+    else:
+        speech = np.ones(n)
+        noise = 2.0 * speech
+    est = speech + 0.3 * gen.standard_normal(n)
+    basis = projection_basis(_wave(speech), [_wave(noise)], taps)
+    assert _took_fallback(basis)
+    _assert_matches_oracle(est, speech, [noise], taps)
 
 
 def test_decompose_validation():

@@ -70,7 +70,7 @@ def test_wrap_basic_values():
 def test_wrap_range_property():
     gen = np.random.default_rng(0)
     x = gen.uniform(-50.0, 50.0, size=1000)
-    w = _wrap(x)
+    w = _wrap(x.copy())
     assert np.all(w <= np.pi + 1e-12) and np.all(w >= -np.pi - 1e-12)
     # Wrapped values differ from the input by an exact multiple of 2 pi.
     k = (x - w) / (2.0 * np.pi)
