@@ -33,8 +33,8 @@ MODEL_MAGIC = b"ASENH001"
 # Gate order inside every stacked weight matrix and bias:
 # input, forget, cell candidate, output.
 _GATES = 4
-# Parameter-name letter and time step of each recurrent direction.
-_DIRECTIONS = (("f", 1), ("b", -1))
+# Parameter-name letter of each recurrent direction, forward first.
+_DIRECTIONS = "fb"
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def tensor_order(config: EnhancerConfig, n_freq: int) -> list:
     order = []
     dim = 2 * n_freq
     for layer, width in enumerate(config.layer_sizes):
-        for direction, _ in _DIRECTIONS:
+        for direction in _DIRECTIONS:
             prefix = f"l{layer}.{direction}"
             order.append((f"{prefix}.w_x", (_GATES * width, dim)))
             order.append((f"{prefix}.w_h", (_GATES * width, width)))
@@ -138,108 +138,117 @@ def hard_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.clip(0.2 * x + 0.5, 0.0, 1.0)
 
 
-def _lstm_forward(w_x, w_h, b, x):
-    """Run one direction over a (T, D) sequence; returns (T, H) and a cache.
-    Row t of the cached ``gates`` holds step t's i, f, g, o activations."""
-    steps = x.shape[0]
-    width = w_h.shape[1]
-    zx = x @ w_x.T + b
-    gates = np.empty((steps, _GATES * width))
-    i, f, g, o = np.split(gates, _GATES, axis=1)
-    c = np.empty((steps, width))
-    tanh_c = np.empty((steps, width))
-    h = np.empty((steps, width))
-    h_prev = np.zeros(width)
-    c_prev = np.zeros(width)
+def _lstm_forward(params, layer, x):
+    """Run both directions of ``layer`` over a (T, D) sequence as one
+    recurrence: step t advances the forward direction at frame t and the
+    backward direction at frame T - 1 - t.
+
+    Returns h as (2, T, H) in forward time, and the cache for
+    _lstm_backward. The cached arrays are (T, 2, 1, .) in each direction's
+    own time: step t is one contiguous block, and the unit axis makes each
+    direction's state a one-row matrix for the batched recurrent product.
+    Row [t, d, 0] of ``gates`` holds direction d's i, f, g, o at step t.
+    """
+    names = [f"l{layer}.{d}." for d in _DIRECTIONS]
+    xs = (x, x[::-1])
+    w_x = [params[p + "w_x"] for p in names]
+    w_h = np.stack([params[p + "w_h"] for p in names])
+    w_h_t = np.swapaxes(w_h, 1, 2)
+    steps, width = x.shape[0], w_h.shape[2]
+    zx = np.stack([s @ w.T + params[p + "b"] for s, w, p in zip(xs, w_x, names)], axis=1)
+    zx = zx[:, :, None]
+    gates = np.empty((steps, 2, 1, _GATES * width))
+    i, f, g, o = np.split(gates, _GATES, axis=3)
+    c, tanh_c, h = (np.empty((steps, 2, 1, width)) for _ in range(3))
+    h_prev = c_prev = np.zeros((2, 1, width))
     for t in range(steps):
-        z = zx[t] + h_prev @ w_h.T
+        z = zx[t] + h_prev @ w_h_t
         expit(z, out=gates[t])
-        np.tanh(z[2 * width:3 * width], out=g[t])
+        np.tanh(z[..., 2 * width:3 * width], out=g[t])
         np.add(f[t] * c_prev, i[t] * g[t], out=c[t])
         np.tanh(c[t], out=tanh_c[t])
         np.multiply(o[t], tanh_c[t], out=h[t])
         h_prev = h[t]
         c_prev = c[t]
-    return h, (x, gates, c, tanh_c, h)
+    cache = (names, xs, w_x, w_h, gates, c, tanh_c, h)
+    return np.stack([h[:, 0, 0], h[::-1, 1, 0]]), cache
 
 
-def _lstm_backward(w_x, w_h, dh_seq, cache):
-    """Backpropagate through time; returns parameter grads and dL/dx.
+def _lstm_backward(dh, cache):
+    """Backpropagate through time over both directions of one layer.
 
-    Each gate's dL/dz is ((carrier * partner) * first) * second, the carrier
-    being dL/dc for i, f, g and dL/dh for o. Only carriers recur, so the
-    other factors are stacked once. Keep the product order: it sets the bits.
+    ``dh`` is dL/dh as (2, T, H) in forward time. Returns the layer's
+    parameter grads, forward direction first, and dL/dx summed over both
+    directions. Each gate's dL/dz is ((carrier * partner) * first) * second,
+    the carrier being dL/dc for i, f, g and dL/dh for o. Only carriers recur,
+    so the other factors are stacked once. Keep the product order: it sets
+    the bits.
     """
-    x, gates, c, tanh_c, h = cache
-    steps, width = h.shape
-    i, f, g, o = np.split(gates, _GATES, axis=1)
-    c_prev = np.concatenate([np.zeros((1, width)), c[:-1]])
-    partner = np.stack([g, c_prev, i, tanh_c], axis=1)
-    first = np.stack([i, f, 1.0 - g ** 2, o], axis=1)
-    second = np.stack([1.0 - i, 1.0 - f, np.ones_like(g), 1.0 - o], axis=1)
+    names, xs, w_x, w_h, gates, c, tanh_c, h = cache
+    steps, _, _, width = h.shape
+    dh_seq = np.stack([dh[0], dh[1][::-1]], axis=1)[:, :, None]
+    i, f, g, o = np.split(gates, _GATES, axis=3)
+    c_prev = np.concatenate([np.zeros_like(c[:1]), c[:-1]])
+    partner = np.concatenate([g, c_prev, i, tanh_c], axis=2)
+    first = np.concatenate([i, f, 1.0 - g ** 2, o], axis=2)
+    second = np.concatenate([1.0 - i, 1.0 - f, np.ones_like(g), 1.0 - o], axis=2)
     dtanh = 1.0 - tanh_c ** 2
-    dz = np.empty((steps, _GATES, width))
-    carrier = np.empty((_GATES, width))
-    dh_next = np.zeros(width)
-    dc_next = np.zeros(width)
+    dz = np.empty((steps, 2, _GATES, width))
+    carrier = np.empty((2, _GATES, width))
+    dh_next = dc_next = np.zeros((2, 1, width))
     for t in range(steps - 1, -1, -1):
-        dh = dh_seq[t] + dh_next
-        dc = dc_next + dh * o[t] * dtanh[t]
-        carrier[:3] = dc
-        carrier[3] = dh
+        dh_t = dh_seq[t] + dh_next
+        dc = dc_next + dh_t * o[t] * dtanh[t]
+        carrier[:, :3] = dc
+        carrier[:, 3:] = dh_t
         np.multiply(carrier * partner[t] * first[t], second[t], out=dz[t])
         dc_next = dc * f[t]
-        dh_next = dz[t].reshape(-1) @ w_h
-    dz = dz.reshape(steps, -1)
-    grads = {
-        "w_x": dz.T @ x,
-        "w_h": dz[1:].T @ h[:-1] if steps > 1 else np.zeros_like(w_h),
-        "b": dz.sum(axis=0),
-    }
-    dx = dz @ w_x
-    return grads, dx
+        dh_next = dz[t].reshape(2, 1, -1) @ w_h
+    # Contiguous (T, .) rows per direction: a BLAS product's bits can
+    # depend on the strides of its operands.
+    dz = np.ascontiguousarray(dz.reshape(steps, 2, -1).swapaxes(0, 1))
+    h = np.ascontiguousarray(h[:, :, 0].swapaxes(0, 1))
+    grads = {}
+    for p, x, dz_d, h_d in zip(names, xs, dz, h):
+        grads.update({p + "w_x": dz_d.T @ x, p + "w_h": dz_d[1:].T @ h_d[:-1],
+                      p + "b": dz_d.sum(axis=0)})
+    dx_f, dx_b = (dz_d @ w for dz_d, w in zip(dz, w_x))
+    return grads, dx_f + dx_b[::-1]
 
 
-def _merge(h_fwd, h_bwd, mode):
+def _merge(h, mode):
+    """One layer's output from its (2, T, H) direction outputs."""
     if mode == "sum":
-        return h_fwd + h_bwd
+        return h[0] + h[1]
     if mode == "multiply":
-        return h_fwd * h_bwd
+        return h[0] * h[1]
     if mode == "average":
-        return 0.5 * (h_fwd + h_bwd)
-    return np.concatenate([h_fwd, h_bwd], axis=1)
+        return 0.5 * (h[0] + h[1])
+    return np.concatenate(h, axis=1)
 
 
-def _unmerge(d_merged, h_fwd, h_bwd, mode):
+def _unmerge(d_merged, h, mode):
+    """dL/dh per direction, (2, T, H), from dL/d(merged output)."""
     if mode == "sum":
         return d_merged, d_merged
     if mode == "multiply":
-        return d_merged * h_bwd, d_merged * h_fwd
+        return d_merged * h[::-1]
     if mode == "average":
         return 0.5 * d_merged, 0.5 * d_merged
-    width = h_fwd.shape[1]
-    return d_merged[:, :width], d_merged[:, width:]
+    return np.split(d_merged, 2, axis=1)
 
 
 def _forward_pass(model: EnhancerModel, x: np.ndarray):
     """The mask rows and the cache (layers, merged, logits). Each entry of
-    ``layers`` holds one (h, lstm cache) pair per direction, h in forward
-    time."""
+    ``layers`` holds a layer's (h, lstm cache) pair, h being both
+    directions' outputs as (2, T, H) in forward time."""
     params = model.params
     layers = []
     inp = x
     for layer in range(len(model.config.layer_sizes)):
-        # The backward direction runs on the time-reversed sequence; its
-        # outputs are flipped back to forward time.
-        runs = []
-        for d, step in _DIRECTIONS:
-            p = f"l{layer}.{d}."
-            h, cache = _lstm_forward(
-                params[p + "w_x"], params[p + "w_h"], params[p + "b"], inp[::step]
-            )
-            runs.append((h[::step], cache))
-        layers.append(runs)
-        inp = _merge(runs[0][0], runs[1][0], model.config.merge_mode)
+        h, cache = _lstm_forward(params, layer, inp)
+        layers.append((h, cache))
+        inp = _merge(h, model.config.merge_mode)
     logits = inp @ params["out.w"].T + params["out.b"]
     if model.config.output_activation == "sigmoid":
         pred = expit(logits)
@@ -304,23 +313,12 @@ def _batch_loss_and_grads(model: EnhancerModel, batch: TrainBatch):
         inside = (logits > -2.5) & (logits < 2.5)
         d_logits = d_pred * 0.2 * inside
 
-    params = model.params
-    grads = {}
-    grads["out.w"] = d_logits.T @ merged
-    grads["out.b"] = d_logits.sum(axis=0)
-    d_merged = d_logits @ params["out.w"]
-    for layer in range(len(layers) - 1, -1, -1):
-        runs = layers[layer]
-        d_h = _unmerge(d_merged, runs[0][0], runs[1][0], model.config.merge_mode)
-        dx = []
-        for (d, step), d_hd, (_, cache) in zip(_DIRECTIONS, d_h, runs):
-            p = f"l{layer}.{d}."
-            g, dx_d = _lstm_backward(
-                params[p + "w_x"], params[p + "w_h"], d_hd[::step], cache
-            )
-            grads.update((p + key, grad) for key, grad in g.items())
-            dx.append(dx_d[::step])
-        d_merged = dx[0] + dx[1]
+    grads = {"out.w": d_logits.T @ merged, "out.b": d_logits.sum(axis=0)}
+    d_merged = d_logits @ model.params["out.w"]
+    mode = model.config.merge_mode
+    for h, cache in reversed(layers):
+        g, d_merged = _lstm_backward(_unmerge(d_merged, h, mode), cache)
+        grads.update(g)
     return value, grads
 
 

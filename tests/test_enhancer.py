@@ -253,22 +253,31 @@ def _reference_lstm_backward(w_x, w_h, dh_seq, cache):
 @pytest.mark.parametrize("steps", [1, 2, 40, 147])
 @pytest.mark.parametrize("width", [1, 3, 32])
 def test_lstm_matches_per_gate_reference_bit_for_bit(steps, width):
+    # Both directions step together; each must equal the one-direction
+    # reference run on its own time order, the backward one on x reversed.
     gen = np.random.default_rng(steps * 100 + width)
     dim = 10
-    w_x = 0.5 * gen.standard_normal((4 * width, dim))
-    w_h = 0.5 * gen.standard_normal((4 * width, width))
-    b = gen.standard_normal(4 * width)
+    params = {}
+    for d in "fb":
+        params[f"l0.{d}.w_x"] = 0.5 * gen.standard_normal((4 * width, dim))
+        params[f"l0.{d}.w_h"] = 0.5 * gen.standard_normal((4 * width, width))
+        params[f"l0.{d}.b"] = gen.standard_normal(4 * width)
     x = 2.0 * gen.standard_normal((steps, dim))
-    dh_seq = gen.standard_normal((steps, width))
-    h, cache = _lstm_forward(w_x, w_h, b, x)
-    h_ref, cache_ref = _reference_lstm_forward(w_x, w_h, b, x)
-    assert np.array_equal(h, h_ref)
-    grads, dx = _lstm_backward(w_x, w_h, dh_seq, cache)
-    grads_ref, dx_ref = _reference_lstm_backward(w_x, w_h, dh_seq, cache_ref)
+    dh = gen.standard_normal((2, steps, width))
+    h, cache = _lstm_forward(params, 0, x)
+    grads, dx = _lstm_backward(dh, cache)
+    grads_ref, dx_ref = {}, []
+    for row, (d, step) in enumerate((("f", 1), ("b", -1))):
+        w_x, w_h, b = (params[f"l0.{d}.{p}"] for p in ("w_x", "w_h", "b"))
+        h_ref, cache_ref = _reference_lstm_forward(w_x, w_h, b, x[::step])
+        assert np.array_equal(h[row], h_ref[::step]), d
+        g, dx_d = _reference_lstm_backward(w_x, w_h, dh[row][::step], cache_ref)
+        grads_ref.update((f"l0.{d}.{key}", grad) for key, grad in g.items())
+        dx_ref.append(dx_d[::step])
     assert list(grads) == list(grads_ref)
     for key in grads_ref:
         assert np.array_equal(grads[key], grads_ref[key]), key
-    assert np.array_equal(dx, dx_ref)
+    assert np.array_equal(dx, dx_ref[0] + dx_ref[1])
 
 
 def test_gradient_order_is_output_then_layers_last_first():
