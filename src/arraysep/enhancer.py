@@ -174,15 +174,15 @@ def _lstm_forward(params, layer, x):
     return np.stack([h[:, 0, 0], h[::-1, 1, 0]]), cache
 
 
-def _lstm_backward(dh, cache):
+def _lstm_backward(dh, cache, need_dx=True):
     """Backpropagate through time over both directions of one layer.
 
     ``dh`` is dL/dh as (2, T, H) in forward time. Returns the layer's
     parameter grads, forward direction first, and dL/dx summed over both
-    directions. Each gate's dL/dz is ((carrier * partner) * first) * second,
-    the carrier being dL/dc for i, f, g and dL/dh for o. Only carriers recur,
-    so the other factors are stacked once. Keep the product order: it sets
-    the bits.
+    directions, or None for dL/dx when ``need_dx`` is false. Each gate's
+    dL/dz is ((carrier * partner) * first) * second, the carrier being
+    dL/dc for i, f, g and dL/dh for o. Only carriers recur, so the other
+    factors are stacked once. Keep the product order: it sets the bits.
     """
     names, xs, w_x, w_h, gates, c, tanh_c, h = cache
     steps, _, _, width = h.shape
@@ -212,6 +212,8 @@ def _lstm_backward(dh, cache):
     for p, x, dz_d, h_d in zip(names, xs, dz, h):
         grads.update({p + "w_x": dz_d.T @ x, p + "w_h": dz_d[1:].T @ h_d[:-1],
                       p + "b": dz_d.sum(axis=0)})
+    if not need_dx:
+        return grads, None
     dx_f, dx_b = (dz_d @ w for dz_d, w in zip(dz, w_x))
     return grads, dx_f + dx_b[::-1]
 
@@ -316,8 +318,11 @@ def _batch_loss_and_grads(model: EnhancerModel, batch: TrainBatch):
     grads = {"out.w": d_logits.T @ merged, "out.b": d_logits.sum(axis=0)}
     d_merged = d_logits @ model.params["out.w"]
     mode = model.config.merge_mode
-    for h, cache in reversed(layers):
-        g, d_merged = _lstm_backward(_unmerge(d_merged, h, mode), cache)
+    # Nothing reads dL/dx of the first layer, the network input.
+    for layer in reversed(range(len(layers))):
+        h, cache = layers[layer]
+        g, d_merged = _lstm_backward(_unmerge(d_merged, h, mode), cache,
+                                     need_dx=layer > 0)
         grads.update(g)
     return value, grads
 
@@ -464,8 +469,20 @@ def enhance_channels(model: EnhancerModel, specs, messl_mask: MaskGrid) -> list:
 
 def save_model(model: EnhancerModel, path) -> None:
     """Single binary file: JSON header, then little-endian float32 tensors
-    in canonical order."""
+    in canonical order. A tensor of the wrong shape raises DataError, and
+    one with a value that is not finite in float32 raises NumericalError;
+    either way no file is written."""
     order = tensor_order(model.config, model.n_freq)
+    tensors = []
+    for name, shape in order:
+        tensor = model.params[name]
+        if tensor.shape != shape:
+            raise DataError(f"tensor {name} has shape {tensor.shape}, want {shape}")
+        with np.errstate(over="ignore"):      # reported below
+            tensor = tensor.astype("<f4")
+        if not np.isfinite(tensor).all():
+            raise NumericalError(f"tensor {name} is not finite in float32")
+        tensors.append(tensor)
     header = {
         "format": 1,
         "config": as_plain_data(model.config),
@@ -482,11 +499,8 @@ def save_model(model: EnhancerModel, path) -> None:
         handle.write(MODEL_MAGIC)
         handle.write(struct.pack("<I", len(blob)))
         handle.write(blob)
-        for name, shape in order:
-            tensor = model.params[name]
-            if tensor.shape != shape:
-                raise DataError(f"tensor {name} has shape {tensor.shape}, want {shape}")
-            handle.write(tensor.astype("<f4").tobytes())
+        for tensor in tensors:
+            handle.write(tensor.tobytes())
 
 
 def load_model(path) -> EnhancerModel:

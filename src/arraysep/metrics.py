@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 import scipy.linalg
+from scipy.linalg.blas import dtrmv
 
 from .errors import DataError
 from .signal import Waveform
@@ -185,9 +186,12 @@ def _solve(basis: ProjectionBasis, rhs: np.ndarray) -> np.ndarray:
     if basis.gram is not None:
         return np.linalg.lstsq(basis.gram, rhs.ravel(), rcond=None)[0]
     taps, p, _ = basis.errors.shape
-    half = (basis.lower @ rhs.T.ravel()).reshape(taps, p, 1)
+    # L is unit lower triangular: BLAS reads its triangle only, from the
+    # F-contiguous view L^T, which f2py passes without a copy.
+    upper = basis.lower.T
+    half = dtrmv(upper, rhs.T.ravel(), lower=0, trans=1, diag=1).reshape(taps, p, 1)
     half = np.linalg.solve(basis.errors, half)
-    return (basis.lower.T @ half.ravel()).reshape(taps, p).T
+    return dtrmv(upper, half.ravel(), lower=0, trans=0, diag=1).reshape(taps, p).T
 
 
 def projection_basis(

@@ -16,9 +16,10 @@ the frames whose residual wraps form a prefix and a suffix, so prefix sums
 over the sorted frames and a binary search per candidate and frequency give
 every score. The sort and the search depend only on the phases and the grid,
 so each call does them once, in O(P F T log T + P G F log T) time and
-O(P (F T + G F)) int32 memory for P pairs, F frequencies, T frames and G
-candidates. Each M step then costs O(K P (F T + G F)) for K sources, where
-direct evaluation costs O(K P G F T).
+O(P (F T + G F)) memory (the sorted phases, their int32 permutations and
+the int32 splits) for P pairs, F frequencies, T frames and G candidates.
+Each M step then costs O(K P (F T + G F)) for K sources, where direct
+evaluation costs O(K P G F T).
 """
 
 from __future__ import annotations
@@ -146,11 +147,12 @@ def _delay_splits(phi, cand, omega):
     """Sort each pair's phases and find every candidate's wrap splits.
 
     phi: (n_pairs, n_freq, n_frames) phase differences in [-pi, pi].
-    Returns int32 (n_pairs, n_freq, n_frames) sorting permutations into
-    each pair's flattened phases, the (n_freq, n_cand) wrapped prediction
-    shift, and int32 (n_pairs, n_freq, n_cand) prefix ends lo and suffix
-    starts hi into each pair's flattened (n_freq, n_frames + 1) prefix
-    sums. None of it depends on the EM parameters, so EM computes it once.
+    Returns the sorted phases and the int32 sorting permutations into each
+    pair's flattened phases, both (n_pairs, n_freq, n_frames), the
+    (n_freq, n_cand) wrapped prediction shift, and int32 (n_pairs, n_freq,
+    n_cand) prefix ends lo and suffix starts hi into each pair's flattened
+    (n_freq, n_frames + 1) prefix sums. None of it depends on the EM
+    parameters, so EM computes it once.
     """
     n_pairs, n_freq, n_frames = phi.shape
     # With turns = round(omega tau / 2 pi) and shift = omega tau - 2 pi turns
@@ -184,43 +186,49 @@ def _delay_splits(phi, cand, omega):
     order += (n_frames * np.arange(n_freq, dtype=np.int32))[:, None]
     lo = np.broadcast_to(freq * (n_frames + 1), (n_pairs,) + shift.shape).astype(np.int32)
     hi = lo + n_frames
+    sorted_phi = np.empty(phi.shape)
     for p in range(n_pairs):
-        keys = (phi[p].reshape(-1)[order[p]] + offset[:, :1]).ravel()
+        np.take(phi[p].reshape(-1), order[p], out=sorted_phi[p])
+        keys = (sorted_phi[p] + offset[:, :1]).ravel()
         hi[p][down] = np.searchsorted(keys, down_edges) + freq[down]
         lo[p][up] = np.searchsorted(keys, up_edges) + freq[up]
-    return order, shift, lo, hi
+    return sorted_phi, order, shift, lo, hi
 
 
-def _delay_scores(phi, splits, weight, mean) -> np.ndarray:
+def _delay_scores(splits, weight, mean) -> np.ndarray:
     """Score every candidate delay of every pair for every source.
 
     Returns (n_pairs, n_sources, n_cand) values of
     -sum_ft weight[k] * (_wrap(phi[p] + omega * cand[g]) - mean[k]) ** 2,
     computed in closed form without a candidate x frame array.
 
-    phi: (n_pairs, n_freq, n_frames); splits: _delay_splits(phi, cand,
-    omega). weight: (n_sources, n_freq, n_frames); mean: (n_sources, n_freq).
+    splits: _delay_splits(phi, cand, omega) of the (n_pairs, n_freq,
+    n_frames) phases. weight: (n_sources, n_freq, n_frames); mean:
+    (n_sources, n_freq).
     """
-    orders, shift, los, his = splits
-    n_frames = phi.shape[2]
-    flat_weight = weight.reshape(len(weight), -1)
+    sorted_phi, orders, shift, los, his = splits
+    _, n_freq, n_frames = sorted_phi.shape
+    n_sources = len(weight)
+    flat_weight = weight.reshape(n_sources, -1)
+    # Prefix sums over each pair's sorted frames, with a zero first column;
+    # every pair overwrites the rest.
+    cum_w, cum_d = np.empty((2, n_sources, n_freq, n_frames + 1))
+    cum_w[:, :, 0] = cum_d[:, :, 0] = 0.0
+    tot_w, tot_d = cum_w[:, :, -1], cum_d[:, :, -1]         # (K, F) views
+    flat_cum_w = cum_w.reshape(n_sources, -1)
+    flat_cum_d = cum_d.reshape(n_sources, -1)
     scores = []
-    for phi_p, order, lo, hi in zip(phi, orders, los, his):
-        phi_p = phi_p.reshape(-1)[order]
-        w = flat_weight[:, order]                          # (K, F, T)
+    for phi_p, order, lo, hi in zip(sorted_phi, orders, los, his):
+        w = np.take(flat_weight, order, axis=1)            # (K, F, T)
         dev = phi_p[None] - mean[:, :, None]
         wdev = w * dev
-        cum_w = np.zeros(w.shape[:2] + (n_frames + 1,))
-        cum_d = np.zeros(w.shape[:2] + (n_frames + 1,))
         np.cumsum(w, axis=2, out=cum_w[:, :, 1:])
         np.cumsum(wdev, axis=2, out=cum_d[:, :, 1:])
-        tot_w, tot_d = cum_w[:, :, -1], cum_d[:, :, -1]     # (K, F)
-        cum_w, cum_d = cum_w.reshape(len(w), -1), cum_d.reshape(len(w), -1)
         # (dev + shift + c)^2 summed over frames, with c = 2 pi on the
         # prefix, -2 pi on the suffix and 0 elsewhere.
-        up_w = np.take(cum_w, lo, axis=1)                  # (K, F, G)
-        down_w = tot_w[:, :, None] - np.take(cum_w, hi, axis=1)
-        net_d = np.take(cum_d, lo, axis=1) + np.take(cum_d, hi, axis=1)
+        up_w = np.take(flat_cum_w, lo, axis=1)             # (K, F, G)
+        down_w = tot_w[:, :, None] - np.take(flat_cum_w, hi, axis=1)
+        net_d = np.take(flat_cum_d, lo, axis=1) + np.take(flat_cum_d, hi, axis=1)
         err = (
             np.sum(wdev * dev, axis=(1, 2))[:, None]
             + np.einsum("kf,fg->kg", 2.0 * tot_d, shift)
@@ -237,17 +245,29 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     """scipy.special.logsumexp(a, axis=0), computed as scipy 1.17 does.
 
     The maxima are taken out of the sum and added back as log(count), so
-    the result is bit for bit scipy's, an all -inf column included.
+    the result is bit for bit scipy's, an all -inf column included. Where
+    every column's maximum is finite, exp(a - top) is exactly 1.0 at each
+    maximum and nowhere else, so subtracting the indicator a == top zeroes
+    the maxima with the same bits as a masked write. With one maximum per
+    column the count is 1: s / 1 is s and log(1) is +0.0, which leaves
+    log1p(s) >= +0 unchanged, so both steps are skipped.
     """
     top = a.max(axis=0)
     is_top = a == top
-    with np.errstate(invalid="ignore"):   # -inf - -inf, zeroed below
+    # -inf - -inf and inf - inf give NaN at masked maxima, log(0) -inf in a
+    # NaN column, as in scipy; -1e308 - 1e308 = -inf has exp 0.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         e = np.exp(a - top)
-    e[is_top] = 0.0
-    s = e.sum(axis=0)
-    m = is_top.sum(axis=0, dtype=np.float64)
-    s = np.where(s == 0, s, s / m)
-    return np.log1p(s) + np.log(m) + top
+        if np.isfinite(top).all():
+            e -= is_top
+            if np.count_nonzero(is_top) == top.size:
+                return np.log1p(e.sum(axis=0)) + top
+        else:
+            e[is_top] = 0.0
+        s = e.sum(axis=0)
+        m = is_top.sum(axis=0, dtype=np.float64)
+        s = np.where(s == 0, s, s / m)
+        return np.log1p(s) + np.log(m) + top
 
 
 def _cross_spectra(specs, reference_channel: int):
@@ -260,6 +280,10 @@ def _cross_spectra(specs, reference_channel: int):
         raise DataError(f"reference channel {reference_channel} out of range")
     ref = specs[reference_channel].bins
     pairs = tuple(c for c in range(len(specs)) if c != reference_channel)
+    # No hoisted np.conj(ref): from 256 KiB numpy reuses the temporary as
+    # the output and multiplies as conj(ref) * bins, and the complex
+    # product's last bit depends on the operand order, so one shared
+    # conjugate changes the phases on one side of that size or the other.
     return np.stack([specs[c].bins * np.conj(ref) for c in pairs]), pairs
 
 
@@ -361,7 +385,7 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
         # on the grid and are searched over it; the first maximum wins.
         resp = gamma[: cfg.n_sources]
         weight = resp / (2.0 * var[:, :, None])
-        score = _delay_scores(phi, splits, weight, mean)
+        score = _delay_scores(splits, weight, mean)
         delays[:] = grid[np.argmax(score, axis=2)].T
 
         sq = residuals()                      # squared in place below

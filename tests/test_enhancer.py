@@ -482,6 +482,21 @@ def test_model_round_trip(tmp_path):
                                forward(model, x).values, atol=1e-5)
 
 
+def test_save_model_refuses_weights_that_overflow_float32(tmp_path):
+    # A huge rate trains to finite float64 weights past the float32 range.
+    config = EnhancerConfig(layer_sizes=(4,))
+    model = init_model(config, n_freq=4, feature_stats=_stats(4), seed=2)
+    batch = _random_batch(config, 4, seed=3)
+    settings = TrainSettings(learning_rate=1e39, max_epochs=3, patience=3)
+    model, history = train(model, [batch], [batch], settings)
+    assert len(history) == 3
+    assert all(np.isfinite(t).all() for t in model.params.values())
+    path = tmp_path / "model.bin"
+    with pytest.raises(NumericalError, match=r"tensor l0\.f\.w_x is not finite"):
+        save_model(model, path)
+    assert not path.exists()
+
+
 def test_model_file_truncated(tmp_path):
     config = EnhancerConfig(layer_sizes=(4,))
     model = init_model(config, n_freq=4, feature_stats=_stats(4))

@@ -613,6 +613,24 @@ def test_cli_train_and_enhance_with_model(cli_workspace):
     assert os.path.exists(out_wav)
 
 
+def test_cli_train_numeric_exit_when_weights_overflow_float32(cli_workspace, tmp_path):
+    train_cfg = {
+        "scenes": str(cli_workspace / "scenes"),
+        "stft": {"window_size": 64, "hop_size": 16},
+        "messl": {"n_iterations": 3, "max_delay": 4.0, "grid_step": 0.5},
+        "layer_sizes": [6],
+        "max_epochs": 3,
+        "learning_rate": 1e39,
+    }
+    cfg_path = tmp_path / "train.yml"
+    cfg_path.write_text(yaml.safe_dump(train_cfg))
+    model_path = tmp_path / "net.model"
+    code = main(["train", "--config", str(cfg_path), "--out", str(model_path)])
+    assert code == 3
+    assert not model_path.exists()
+    assert not os.path.exists(str(model_path) + ".history.csv")
+
+
 def test_cli_data_error_exit_code(cli_workspace, tmp_path):
     root = cli_workspace
     assert main([

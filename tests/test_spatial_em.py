@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def test_delay_scores_match_brute_force(window, n_frames, n_sources, seed):
     assert omega[-1] * grid[grid == 1.0][0] == np.pi  # Nyquist shift hits pi
     cand = np.append(grid, gen.uniform(-8.0, 8.0))    # off-grid incumbent
 
-    fast = _delay_scores(phi[None], _delay_splits(phi[None], cand, omega), weight, mean)[0]
+    fast = _delay_scores(_delay_splits(phi[None], cand, omega), weight, mean)[0]
     slow = _brute_delay_scores(phi, weight, mean, cand, omega)
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
     np.testing.assert_array_equal(np.argmax(fast, axis=1),
@@ -196,6 +197,35 @@ def test_logsumexp_matches_scipy_bit_for_bit(n_components):
         got, want = _logsumexp(a), logsumexp(a, axis=0)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), trial
+
+
+@pytest.mark.parametrize("case", ["no ties", "tied maxima", "inf and nan"])
+@pytest.mark.parametrize("n_components", [2, 3])
+def test_logsumexp_matches_scipy_bit_for_bit_em_sized(n_components, case):
+    """E-step-sized stacks through each path, bit for bit with scipy,
+    NaN bits included, and without a warning."""
+    gen = np.random.default_rng([n_components, len(case)])
+    a = gen.normal(-40.0, 15.0, (n_components, 257, 122))
+    if case == "tied maxima":
+        cols = gen.integers(0, 257, 5), gen.integers(0, 122, 5)
+        a[1][cols] = a[0][cols] = a[:, cols[0], cols[1]].max(axis=0)
+    if case == "inf and nan":
+        a[0, :3, 0] = np.inf
+        a[1, 3:6, 1] = np.nan
+        a[:2, 6, 2] = np.nan, np.inf
+        a[:, 7, 3] = np.inf
+        a[:, 8, 4] = -np.inf
+    top = a.max(axis=0)
+    if case == "inf and nan":
+        assert not np.isfinite(top).all()
+    else:
+        ties = np.count_nonzero(a == top) - top.size
+        assert (ties > 0) == (case == "tied maxima")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp(a)
+    want = logsumexp(a, axis=0)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # --------------------------------------------------------------------- em
@@ -489,7 +519,7 @@ def _reference_run_em(specs, cfg):
         for p in range(n_pairs):
             # Splits per pair and per iteration; run_em forms them once per call.
             one = phi[p:p + 1]
-            score = _delay_scores(one, _delay_splits(one, grid, omega), weight, mean)[0]
+            score = _delay_scores(_delay_splits(one, grid, omega), weight, mean)[0]
             delays[:, p] = grid[np.argmax(score, axis=1)]
         for k in range(cfg.n_sources):
             r = residuals(k)
