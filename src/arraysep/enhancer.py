@@ -9,6 +9,14 @@ Per frame the network consumes normalized dB features concatenated with the
 log-odds of the spatial-clustering mask (input dimension 2 * n_freq) and
 emits one mask row (n_freq values through a sigmoid or hard sigmoid). One
 shared model serves every channel.
+
+Every channel of a scene reads the same clustering mask, so at inference
+enhance_channels splits the first layer's input weights into their feature
+and mask columns. It projects the mask half, bias included, once per scene
+and direction; each channel's forward call adds its own feature product.
+The backward direction reads that forward-time sum reversed, so no reversed
+copy of the input is multiplied. Training keeps one product of the full
+input rows per direction, so its gradients are those of the plain network.
 """
 
 from __future__ import annotations
@@ -138,10 +146,13 @@ def hard_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.clip(0.2 * x + 0.5, 0.0, 1.0)
 
 
-def _lstm_forward(params, layer, x):
+def _lstm_forward(params, layer, x, zx=None):
     """Run both directions of ``layer`` over a (T, D) sequence as one
     recurrence: step t advances the forward direction at frame t and the
-    backward direction at frame T - 1 - t.
+    backward direction at frame T - 1 - t. ``zx``, when given, replaces
+    each direction's x @ w_x.T + b: (T, 2, 4H), row [t, d] at direction d's
+    step t. The cache then holds an x that zx was not formed from, so only
+    inference passes it.
 
     Returns h as (2, T, H) in forward time, and the cache for
     _lstm_backward. The cached arrays are (T, 2, 1, .) in each direction's
@@ -155,7 +166,9 @@ def _lstm_forward(params, layer, x):
     w_h = np.stack([params[p + "w_h"] for p in names])
     w_h_t = np.swapaxes(w_h, 1, 2)
     steps, width = x.shape[0], w_h.shape[2]
-    zx = np.stack([s @ w.T + params[p + "b"] for s, w, p in zip(xs, w_x, names)], axis=1)
+    if zx is None:
+        zx = np.stack([s @ w.T + params[p + "b"] for s, w, p in zip(xs, w_x, names)],
+                      axis=1)
     zx = zx[:, :, None]
     gates = np.empty((steps, 2, 1, _GATES * width))
     i, f, g, o = np.split(gates, _GATES, axis=3)
@@ -240,15 +253,16 @@ def _unmerge(d_merged, h, mode):
     return np.split(d_merged, 2, axis=1)
 
 
-def _forward_pass(model: EnhancerModel, x: np.ndarray):
+def _forward_pass(model: EnhancerModel, x: np.ndarray, zx=None):
     """The mask rows and the cache (layers, merged, logits). Each entry of
     ``layers`` holds a layer's (h, lstm cache) pair, h being both
-    directions' outputs as (2, T, H) in forward time."""
+    directions' outputs as (2, T, H) in forward time. ``zx`` is handed to
+    the first layer's _lstm_forward."""
     params = model.params
     layers = []
     inp = x
     for layer in range(len(model.config.layer_sizes)):
-        h, cache = _lstm_forward(params, layer, inp)
+        h, cache = _lstm_forward(params, layer, inp, zx if layer == 0 else None)
         layers.append((h, cache))
         inp = _merge(h, model.config.merge_mode)
     logits = inp @ params["out.w"].T + params["out.b"]
@@ -259,27 +273,60 @@ def _forward_pass(model: EnhancerModel, x: np.ndarray):
     return pred, (layers, inp, logits)
 
 
-def forward(model: EnhancerModel, inputs: np.ndarray) -> MaskGrid:
-    """Map a (n_frames, 2 * n_freq) input sequence to a mask grid."""
+def _mask_products(model: EnhancerModel, logits: np.ndarray) -> np.ndarray:
+    """The mask half of the first layer's input products, bias included:
+    logits.T @ w_x[:, n_freq:].T + b per direction, as (2, T, 4H) in
+    forward time. ``logits`` is the (n_freq, n_frames) clustering mask's
+    log-odds, which every channel of a scene shares."""
+    rows = np.ascontiguousarray(logits.T)
+    return np.stack([
+        rows @ model.params[f"l0.{d}.w_x"][:, model.n_freq:].T + model.params[f"l0.{d}.b"]
+        for d in _DIRECTIONS
+    ])
+
+
+def forward(model: EnhancerModel, inputs: np.ndarray, mask_products=None) -> MaskGrid:
+    """Map a (n_frames, 2 * n_freq) input sequence to a mask grid.
+
+    With ``mask_products`` from _mask_products, ``inputs`` holds only the
+    (n_frames, n_freq) feature half of the rows. The first layer then adds
+    each direction's feature product to the shared mask half, and the
+    backward direction reads that sum reversed in time.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
+    dim = model.input_dim if mask_products is None else model.n_freq
+    if inputs.ndim != 2 or inputs.shape[1] != dim:
         raise DataError(
             f"input shape {inputs.shape} does not match model input "
-            f"dimension {model.input_dim}"
+            f"dimension {dim}"
         )
-    pred, _ = _forward_pass(model, inputs)
+    zx = None
+    if mask_products is not None:
+        if mask_products.shape[1] != inputs.shape[0]:
+            raise DataError(f"mask products have {mask_products.shape[1]} frames, "
+                            f"the inputs {inputs.shape[0]}")
+        z = [inputs @ model.params[f"l0.{d}.w_x"][:, :model.n_freq].T + shared
+             for d, shared in zip(_DIRECTIONS, mask_products)]
+        zx = np.stack([z[0], z[1][::-1]], axis=1)
+    pred, _ = _forward_pass(model, inputs, zx)
     return MaskGrid(values=pred.T)
 
 
-def _inputs(spec, logits: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    """Network input rows (n_frames, 2 * n_freq) of one channel: normalized
-    dB features, then the clustering mask's log-odds ``logits``. The rows
+def _feature_rows(spec, logits: np.ndarray, stats: FeatureStats) -> np.ndarray:
+    """Normalized dB feature rows (n_frames, n_freq) of one channel, checked
+    against the shape of the clustering mask's log-odds ``logits``. The rows
     are C-contiguous; a transpose of the (n_freq, n_frames) grids is not,
     and the per-frame recurrences and their matrix products read rows."""
     feats = to_log_features(spec, stats)
     if feats.shape != logits.shape:
         raise DataError("mask and spectrogram shapes do not match")
-    return np.ascontiguousarray(np.concatenate([feats.T, logits.T], axis=1))
+    return np.ascontiguousarray(feats.T)
+
+
+def _inputs(spec, logits: np.ndarray, stats: FeatureStats) -> np.ndarray:
+    """Network input rows (n_frames, 2 * n_freq) of one channel: normalized
+    dB features, then the clustering mask's log-odds ``logits``."""
+    return np.concatenate([_feature_rows(spec, logits, stats), logits.T], axis=1)
 
 
 @dataclass
@@ -460,11 +507,13 @@ def save_history(history, path) -> None:
 
 
 def enhance_channels(model: EnhancerModel, specs, messl_mask: MaskGrid) -> list:
-    """Run the shared model on every channel against one clustering mask."""
+    """Run the shared model on every channel against one clustering mask:
+    one forward call per channel, the mask half of the first layer's input
+    products formed once for all of them."""
     logits = logit_mask(messl_mask)
-    return [
-        forward(model, _inputs(spec, logits, model.feature_stats)) for spec in specs
-    ]
+    rows = [_feature_rows(spec, logits, model.feature_stats) for spec in specs]
+    shared = _mask_products(model, logits) if rows else None
+    return [forward(model, feats, shared) for feats in rows]
 
 
 def save_model(model: EnhancerModel, path) -> None:

@@ -36,6 +36,9 @@ VAR_FLOOR = 1e-4          # rad^2, keeps residual Gaussians proper
 MAX_DELAY_CANDIDATES = 4097   # bounds the (sources, freqs, candidates) scores
 _LOG_UNIFORM = -np.log(2.0 * np.pi)
 _PRIOR_FLOOR = 1e-300
+# A component at least this large in magnitude squares to at least 1e-300,
+# which is normal, so a channel holding one has energy that cannot round to 0.
+_AUDIBLE = 1e-150
 
 
 def default_delay_grid(max_delay: float = 8.0, step: float = 0.25) -> np.ndarray:
@@ -313,6 +316,17 @@ def _top_peaks(values: np.ndarray, grid: np.ndarray, count: int, min_sep: float)
     return grid[np.array(chosen)]
 
 
+def _silent(specs) -> bool:
+    """Whether the channels' energy, the sum of |bins|**2, is exactly zero.
+    Any component of magnitude _AUDIBLE or more settles it as nonzero, so
+    the exact sum is formed only when every component is below that."""
+    for s in specs:
+        parts = s.bins.ravel(order="K").view(np.float64)
+        if parts.max() >= _AUDIBLE or parts.min() <= -_AUDIBLE:
+            return False
+    return sum(float(np.sum(np.abs(s.bins) ** 2)) for s in specs) == 0.0
+
+
 def run_em(specs, cfg: MesslConfig) -> MesslResult:
     """Fit the clustering model and return posterior masks.
 
@@ -323,7 +337,7 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     specs = list(specs)
     cross, pairs = _cross_spectra(specs, cfg.reference_channel)
     phi = np.angle(cross)
-    if sum(float(np.sum(np.abs(s.bins) ** 2)) for s in specs) == 0.0:
+    if _silent(specs):
         raise NumericalError("silent input: no energy in any channel")
 
     window_size = specs[0].config.window_size

@@ -29,16 +29,21 @@ from arraysep import (
     stft,
     train,
 )
+from arraysep import enhancer as enhancer_module
 from arraysep.enhancer import (
+    MERGE_MODES,
     MODEL_MAGIC,
+    OUTPUT_ACTIVATIONS,
     EnhancerConfig,
     _batch_loss_and_grads,
+    _inputs,
     _lstm_backward,
     _lstm_forward,
     batch_loss,
     hard_sigmoid,
     tensor_order,
 )
+from arraysep.signal import logit_mask
 from waveforms import make_noise
 
 
@@ -455,6 +460,64 @@ def test_enhance_channels_runs_per_channel(small_cfg, two_channel_render):
         assert m.values.shape == specs[0].bins.shape
         assert m.values.min() >= 0.0 and m.values.max() <= 1.0
     assert not np.array_equal(masks[0].values, masks[1].values)
+
+
+def _channel_specs(cfg, n_channels, n=900):
+    return [stft(make_noise(n, seed=50 + c, scale=0.1 * (c + 1)), cfg)
+            for c in range(n_channels)]
+
+
+@pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
+@pytest.mark.parametrize("mode", MERGE_MODES)
+@pytest.mark.parametrize("sizes", [(5,), (6, 4)])
+def test_enhance_channels_matches_the_full_input_product(small_cfg, sizes, mode,
+                                                         activation):
+    # The mask half of the first layer's products is formed once per scene;
+    # each channel must still get the mask of its full (T, 2F) input rows.
+    specs = _channel_specs(small_cfg, 3)
+    stats = FeatureStats.from_spectrograms(specs)
+    config = EnhancerConfig(layer_sizes=sizes, merge_mode=mode,
+                            output_activation=activation)
+    model = init_model(config, small_cfg.n_freq, stats, seed=13)
+    gen = np.random.default_rng(14)
+    for name in model.params:
+        model.params[name] += 0.1 * gen.standard_normal(model.params[name].shape)
+    mask = MaskGrid(values=gen.uniform(0.0, 1.0, specs[0].bins.shape))
+    full = [forward(model, _inputs(spec, logit_mask(mask), stats)).values
+            for spec in specs]
+    split = enhance_channels(model, specs, mask)
+    assert len(split) == len(full)
+    for got, want in zip(split, full):
+        np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0.0)
+
+
+def test_enhance_channels_rejects_a_mask_of_another_shape(small_cfg):
+    specs = _channel_specs(small_cfg, 2)
+    model = init_model(EnhancerConfig(layer_sizes=(4,)), small_cfg.n_freq,
+                       FeatureStats.from_spectrograms(specs))
+    n_freq, n_frames = specs[0].bins.shape
+    for shape in ((n_freq, n_frames - 1), (n_freq - 1, n_frames)):
+        with pytest.raises(DataError, match="shapes do not match"):
+            enhance_channels(model, specs, MaskGrid(values=np.full(shape, 0.5)))
+
+
+def test_enhance_channels_calls_forward_once_per_channel(small_cfg, monkeypatch):
+    # The benchmark times enhancer.forward per channel and counts the frames
+    # of the grid each call returns.
+    specs = _channel_specs(small_cfg, 3)
+    model = init_model(EnhancerConfig(layer_sizes=(4,)), small_cfg.n_freq,
+                       FeatureStats.from_spectrograms(specs))
+    shapes = []
+
+    def counted(*args, **kwargs):
+        grid = original(*args, **kwargs)
+        shapes.append(grid.values.shape)
+        return grid
+
+    original = enhancer_module.forward
+    monkeypatch.setattr(enhancer_module, "forward", counted)
+    enhance_channels(model, specs, MaskGrid(values=np.full(specs[0].bins.shape, 0.5)))
+    assert shapes == [specs[0].bins.shape] * len(specs)
 
 
 # ------------------------------------------------------------------- files

@@ -34,6 +34,7 @@ from arraysep.spatial_em import (
     _delay_splits,
     _logsumexp,
     _phat_correlation,
+    _silent,
     _wrap,
 )
 
@@ -444,6 +445,33 @@ def test_em_silent_input_raises():
                        sample_rate=16000)
     with pytest.raises(NumericalError, match="silent"):
         run_em([zero, zero], MesslConfig())
+
+
+def _old_silent(specs):
+    return sum(float(np.sum(np.abs(s.bins) ** 2)) for s in specs) == 0.0
+
+
+@pytest.mark.parametrize("value, silent", [
+    (0.0, True),
+    (1e-170 + 1e-170j, True),      # every |bin|**2 underflows to zero
+    (-1e-162j, True),              # squares below the least subnormal
+    (1e-160 - 1e-160j, False),     # subnormal squares, still energy
+    (-1e-150j, False),             # settled by the early exit
+    (1.0, False),
+])
+def test_silent_check_keeps_the_energy_sum_answer(value, silent):
+    cfg = StftConfig(window_size=16, hop_size=4)
+    zero = Spectrogram(bins=np.zeros((9, 6), dtype=complex), config=cfg,
+                       sample_rate=16000)
+    quiet = Spectrogram(bins=np.full((9, 6), value), config=cfg, sample_rate=16000)
+    # A non-contiguous channel reads the same components.
+    strided = Spectrogram(bins=np.full((9, 12), value)[:, ::2], config=cfg,
+                          sample_rate=16000)
+    for specs in ([zero, quiet], [strided, zero]):
+        assert _silent(specs) is _old_silent(specs) is silent
+    if silent:
+        with pytest.raises(NumericalError, match="silent"):
+            run_em([zero, quiet], MesslConfig())
 
 
 def test_em_reference_channel_variant():
