@@ -159,6 +159,10 @@ def _lstm_forward(params, layer, x, zx=None):
     own time: step t is one contiguous block, and the unit axis makes each
     direction's state a one-row matrix for the batched recurrent product.
     Row [t, d, 0] of ``gates`` holds direction d's i, f, g, o at step t.
+
+    A step takes its views from one pass over the time-major arrays and
+    writes every product and sum into buffers allocated once per call;
+    the last argument of each ufunc and matmul call is its output.
     """
     names = [f"l{layer}.{d}." for d in _DIRECTIONS]
     xs = (x, x[::-1])
@@ -173,16 +177,23 @@ def _lstm_forward(params, layer, x, zx=None):
     gates = np.empty((steps, 2, 1, _GATES * width))
     i, f, g, o = np.split(gates, _GATES, axis=3)
     c, tanh_c, h = (np.empty((steps, 2, 1, width)) for _ in range(3))
+    z, zh = np.empty((2, 2, 1, _GATES * width))
+    z_g = z[..., 2 * width:3 * width]
+    fc, ig = np.empty((2, 2, 1, width))
     h_prev = c_prev = np.zeros((2, 1, width))
-    for t in range(steps):
-        z = zx[t] + h_prev @ w_h_t
-        expit(z, out=gates[t])
-        np.tanh(z[..., 2 * width:3 * width], out=g[t])
-        np.add(f[t] * c_prev, i[t] * g[t], out=c[t])
-        np.tanh(c[t], out=tanh_c[t])
-        np.multiply(o[t], tanh_c[t], out=h[t])
-        h_prev = h[t]
-        c_prev = c[t]
+    for zx_t, gates_t, i_t, f_t, g_t, o_t, c_t, tanh_c_t, h_t in zip(
+            zx, gates, i, f, g, o, c, tanh_c, h):
+        np.matmul(h_prev, w_h_t, zh)
+        np.add(zx_t, zh, z)
+        expit(z, gates_t)
+        np.tanh(z_g, g_t)
+        np.multiply(f_t, c_prev, fc)
+        np.multiply(i_t, g_t, ig)
+        np.add(fc, ig, c_t)
+        np.tanh(c_t, tanh_c_t)
+        np.multiply(o_t, tanh_c_t, h_t)
+        h_prev = h_t
+        c_prev = c_t
     cache = (names, xs, w_x, w_h, gates, c, tanh_c, h)
     return np.stack([h[:, 0, 0], h[::-1, 1, 0]]), cache
 
@@ -196,6 +207,10 @@ def _lstm_backward(dh, cache, need_dx=True):
     dL/dz is ((carrier * partner) * first) * second, the carrier being
     dL/dc for i, f, g and dL/dh for o. Only carriers recur, so the other
     factors are stacked once. Keep the product order: it sets the bits.
+
+    The step loop runs over the reversed time-major arrays and writes
+    every product and sum into buffers allocated once per call; the last
+    argument of each ufunc and matmul call is its output.
     """
     names, xs, w_x, w_h, gates, c, tanh_c, h = cache
     steps, _, _, width = h.shape
@@ -206,17 +221,27 @@ def _lstm_backward(dh, cache, need_dx=True):
     first = np.concatenate([i, f, 1.0 - g ** 2, o], axis=2)
     second = np.concatenate([1.0 - i, 1.0 - f, np.ones_like(g), 1.0 - o], axis=2)
     dtanh = 1.0 - tanh_c ** 2
+    # A ufunc reads a contiguous step block faster than a gate slice.
+    o, f = np.ascontiguousarray(o), np.ascontiguousarray(f)
     dz = np.empty((steps, 2, _GATES, width))
-    carrier = np.empty((2, _GATES, width))
-    dh_next = dc_next = np.zeros((2, 1, width))
-    for t in range(steps - 1, -1, -1):
-        dh_t = dh_seq[t] + dh_next
-        dc = dc_next + dh_t * o[t] * dtanh[t]
-        carrier[:, :3] = dc
-        carrier[:, 3:] = dh_t
-        np.multiply(carrier * partner[t] * first[t], second[t], out=dz[t])
-        dc_next = dc * f[t]
-        dh_next = dz[t].reshape(2, 1, -1) @ w_h
+    dz_rows = dz.reshape(steps, 2, 1, _GATES * width)
+    carrier, product = np.empty((2, 2, _GATES, width))
+    carrier_c, carrier_h = carrier[:, :3], carrier[:, 3:]
+    dh_t, dc, dc_h, dh_next, dc_next = np.zeros((5, 2, 1, width))
+    for dh_s, o_t, dtanh_t, partner_t, first_t, second_t, f_t, dz_t, dz_row in zip(
+            dh_seq[::-1], o[::-1], dtanh[::-1], partner[::-1], first[::-1],
+            second[::-1], f[::-1], dz[::-1], dz_rows[::-1]):
+        np.add(dh_s, dh_next, dh_t)
+        np.multiply(dh_t, o_t, dc_h)
+        np.multiply(dc_h, dtanh_t, dc_h)
+        np.add(dc_next, dc_h, dc)
+        carrier_c[...] = dc
+        carrier_h[...] = dh_t
+        np.multiply(carrier, partner_t, product)
+        np.multiply(product, first_t, product)
+        np.multiply(product, second_t, dz_t)
+        np.multiply(dc, f_t, dc_next)
+        np.matmul(dz_row, w_h, dh_next)
     # Contiguous (T, .) rows per direction: a BLAS product's bits can
     # depend on the strides of its operands.
     dz = np.ascontiguousarray(dz.reshape(steps, 2, -1).swapaxes(0, 1))
@@ -426,15 +451,30 @@ class _Adam:
         self.t = 0
 
     def step(self, params: dict, grads: dict) -> None:
+        """One update of every tensor in ``grads``. The moments are updated
+        in place, with the association of m = b1 m + (1 - b1) g and
+        v = b2 v + ((1 - b2) g) g, and the update is formed in one step
+        buffer beside its denominator; ``grads`` are only read."""
         self.t += 1
         bias1 = 1.0 - ADAM_BETA1 ** self.t
         bias2 = 1.0 - ADAM_BETA2 ** self.t
         for key, grad in grads.items():
-            self.m[key] = ADAM_BETA1 * self.m[key] + (1.0 - ADAM_BETA1) * grad
-            self.v[key] = ADAM_BETA2 * self.v[key] + (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = self.m[key] / bias1
-            v_hat = self.v[key] / bias2
-            params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+            m, v = self.m[key], self.v[key]
+            step = np.multiply(grad, 1.0 - ADAM_BETA1)
+            m *= ADAM_BETA1
+            m += step
+            np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
+            step *= grad
+            v *= ADAM_BETA2
+            v += step
+            # lr (m / bias1) / (sqrt(v / bias2) + epsilon)
+            denom = np.divide(v, bias2)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPSILON
+            np.divide(m, bias1, out=step)
+            step *= self.learning_rate
+            step /= denom
+            params[key] -= step
 
 
 def _clip_grads(grads: dict) -> None:

@@ -20,7 +20,10 @@ stored rFFTs. The Gram matrix is singular by construction when there
 are more shifts than padded samples (p taps > n + taps - 1), and
 numerically singular when an error block of the recursion is not
 positive definite (collinear references); then, and only then, the
-dense Gram matrix is built and solved by least squares. Ratios are
+matrix of all shifted references itself is built, (n + taps - 1) x
+p taps, and each estimate is projected by least squares on it. Least
+squares on the normal equations would square its singular values and
+drop directions that the matrix itself still resolves. Ratios are
 reported in dB, clamped to +-100. A segmental SNR over fixed frames is provided as a
 perceptual proxy.
 """
@@ -81,15 +84,12 @@ def _lags(spectra: np.ndarray, nfft: int, taps: int) -> np.ndarray:
     return np.ascontiguousarray(corr[..., :taps].transpose(2, 0, 1))
 
 
-def _dense_gram(lags: np.ndarray) -> np.ndarray:
-    """The Gram matrix of all reference shifts, reference-major:
-    G[i taps + a, j taps + b] = R(a - b)[i, j]."""
-    taps, p, _ = lags.shape
-    # R(1 - taps) .. R(taps - 1), then block (a, b) of the tap-major matrix.
-    both = np.concatenate((lags[:0:-1].transpose(0, 2, 1), lags))
-    shift = np.arange(taps)
-    blocks = both[shift[:, None] - shift[None, :] + taps - 1]
-    return blocks.transpose(2, 0, 3, 1).reshape(p * taps, p * taps)
+def _shift_matrix(signals, taps: int) -> np.ndarray:
+    """All reference shifts on the padded domain, reference-major: column
+    i taps + a holds reference i delayed by a samples, (n + taps - 1) rows."""
+    pad, first_row = np.zeros(taps - 1), np.zeros(taps)
+    return np.hstack([scipy.linalg.toeplitz(np.concatenate((sig, pad)), first_row)
+                      for sig in signals])
 
 
 def _block_levinson(lags: np.ndarray):
@@ -152,8 +152,9 @@ class ProjectionBasis:
     ``lower`` and ``errors`` are the block Levinson factorization
     L G L^T = blockdiag(E) of the tap-major Gram matrix G of all shifts.
     When G is singular by construction or an error block is not positive
-    definite they are None, and ``gram`` holds the dense reference-major
-    G for a least-squares solve; no other basis builds it.
+    definite they are None, and ``shifts`` holds the reference-major
+    matrix of all shifts (_shift_matrix) for a least-squares solve on it;
+    no other basis builds it.
     """
 
     signals: tuple
@@ -164,7 +165,7 @@ class ProjectionBasis:
     lags: np.ndarray
     lower: np.ndarray | None
     errors: np.ndarray | None
-    gram: np.ndarray | None
+    shifts: np.ndarray | None
 
     def matches(self, refs, taps: int) -> bool:
         return (
@@ -181,10 +182,7 @@ class ProjectionBasis:
 def _solve(basis: ProjectionBasis, rhs: np.ndarray) -> np.ndarray:
     """Reference-major coefficients of the projection onto all reference
     shifts, from the (p, taps) correlations ``rhs`` of each shift with the
-    estimate: x = L^T E^-1 L rhs in tap-major order, or least squares on
-    the dense Gram matrix when there is no factorization."""
-    if basis.gram is not None:
-        return np.linalg.lstsq(basis.gram, rhs.ravel(), rcond=None)[0]
+    estimate: x = L^T E^-1 L rhs in tap-major order."""
     taps, p, _ = basis.errors.shape
     # L is unit lower triangular: BLAS reads its triangle only, from the
     # F-contiguous view L^T, which f2py passes without a copy.
@@ -214,18 +212,18 @@ def projection_basis(
     spectra = np.fft.rfft(np.stack(signals), nfft)
     lags = _lags(spectra, nfft, taps)
     n_refs = len(signals)
-    factored = gram = None
+    factored = shifts = None
     if n_refs > 1:
         # More shifts than padded samples leave G singular by construction.
         if n_refs * taps <= n + taps - 1:
             factored = _block_levinson(lags)
         if factored is None:
-            gram = _dense_gram(lags)
+            shifts = _shift_matrix(signals, taps)
     lower, errors = factored or (None, None)
     return ProjectionBasis(
         signals=signals, sample_rate=speech_ref.sample_rate, taps=taps,
         nfft=nfft, spectra=spectra, lags=lags, lower=lower, errors=errors,
-        gram=gram,
+        shifts=shifts,
     )
 
 
@@ -273,7 +271,10 @@ def decompose(
         basis.lags[:, 0, 0], rhs[0], check_finite=False
     )
     s_target = _project(basis, speech_coeffs, length)
-    if len(basis.signals) > 1:
+    if basis.shifts is not None:
+        coeffs = np.linalg.lstsq(basis.shifts, est, rcond=None)[0]
+        full_proj = _project(basis, coeffs, length)
+    elif len(basis.signals) > 1:
         full_proj = _project(basis, _solve(basis, rhs), length)
     else:
         full_proj = s_target

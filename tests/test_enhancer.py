@@ -31,10 +31,14 @@ from arraysep import (
 )
 from arraysep import enhancer as enhancer_module
 from arraysep.enhancer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     MERGE_MODES,
     MODEL_MAGIC,
     OUTPUT_ACTIVATIONS,
     EnhancerConfig,
+    _Adam,
     _batch_loss_and_grads,
     _inputs,
     _lstm_backward,
@@ -285,6 +289,59 @@ def test_lstm_matches_per_gate_reference_bit_for_bit(steps, width):
     assert np.array_equal(dx, dx_ref[0] + dx_ref[1])
 
 
+def _lstm_params(gen, width, dim):
+    params = {}
+    for d in "fb":
+        params[f"l0.{d}.w_x"] = 0.5 * gen.standard_normal((4 * width, dim))
+        params[f"l0.{d}.w_h"] = 0.5 * gen.standard_normal((4 * width, width))
+        params[f"l0.{d}.b"] = gen.standard_normal(4 * width)
+    return params
+
+
+def test_lstm_forward_buffers_stay_out_of_results():
+    # The step buffers are per call: a second call on other inputs must
+    # not write into the first call's outputs or cache.
+    gen = np.random.default_rng(50)
+    params = _lstm_params(gen, width=3, dim=5)
+    x1, x2 = 2.0 * gen.standard_normal((2, 9, 5))
+    h1, cache1 = _lstm_forward(params, 0, x1)
+    kept = [a.copy() for a in (h1, *cache1[4:])]    # h, gates, c, tanh_c, h
+    h2, _ = _lstm_forward(params, 0, x2)
+    for before, after in zip(kept, (h1, *cache1[4:])):
+        assert np.array_equal(before, after)
+    assert not np.array_equal(h1, h2)
+
+
+def test_lstm_backward_repeats_on_one_cache():
+    gen = np.random.default_rng(51)
+    params = _lstm_params(gen, width=4, dim=6)
+    x = gen.standard_normal((8, 6))
+    dh = gen.standard_normal((2, 8, 4))
+    _, cache = _lstm_forward(params, 0, x)
+    kept = [a.copy() for a in cache[4:]]
+    grads_a, dx_a = _lstm_backward(dh, cache)
+    grads_b, dx_b = _lstm_backward(dh, cache)
+    assert list(grads_a) == list(grads_b)
+    for key in grads_a:
+        assert np.array_equal(grads_a[key], grads_b[key]), key
+        assert not np.shares_memory(grads_a[key], grads_b[key]), key
+    assert np.array_equal(dx_a, dx_b) and not np.shares_memory(dx_a, dx_b)
+    for before, after in zip(kept, cache[4:]):
+        assert np.array_equal(before, after)
+
+
+def test_lstm_runs_one_step_with_and_without_input_products():
+    gen = np.random.default_rng(52)
+    params = _lstm_params(gen, width=3, dim=4)
+    x = gen.standard_normal((1, 4))
+    zx = np.stack([x @ params[f"l0.{d}.w_x"].T + params[f"l0.{d}.b"] for d in "fb"],
+                  axis=1)
+    h, _ = _lstm_forward(params, 0, x)
+    h_zx, _ = _lstm_forward(params, 0, x, zx)
+    assert h.shape == (2, 1, 3)
+    assert np.array_equal(h, h_zx)
+
+
 def test_gradient_order_is_output_then_layers_last_first():
     # _clip_grads sums the squared norms in this order, so it fixes the bits.
     config = EnhancerConfig(layer_sizes=(3, 2), merge_mode="concatenate")
@@ -295,6 +352,36 @@ def test_gradient_order_is_output_then_layers_last_first():
 
 
 # ---------------------------------------------------------------- training
+
+@pytest.mark.parametrize("learning_rate", [1e-3, 5e-2])
+def test_adam_matches_the_textbook_update_bit_for_bit(learning_rate):
+    gen = np.random.default_rng(53)
+    shapes = {"w": (6, 5), "b": (7,), "s": (1,), "t": (2, 3, 4)}
+    params = {k: gen.standard_normal(shape) for k, shape in shapes.items()}
+    want = {k: p.copy() for k, p in params.items()}
+    m = {k: np.zeros(shape) for k, shape in shapes.items()}
+    v = {k: np.zeros(shape) for k, shape in shapes.items()}
+    optimizer = _Adam(params, learning_rate)
+    for t in range(1, 5):
+        grads = {k: gen.standard_normal(shape) for k, shape in shapes.items()}
+        kept = {k: g.copy() for k, g in grads.items()}
+        optimizer.step(params, grads)
+        for k, g in kept.items():
+            m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
+            v[k] = ADAM_BETA2 * v[k] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m[k] / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v[k] / (1.0 - ADAM_BETA2 ** t)
+            want[k] = want[k] - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+            assert np.array_equal(grads[k], g), k
+            assert np.array_equal(optimizer.m[k], m[k]), k
+            assert np.array_equal(optimizer.v[k], v[k]), k
+            assert np.array_equal(params[k], want[k]), k
+    arrays = [params, grads, optimizer.m, optimizer.v]
+    for k in shapes:
+        for a in range(len(arrays)):
+            for b in range(a):
+                assert not np.shares_memory(arrays[a][k], arrays[b][k]), k
+
 
 def test_overfit_single_batch():
     # Binary targets that are an exact function of the inputs, so the

@@ -131,13 +131,14 @@ def _lu_decompose(est, speech, noises, taps):
 
 
 def _took_levinson(basis):
-    """Factored by block Levinson recursion, without a dense Gram matrix."""
-    return basis.lower is not None and basis.gram is None
+    """Factored by block Levinson recursion, without the shift matrix."""
+    return basis.lower is not None and basis.shifts is None
 
 
 def _took_fallback(basis):
-    """Least squares on the dense Gram matrix, the only path that builds it."""
-    return basis.lower is None and basis.gram is not None
+    """Least squares on the matrix of all reference shifts, the only path
+    that builds it."""
+    return basis.lower is None and basis.shifts is not None
 
 
 def _assert_matches_oracle(est, speech, noises, taps, rtol=1e-12):
@@ -212,6 +213,24 @@ def test_short_signals_take_the_fallback_and_match_oracle():
         assert _took_fallback(basis)
         if n == 600:
             _assert_matches_oracle(est, speech, noises, 512)
+
+
+def test_rank_deficient_fallback_projects_exactly():
+    """An impulse speech reference and a random noise reference at 512
+    taps and n = 300: their 1024 shifts span the whole 811-sample padded
+    domain, so the exact artifact component is zero. Least squares on the
+    normal equations left 9.5e-7 of the estimate there."""
+    gen = np.random.default_rng(47)
+    n, taps = 300, 512
+    speech = np.zeros(n)
+    speech[0] = 1.0
+    noise = gen.standard_normal(n)
+    est = gen.standard_normal(n)
+    basis = projection_basis(_wave(speech), [_wave(noise)], taps)
+    assert _took_fallback(basis)
+    assert basis.shifts.shape == (n + taps - 1, 2 * taps)
+    _, _, e_artif = decompose(_wave(est), _wave(speech), [_wave(noise)], taps, basis)
+    assert np.linalg.norm(e_artif) <= 1e-10 * np.linalg.norm(est)
 
 
 def _energy_scores(parts):
