@@ -150,7 +150,8 @@ def _assert_matches_oracle(est, speech, noises, taps, rtol=1e-12):
         assert np.linalg.norm(g - w) <= rtol * scale
 
 
-@pytest.mark.parametrize("n_noise, taps", [(0, 64), (1, 128), (2, 512)])
+@pytest.mark.parametrize("n_noise, taps", [(0, 64), (1, 128), (2, 512),
+                                           (1, 127), (2, 511)])
 def test_factored_decompose_matches_lu_oracle(n_noise, taps):
     gen = np.random.default_rng(40 + n_noise)
     n = 3000
@@ -172,22 +173,57 @@ def test_factored_decompose_matches_lu_oracle_on_rendered_scene():
     _assert_matches_oracle(est, speech, noises, 512)
 
 
-@pytest.mark.parametrize("n_refs", [1, 2, 3, 4])
-@pytest.mark.parametrize("taps", [1, 2, 64])
-def test_block_levinson_factors_the_gram_matrix(n_refs, taps):
-    """L G L^T = blockdiag(E) for the tap-major Gram matrix G of all
-    reference shifts, built here from the shifted signals themselves."""
-    gen = np.random.default_rng(100 * n_refs + taps)
-    n = 400
-    refs = gen.standard_normal((n_refs, n))
-    # Column a * n_refs + i holds reference i delayed by a samples.
+SPECTRA = ("white", "integrated", "tonal")
+
+
+def _reference_spectrum(kind, n_refs, n, gen):
+    """White, integrated (low-pass, strongly correlated from tap to tap) or
+    tonal speech reference with white noise references."""
+    if kind == "white":
+        return list(gen.standard_normal((n_refs, n)))
+    if kind == "integrated":
+        return list(np.cumsum(gen.standard_normal((n_refs, n)), axis=1))
+    t = np.arange(n) / 16000
+    tones = gen.uniform(100.0, 4000.0, 2)
+    speech = sum(np.sin(2.0 * np.pi * f * t + k) for k, f in enumerate(tones))
+    return [speech] + list(gen.standard_normal((n_refs - 1, n)))
+
+
+@pytest.mark.parametrize("kind", SPECTRA)
+@pytest.mark.parametrize("n_refs", [2, 3, 4])
+@pytest.mark.parametrize("taps", [64, 65])
+def test_decompose_matches_lu_oracle_across_reference_spectra(kind, n_refs, taps):
+    """Even taps take the two-tap super-block recursion, odd taps the p x p
+    one. Two solvers of an ill-conditioned Gram matrix agree only to about
+    its condition number times the rounding, so the bound is 1e-11 of the
+    estimate; the worst case here is 2.8e-12. Gains formed with the
+    inverted error blocks instead of solves with them measured 1.3e-11 to
+    2.4e-10 on the integrated references at even taps."""
+    gen = np.random.default_rng([SPECTRA.index(kind), n_refs, taps])
+    n = 8000
+    speech, *noises = _reference_spectrum(kind, n_refs, n, gen)
+    est = speech + 0.5 * sum(noises) + 0.2 * np.std(speech) * gen.standard_normal(n)
+    basis = projection_basis(_wave(speech), [_wave(x) for x in noises], taps)
+    assert _took_levinson(basis)
+    _assert_matches_oracle(est, speech, noises, taps, rtol=1e-11)
+
+
+def _tap_major_gram(refs: np.ndarray, taps: int) -> np.ndarray:
+    """Gram matrix of all reference shifts, built from the shifted signals
+    themselves: column a * n_refs + i holds reference i delayed by a
+    samples."""
+    n_refs, n = refs.shape
     shifts = np.stack([_shift_matrix(np.concatenate([r, np.zeros(taps - 1)]), taps)
                        for r in refs], axis=2).reshape(n + taps - 1, taps * n_refs)
-    gram = shifts.T @ shifts
-    lags = gram[:, :n_refs].reshape(taps, n_refs, n_refs)
-    lower, errors = _block_levinson(lags)
-    size = taps * n_refs
-    blocks = np.arange(size) // n_refs
+    return shifts.T @ shifts
+
+
+def _assert_factors(lower, errors, gram):
+    """L is unit block-lower triangular over the blocks of E, L G L^T =
+    blockdiag(E), and every E is positive definite."""
+    size, block = len(lower), errors.shape[1]
+    assert errors.shape[0] * block == size
+    blocks = np.arange(size) // block
     assert np.all(lower[blocks[:, None] < blocks[None, :]] == 0.0)
     np.testing.assert_array_equal(lower[blocks[:, None] == blocks[None, :]],
                                   np.eye(size)[blocks[:, None] == blocks[None, :]])
@@ -195,6 +231,54 @@ def test_block_levinson_factors_the_gram_matrix(n_refs, taps):
     scale = np.linalg.norm(lower) ** 2 * np.linalg.norm(gram)
     assert np.linalg.norm(lower @ gram @ lower.T - want) <= 1e-15 * scale
     assert np.all(np.linalg.eigvalsh(errors) > 0.0)
+
+
+@pytest.mark.parametrize("n_refs", [1, 2, 3, 4])
+@pytest.mark.parametrize("taps", [1, 2, 64])
+def test_block_levinson_factors_the_gram_matrix(n_refs, taps):
+    """L G L^T = blockdiag(E) for the tap-major Gram matrix G of all
+    reference shifts."""
+    gen = np.random.default_rng(100 * n_refs + taps)
+    refs = gen.standard_normal((n_refs, 400))
+    gram = _tap_major_gram(refs, taps)
+    lags = gram[:, :n_refs].reshape(taps, n_refs, n_refs)
+    _assert_factors(*_block_levinson(lags), gram)
+
+
+@pytest.mark.parametrize("n_refs", [2, 3, 4])
+@pytest.mark.parametrize("taps", [2, 3, 64, 65])
+def test_projection_basis_factors_the_gram_matrix(n_refs, taps):
+    """The basis factors the same tap-major Gram matrix over two-tap
+    super-blocks, with 2p x 2p error blocks, when taps is even, and over
+    p x p blocks when it is odd."""
+    gen = np.random.default_rng(200 * n_refs + taps)
+    refs = gen.standard_normal((n_refs, 400))
+    basis = projection_basis(_wave(refs[0]), [_wave(r) for r in refs[1:]], taps)
+    assert _took_levinson(basis)
+    if taps % 2 == 0:
+        assert basis.errors.shape == (taps // 2, 2 * n_refs, 2 * n_refs)
+    else:
+        assert basis.errors.shape == (taps, n_refs, n_refs)
+    _assert_factors(basis.lower, basis.errors, _tap_major_gram(refs, taps))
+
+
+@pytest.mark.parametrize("n, taps", [(16000, 512), (4000, 128), (3000, 65), (997, 2)])
+def test_fft_length_is_the_next_5_smooth_real_length(n, taps):
+    """No lag or projection wraps, and the components still sum to the
+    padded estimate within criterion 09's 1e-9."""
+    gen = np.random.default_rng(n + taps)
+    speech, noise, est = (_wave(gen.standard_normal(n)) for _ in range(3))
+    basis = projection_basis(speech, [noise], taps)
+    assert basis.nfft == scipy.fft.next_fast_len(n + taps, real=True)
+    assert basis.nfft >= n + taps
+    rest = basis.nfft
+    for prime in (2, 3, 5):
+        while rest % prime == 0:
+            rest //= prime
+    assert rest == 1
+    parts = decompose(est, speech, [noise], taps, basis)
+    padded = np.concatenate([est.samples, np.zeros(taps - 1)])
+    assert np.max(np.abs(sum(parts) - padded)) < 1e-9
 
 
 def test_short_signals_take_the_fallback_and_match_oracle():
