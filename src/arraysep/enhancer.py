@@ -32,7 +32,7 @@ from scipy.special import expit
 from .errors import DataError, NumericalError
 from .signal import FeatureStats, MaskGrid, logit_mask, to_log_features
 from .targets import TargetContext, TargetKind, compute_target, loss_with_grad
-from .util import _int, _located, as_plain_data
+from .util import _int_field, _int_fields, _located, as_plain_data
 
 MERGE_MODES = ("sum", "multiply", "average", "concatenate")
 OUTPUT_ACTIVATIONS = ("sigmoid", "hard_sigmoid")
@@ -56,10 +56,11 @@ class EnhancerConfig:
 
     def __post_init__(self):
         try:
-            sizes = tuple(_int(w) for w in self.layer_sizes)
-        except (TypeError, ValueError):
-            raise DataError(f"layer_sizes must be whole numbers, "
+            widths = tuple(self.layer_sizes)
+        except TypeError:
+            raise DataError(f"layer_sizes must be a list of widths, "
                             f"got {self.layer_sizes!r}") from None
+        sizes = tuple(_int_field("layer_sizes", w) for w in widths)
         object.__setattr__(self, "layer_sizes", sizes)
         if not 1 <= len(self.layer_sizes) <= 2:
             raise DataError("one or two recurrent layers are supported")
@@ -430,6 +431,7 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self):
+        _int_fields(self, "max_epochs", "patience", "seed")
         # A learning rate of 0 is kept: it evaluates without updating.
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise DataError(

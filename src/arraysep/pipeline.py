@@ -58,6 +58,7 @@ from .util import (
     _fraction,
     _given,
     _int,
+    _int_fields,
     _int_tuple,
     _list,
     _located,
@@ -75,22 +76,31 @@ from .util import (
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything the enhancement pipeline needs besides the audio."""
+    """Everything the enhancement pipeline needs besides the audio.
+
+    The reference channel is messl.reference_channel: EM takes its phase
+    differences against it, and the beamformer, the scoring references
+    and the training targets all read it there.
+    """
 
     stft: StftConfig = field(default_factory=StftConfig)
     messl: MesslConfig = field(default_factory=MesslConfig)
     combine_mode: CombineMode = CombineMode.AVG
-    reference_channel: int = 0
     model_path: str | None = None
     messl_binarize_threshold: float | None = None
     seg_frame: int = SEG_FRAME
 
     def __post_init__(self):
+        _int_fields(self, "seg_frame")
         threshold = self.messl_binarize_threshold
         if threshold is not None and not 0.0 <= threshold < 1.0:
             raise DataError(f"messl_binarize_threshold must be in [0, 1), got {threshold}")
         if self.seg_frame < 1:
             raise DataError(f"seg_frame must be at least 1, got {self.seg_frame}")
+
+    @property
+    def reference_channel(self) -> int:
+        return self.messl.reference_channel
 
     def digest(self) -> str:
         return config_hash(self)
@@ -142,10 +152,7 @@ def analyze(
         "stft",
         lambda: [stft(mixture.channel(c), cfg.stft) for c in range(mixture.n_channels)],
     )
-    messl_cfg = dataclasses.replace(
-        cfg.messl, reference_channel=cfg.reference_channel
-    )
-    em = _stage("spatial_em", run_em, specs, messl_cfg)
+    em = _stage("spatial_em", run_em, specs, cfg.messl)
     messl_mask = em.target_mask
     if cfg.messl_binarize_threshold is not None:
         messl_mask = binarize(messl_mask, cfg.messl_binarize_threshold)
@@ -272,14 +279,17 @@ def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
     """Build a pipeline config from a parsed YAML mapping.
 
     Sections must be mappings and values must convert to their types;
-    otherwise DataError names the key.
+    otherwise DataError names the key. The top-level ref_channel key sets
+    messl.reference_channel.
     """
     return PipelineConfig(
         stft=_stft_from_dict(_value(doc, "stft", _mapping, {})),
-        messl=_messl_from_dict(_value(doc, "messl", _mapping, {})),
+        messl=dataclasses.replace(
+            _messl_from_dict(_value(doc, "messl", _mapping, {})),
+            **_given(doc, reference_channel=("ref_channel", _int)),
+        ),
         **_given(
             doc, combine_mode=("combine", _parsed(CombineMode)),
-            reference_channel=("ref_channel", _int),
             model_path=("model", _optional(_string)),
             messl_binarize_threshold=_optional(float), seg_frame=_int,
         ),

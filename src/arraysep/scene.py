@@ -34,6 +34,7 @@ from .util import (
     _float_tuple,
     _given,
     _int,
+    _int_fields,
     _located,
     _mapping,
     _number_or_range,
@@ -89,6 +90,7 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _int_fields(self, "n_channels", "sample_rate", "seed")
         object.__setattr__(self, "sources", tuple(self.sources))
         if not self.sources:
             raise DataError("scene needs at least one source")

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.io.wavfile
 
 from .errors import DataError
+from .util import _int_fields
 
 AMP_FLOOR = 1e-8      # linear magnitude floor before dB conversion
 MASK_EPS = 1e-3       # clamp for ratio masks entering logit or log
@@ -154,6 +155,7 @@ class StftConfig:
     window: str = "sqrt_hann"
 
     def __post_init__(self):
+        _int_fields(self, "window_size", "hop_size")
         if self.window_size <= 0:
             raise DataError(f"window_size must be positive, got {self.window_size}")
         if not 0 < self.hop_size <= self.window_size:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .signal import MaskGrid, check_channels
+from .util import _int_fields
 
 VAR_FLOOR = 1e-4          # rad^2, keeps residual Gaussians proper
 MAX_DELAY_CANDIDATES = 4097   # bounds the (sources, freqs, candidates) scores
@@ -65,6 +66,9 @@ class MesslConfig:
     target_source: int | None = None
 
     def __post_init__(self):
+        _int_fields(self, "n_sources", "n_iterations", "reference_channel")
+        if self.target_source is not None:
+            _int_fields(self, "target_source")
         # A read-only copy, so that no in-place write skips these checks.
         try:
             grid = np.array(self.delay_grid, dtype=np.float64)
@@ -76,6 +80,10 @@ class MesslConfig:
             raise DataError("need at least one source")
         if self.n_iterations < 1:
             raise DataError("need at least one EM iteration")
+        if self.reference_channel < 0:
+            raise DataError(
+                f"reference_channel must be at least 0, got {self.reference_channel}"
+            )
         if grid.ndim != 1 or not np.all(np.isfinite(grid)):
             raise DataError("delay grid must be a 1-D array of finite delays")
         if not self.n_sources <= grid.size <= MAX_DELAY_CANDIDATES:

@@ -133,6 +133,22 @@ def _int(value) -> int:
     return number
 
 
+def _int_field(name: str, value) -> int:
+    """A config field's value as an integer (see _int); anything else, a
+    number with a fractional part among them, raises DataError naming the
+    field ``name``."""
+    try:
+        return _int(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise DataError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _int_fields(config, *names) -> None:
+    """Store each named field of a frozen config as an int (see _int_field)."""
+    for name in names:
+        object.__setattr__(config, name, _int_field(name, getattr(config, name)))
+
+
 def _at_least(low):
     """An integer (see _int) of at least ``low``."""
     def check(value):

@@ -17,6 +17,8 @@ from arraysep import (
     MultichannelWaveform,
     NumericalError,
     PipelineConfig,
+    SceneSpec,
+    SourceSpec,
     StftConfig,
     TargetKind,
     TrainSettings,
@@ -45,13 +47,15 @@ from arraysep.enhancer import MODEL_MAGIC, FeatureStats
 from arraysep.errors import DataError, StageError
 from arraysep.pipeline import analyze, score_row, write_score_csv
 from arraysep.spatial_em import MesslConfig, MesslResult, default_delay_grid, run_em
+from arraysep.util import config_hash, load_config
 
 SMALL = StftConfig(window_size=64, hop_size=16)
 FAST_EM = MesslConfig(n_iterations=5, delay_grid=default_delay_grid(4.0, 0.5))
 
 
-def _small_cfg(**kwargs) -> PipelineConfig:
-    return PipelineConfig(stft=SMALL, messl=FAST_EM, **kwargs)
+def _small_cfg(reference_channel=0, **kwargs) -> PipelineConfig:
+    messl = dataclasses.replace(FAST_EM, reference_channel=reference_channel)
+    return PipelineConfig(stft=SMALL, messl=messl, **kwargs)
 
 
 def _zero_model(n_freq: int) -> "EnhancerModel":
@@ -168,8 +172,30 @@ def test_config_digest_tracks_content():
     assert _small_cfg().digest() == _small_cfg().digest()
     assert _small_cfg().digest() != _small_cfg(reference_channel=1).digest()
     # Digests are written into score CSVs and mask files.
-    assert PipelineConfig().digest() == "d6d4f4f5b9da"
-    assert PipelineConfig(reference_channel=1).digest() == "370bc5a15c75"
+    assert PipelineConfig().digest() == "83f270d38412"
+    assert PipelineConfig(messl=MesslConfig(reference_channel=1)).digest() == "7e1cf3b99c57"
+
+
+def test_reference_channel_has_one_owner(tmp_path):
+    """messl.reference_channel set in code and ref_channel read from YAML
+    are the same setting: one digest, one output, and EM and the
+    beamformer both take it."""
+    scene = render_scene(random_scene_spec(np.random.default_rng(40), n_channels=3,
+                                           duration=0.4, n_interferers=1))
+    in_code = PipelineConfig(messl=MesslConfig(reference_channel=1))
+    path = tmp_path / "ref.yml"
+    path.write_text("ref_channel: 1\n")
+    from_yaml = pipeline.pipeline_config_from_dict(load_config(str(path)))
+    assert "reference_channel" not in {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert in_code.reference_channel == from_yaml.reference_channel == 1
+    assert in_code.digest() == from_yaml.digest()
+    a = enhance(scene.mixture, in_code)
+    b = enhance(scene.mixture, from_yaml)
+    np.testing.assert_array_equal(a.waveform.samples, b.waveform.samples)
+    np.testing.assert_array_equal(a.final_mask.values, b.final_mask.values)
+    for result in (a, b):
+        assert result.em.pair_channels == (0, 2)
+        assert result.weights.reference_channel == 1
 
 
 def test_config_validation():
@@ -178,6 +204,42 @@ def test_config_validation():
             PipelineConfig(messl_binarize_threshold=threshold)
     with pytest.raises(DataError, match="seg_frame"):
         dataclasses.replace(PipelineConfig(), seg_frame=0)
+    with pytest.raises(DataError, match="reference_channel must be at least 0"):
+        MesslConfig(reference_channel=-1)
+
+
+def _scene_spec(**kwargs) -> SceneSpec:
+    source = SourceSpec(Waveform(np.ones(8), 16000), delays=(0.0, 0.0), gains=(1.0, 1.0))
+    return SceneSpec(sources=(source,), **{"n_channels": 2, "sample_rate": 16000, **kwargs})
+
+
+@pytest.mark.parametrize("build, name, value", [
+    (StftConfig, "window_size", 2.5),
+    (StftConfig, "hop_size", 2.5),
+    (MesslConfig, "n_sources", 2.5),
+    (MesslConfig, "n_iterations", 2.5),
+    (MesslConfig, "reference_channel", 2.5),
+    (MesslConfig, "target_source", 2.5),
+    (PipelineConfig, "seg_frame", 2.5),
+    (TrainSettings, "max_epochs", 2.5),
+    (TrainSettings, "patience", 2.5),
+    (TrainSettings, "seed", 2.5),
+    (_scene_spec, "n_channels", 2.5),
+    (_scene_spec, "sample_rate", 2.5),
+    (_scene_spec, "seed", 2.5),
+    (EnhancerConfig, "layer_sizes", (2.5,)),
+])
+def test_integer_fields_reject_fractions(build, name, value):
+    with pytest.raises(DataError, match=f"{name} must be an integer, got 2.5"):
+        build(**{name: value})
+
+
+def test_integral_fields_store_as_ints():
+    hop = StftConfig(window_size=64, hop_size=16.0)
+    assert type(hop.hop_size) is int and hop == SMALL
+    messl = MesslConfig(reference_channel=np.int64(1), target_source=0.0)
+    assert (type(messl.reference_channel), type(messl.target_source)) == (int, int)
+    assert config_hash(messl) == config_hash(MesslConfig(reference_channel=1, target_source=0))
     with pytest.raises(dataclasses.FrozenInstanceError):
         PipelineConfig().messl_binarize_threshold = 5.0
     assert PipelineConfig(messl_binarize_threshold=0.0).messl_binarize_threshold == 0.0
@@ -774,6 +836,8 @@ def test_cli_numerical_error_exit_code(cli_workspace, tmp_path):
     ("enhance", "messl_binarize_threshold: .nan\n", "messl_binarize_threshold"),
     ("enhance", "messl_binarize_threshold: 1.0\n", "messl_binarize_threshold"),
     ("enhance", "messl: {grid_step: .inf}\n", "step"),
+    ("enhance", "ref_channel: -1\n", "reference_channel"),
+    ("experiment", "ref_channel: -1\n", "reference_channel"),
 ])
 def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
                                             command, doc, key):
