@@ -20,6 +20,19 @@ O(P (F T + G F)) memory (the sorted phases, their int32 permutations and
 the int32 splits) for P pairs, F frequencies, T frames and G candidates.
 Each M step then costs O(K P (F T + G F)) for K sources, where direct
 evaluation costs O(K P G F T).
+
+The wrapped residuals, one (K, P, F, T) array, are kept for the whole call
+next to the squared deviations each M step forms for the next E step. Fitted
+delays mostly stay where they start, so after each delay search only the
+(source, pair) slices whose delay moved are wrapped again, from the sorted
+phases and put back through the sort permutation; wrapping is elementwise,
+so a slice has the same bits either way. The unsorted (P, F, T) phases are
+dropped once the first residuals are formed, so the cache costs one K P F T
+array less one P F T array. The posteriors, the search weights, the scoring
+buffers and the squared deviations are allocated once per call and
+overwritten by every iteration; allocated anew in each, they cost the loop
+fresh pages of memory. The E step's log-sum-exp over one source plus the
+garbage, the default model, takes a closed form (see _logsumexp).
 """
 
 from __future__ import annotations
@@ -160,7 +173,8 @@ def _delay_splits(phi, cand, omega):
     phi: (n_pairs, n_freq, n_frames) phase differences in [-pi, pi].
     Returns the sorted phases and the int32 sorting permutations into each
     pair's flattened phases, both (n_pairs, n_freq, n_frames), the
-    (n_freq, n_cand) wrapped prediction shift, and int32 (n_pairs, n_freq,
+    (n_freq, n_cand) wrapped prediction shift, its score factors shift**2,
+    4 pi (pi + shift) and 4 pi (pi - shift), and int32 (n_pairs, n_freq,
     n_cand) prefix ends lo and suffix starts hi into each pair's flattened
     (n_freq, n_frames + 1) prefix sums. None of it depends on the EM
     parameters, so EM computes it once.
@@ -203,10 +217,21 @@ def _delay_splits(phi, cand, omega):
         keys = (sorted_phi[p] + offset[:, :1]).ravel()
         hi[p][down] = np.searchsorted(keys, down_edges) + freq[down]
         lo[p][up] = np.searchsorted(keys, up_edges) + freq[up]
-    return sorted_phi, order, shift, lo, hi
+    factors = (shift * shift, 4.0 * np.pi * (np.pi + shift), 4.0 * np.pi * (np.pi - shift))
+    return sorted_phi, order, shift, factors, lo, hi
 
 
-def _delay_scores(splits, weight, mean) -> np.ndarray:
+def _score_work(n_sources: int, n_freq: int, n_frames: int):
+    """Buffers for _delay_scores, allocated once per EM call: a pair's
+    sorted weights and weighted deviations, stacked, their prefix sums with
+    a zero first column, and the deviations from the means."""
+    cum = np.empty((2, n_sources, n_freq, n_frames + 1))
+    cum[..., 0] = 0.0
+    return (np.empty((2, n_sources, n_freq, n_frames)), cum,
+            np.empty((n_sources, n_freq, n_frames)))
+
+
+def _delay_scores(splits, weight, mean, work=None) -> np.ndarray:
     """Score every candidate delay of every pair for every source.
 
     Returns (n_pairs, n_sources, n_cand) values of
@@ -215,37 +240,39 @@ def _delay_scores(splits, weight, mean) -> np.ndarray:
 
     splits: _delay_splits(phi, cand, omega) of the (n_pairs, n_freq,
     n_frames) phases. weight: (n_sources, n_freq, n_frames); mean:
-    (n_sources, n_freq).
+    (n_sources, n_freq). work: _score_work buffers of that size, which
+    every pair overwrites; allocated here when not given.
     """
-    sorted_phi, orders, shift, los, his = splits
+    sorted_phi, orders, shift, (shift_sq, up_factor, down_factor), los, his = splits
     _, n_freq, n_frames = sorted_phi.shape
     n_sources = len(weight)
     flat_weight = weight.reshape(n_sources, -1)
-    # Prefix sums over each pair's sorted frames, with a zero first column;
-    # every pair overwrites the rest.
-    cum_w, cum_d = np.empty((2, n_sources, n_freq, n_frames + 1))
-    cum_w[:, :, 0] = cum_d[:, :, 0] = 0.0
-    tot_w, tot_d = cum_w[:, :, -1], cum_d[:, :, -1]         # (K, F) views
-    flat_cum_w = cum_w.reshape(n_sources, -1)
-    flat_cum_d = cum_d.reshape(n_sources, -1)
+    stacked, cum, dev = work or _score_work(n_sources, n_freq, n_frames)
+    w, wdev = stacked
+    tot_w, tot_d = cum[..., -1]                            # (K, F) views
+    flat_cum = cum.reshape(2, n_sources, -1)
     scores = []
     for phi_p, order, lo, hi in zip(sorted_phi, orders, los, his):
-        w = np.take(flat_weight, order, axis=1)            # (K, F, T)
-        dev = phi_p[None] - mean[:, :, None]
-        wdev = w * dev
-        np.cumsum(w, axis=2, out=cum_w[:, :, 1:])
-        np.cumsum(wdev, axis=2, out=cum_d[:, :, 1:])
+        # One cumsum and one gather per split end cover both prefix sums.
+        # The indices are in range by construction, and mode="clip" gathers
+        # unbuffered.
+        np.take(flat_weight, order, axis=1, out=w, mode="clip")   # (K, F, T)
+        np.subtract(phi_p[None], mean[:, :, None], out=dev)
+        np.multiply(w, dev, out=wdev)
+        np.cumsum(stacked, axis=3, out=cum[..., 1:])
         # (dev + shift + c)^2 summed over frames, with c = 2 pi on the
         # prefix, -2 pi on the suffix and 0 elsewhere.
-        up_w = np.take(flat_cum_w, lo, axis=1)             # (K, F, G)
-        down_w = tot_w[:, :, None] - np.take(flat_cum_w, hi, axis=1)
-        net_d = np.take(flat_cum_d, lo, axis=1) + np.take(flat_cum_d, hi, axis=1)
+        (up_w, lo_d), (hi_w, hi_d) = (np.take(flat_cum, lo, axis=2, mode="clip"),
+                                      np.take(flat_cum, hi, axis=2, mode="clip"))
+        down_w = tot_w[:, :, None] - hi_w
+        net_d = lo_d + hi_d
         err = (
-            np.sum(wdev * dev, axis=(1, 2))[:, None]
+            # The weights are in the prefix sums, so w holds the squares.
+            np.sum(np.multiply(wdev, dev, out=w), axis=(1, 2))[:, None]
             + np.einsum("kf,fg->kg", 2.0 * tot_d, shift)
-            + np.einsum("kf,fg->kg", tot_w, shift * shift)
-            + np.einsum("kfg,fg->kg", up_w, 4.0 * np.pi * (np.pi + shift))
-            + np.einsum("kfg,fg->kg", down_w, 4.0 * np.pi * (np.pi - shift))
+            + np.einsum("kf,fg->kg", tot_w, shift_sq)
+            + np.einsum("kfg,fg->kg", up_w, up_factor)
+            + np.einsum("kfg,fg->kg", down_w, down_factor)
             + 4.0 * np.pi * (net_d.sum(axis=1) - tot_d.sum(axis=1)[:, None])
         )
         scores.append(-err)
@@ -262,14 +289,29 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     the maxima with the same bits as a masked write. With one maximum per
     column the count is 1: s / 1 is s and log(1) is +0.0, which leaves
     log1p(s) >= +0 unchanged, so both steps are skipped.
+
+    Two components (one source and the garbage) take a closed form when
+    every maximum is finite: top + log1p(exp(-|a0 - a1|)). The sum then
+    holds the one non-maximum term, and a - top is -|a0 - a1| to the bit;
+    a tie gives log1p(exp(0)) = log1p(1) = log(2), scipy's log(count).
     """
     top = a.max(axis=0)
+    is_finite = np.isfinite(top).all()
+    if len(a) == 2 and is_finite:
+        # |a0 - a1| overflows to inf for opposite-signed maxima near 1e308,
+        # and exp(-inf) = 0 is scipy's term as well.
+        with np.errstate(over="ignore"):
+            gap = np.subtract(a[0], a[1])
+        np.abs(gap, out=gap)
+        np.negative(gap, out=gap)
+        np.log1p(np.exp(gap, out=gap), out=gap)
+        return np.add(gap, top, out=gap)
     is_top = a == top
     # -inf - -inf and inf - inf give NaN at masked maxima, log(0) -inf in a
     # NaN column, as in scipy; -1e308 - 1e308 = -inf has exp 0.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         e = np.exp(a - top)
-        if np.isfinite(top).all():
+        if is_finite:
             e -= is_top
             if np.count_nonzero(is_top) == top.size:
                 return np.log1p(e.sum(axis=0)) + top
@@ -368,24 +410,30 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     var = np.ones((cfg.n_sources, n_freq))
     log_priors = np.full(k_total, -np.log(k_total))
 
-    def residuals() -> np.ndarray:
-        # A channel lagging the reference by tau samples shows the phase
-        # difference -omega * tau, so the residual adds the prediction back.
-        return _wrap(phi + (delays[:, :, None] * omega)[..., None])
-
-    # Squared residual deviations from the means, (sources, pairs, F, T),
-    # formed by each M step for the next E step; the means start at zero.
-    sq = np.square(residuals())
+    # The wrapped residuals, (sources, pairs, F, T), kept across iterations:
+    # a (source, pair) slice is wrapped again only when its delay moves. A
+    # channel lagging the reference by tau samples shows the phase
+    # difference -omega * tau, so the residual adds the prediction back.
+    resid = _wrap(phi + (delays[:, :, None] * omega)[..., None])
+    del phi  # the sorted phases hold the same values
+    sorted_phi, order = splits[:2]
+    flat_resid = resid.reshape(cfg.n_sources, n_pairs, -1)
+    # Squared residual deviations from the means, formed by each M step for
+    # the next E step in the same buffer; the means start at zero.
+    sq = np.square(resid)
+    # Every iteration reuses these buffers: the posteriors (the last E step's
+    # are the masks), the M step's delay-search weights and the scoring's.
+    log_post = np.empty((k_total, n_freq, n_frames))
+    weight = np.empty((cfg.n_sources, n_freq, n_frames))
+    work = _score_work(cfg.n_sources, n_freq, n_frames)
 
     trace = []
     converged = False
     for iteration in range(cfg.n_iterations + 1):
-        log_post = np.empty((k_total, n_freq, n_frames))
         log_norm = -0.5 * np.log(2.0 * np.pi * var)
         sq /= (2.0 * var)[:, None, :, None]
         np.subtract(log_norm[:, None, :, None], sq, out=sq)
-        log_post[: cfg.n_sources] = sq.sum(axis=1)
-        del sq  # freed before the M step forms the next one
+        np.sum(sq, axis=1, out=log_post[: cfg.n_sources])
         if cfg.use_garbage:
             log_post[-1] = n_pairs * _LOG_UNIFORM
         log_post += log_priors[:, None, None]
@@ -406,15 +454,19 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
         # residual Gaussians in closed form, then the priors. Delays start
         # on the grid and are searched over it; the first maximum wins.
         resp = gamma[: cfg.n_sources]
-        weight = resp / (2.0 * var[:, :, None])
-        score = _delay_scores(splits, weight, mean)
-        delays[:] = grid[np.argmax(score, axis=2)].T
+        np.divide(resp, (2.0 * var)[:, :, None], out=weight)
+        score = _delay_scores(splits, weight, mean, work)
+        searched = grid[np.argmax(score, axis=2)].T
+        for k, p in zip(*np.nonzero(searched != delays)):
+            delays[k, p] = searched[k, p]
+            # Wrapped in sorted order and put back through the permutation.
+            moved = _wrap(sorted_phi[p] + (delays[k, p] * omega)[:, None])
+            flat_resid[k, p, order[p].ravel()] = moved.ravel()
 
-        sq = residuals()                      # squared in place below
         denom = n_pairs * resp.sum(axis=2)    # (n_sources, n_freq)
         ok = denom > 1e-12
-        mean[ok] = np.einsum("kpft,kft->kf", sq, resp)[ok] / denom[ok]
-        sq -= mean[:, None, :, None]
+        mean[ok] = np.einsum("kpft,kft->kf", resid, resp)[ok] / denom[ok]
+        np.subtract(resid, mean[:, None, :, None], out=sq)
         np.square(sq, out=sq)
         num_var = np.einsum("kpft,kft->kf", sq, resp)
         var[ok] = np.maximum(num_var[ok] / denom[ok], VAR_FLOOR)

@@ -25,6 +25,7 @@ from arraysep import (
     speechlike_signal,
     stft,
 )
+from arraysep import spatial_em
 from arraysep.signal import MaskGrid, Waveform
 from arraysep.spatial_em import (
     MAX_DELAY_CANDIDATES,
@@ -226,6 +227,30 @@ def test_logsumexp_matches_scipy_bit_for_bit_em_sized(n_components, case):
         warnings.simplefilter("error")
         got = _logsumexp(a)
     want = logsumexp(a, axis=0)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_logsumexp_two_components_closed_form():
+    """One source plus garbage, every maximum finite: the closed form
+    top + log1p(exp(-|a0 - a1|)) is scipy's bits on ties, on a -inf row
+    and where a0 - a1 overflows, without a warning."""
+    # A tie gives log1p(exp(0)), which must be scipy's log(count).
+    assert np.log1p(1.0) == np.log(2.0)
+    gen = np.random.default_rng(9)
+    a = gen.normal(-40.0, 15.0, (2, 40, 33))
+    a[1, :5] = a[0, :5]                              # ties
+    a[0, 6:10] = -np.inf                             # one row -inf
+    a[1, 10:15] = -np.inf
+    a[0, 15:20], a[1, 15:20] = 1e308, -1e308         # a0 - a1 = inf
+    a[0, 20:25], a[1, 20:25] = -1e308, 1e308         # a0 - a1 = -inf
+    a[:, 25] = -1e308                                # ties at the extremes
+    a[:, 26] = 1e308
+    assert np.isfinite(a.max(axis=0)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp(a)
+    with np.errstate(over="ignore"):
+        want = logsumexp(a, axis=0)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -439,6 +464,27 @@ def test_em_peak_memory_eight_seconds():
     assert peak < 100e6, f"run_em peak {peak / 1e6:.1f} MB"
 
 
+def test_em_wraps_unmoved_residuals_once(monkeypatch):
+    """A one-pair scene whose delay never leaves its PHAT start: the
+    residuals are wrapped once, and every M step reads them from the cache."""
+    calls = []
+
+    def counting_wrap(x):
+        calls.append(x.shape)
+        return _wrap(x)
+
+    monkeypatch.setattr(spatial_em, "_wrap", counting_wrap)
+    render = _delayed_scene(2.0, seed=8)
+    specs = _channel_specs(render, SMALL)
+    cfg = MesslConfig(n_sources=1, n_iterations=8, convergence_tol=0.0)
+    for _ in range(2):
+        calls.clear()
+        result = run_em(specs, cfg)
+        assert len(result.loglik_trace) == 9         # eight M steps
+        assert result.params.delays[0, 0] == 2.0
+        assert calls == [(1, 1) + specs[0].bins.shape]
+
+
 def test_em_silent_input_raises():
     cfg = StftConfig(window_size=16, hop_size=4)
     zero = Spectrogram(bins=np.zeros((9, 6), dtype=complex), config=cfg,
@@ -503,7 +549,8 @@ def _reference_top_peaks(values, grid, count, min_sep):
 
 def _reference_run_em(specs, cfg):
     """EM with one residual pass per source in each step and a separate
-    final E step: the original loop, kept as a bitwise oracle."""
+    final E step: the original loop, kept as a bitwise oracle. Returns the
+    result fields and the delays at the start and after each M step."""
     cross, pairs = _cross_spectra(specs, cfg.reference_channel)
     phi = np.angle(cross)
     n_freq, n_frames = specs[0].bins.shape
@@ -517,6 +564,7 @@ def _reference_run_em(specs, cfg):
     mean = np.zeros((cfg.n_sources, n_freq))
     var = np.ones((cfg.n_sources, n_freq))
     log_priors = np.full(k_total, -np.log(k_total))
+    delay_steps = [delays.copy()]
 
     def residuals(k):
         return _wrap(phi + np.outer(delays[k], omega)[:, :, None])
@@ -549,6 +597,7 @@ def _reference_run_em(specs, cfg):
             one = phi[p:p + 1]
             score = _delay_scores(_delay_splits(one, grid, omega), weight, mean)[0]
             delays[:, p] = grid[np.argmax(score, axis=1)]
+        delay_steps.append(delays.copy())
         for k in range(cfg.n_sources):
             r = residuals(k)
             denom = n_pairs * gamma[k].sum(axis=1)
@@ -568,7 +617,13 @@ def _reference_run_em(specs, cfg):
     return dict(masks=list(gamma), loglik_trace=np.asarray(trace), delays=delays,
                 residual_mean=mean, residual_var=var, priors=np.exp(log_priors),
                 target_index=target_index, pair_channels=tuple(pairs),
-                converged=converged)
+                converged=converged), delay_steps
+
+
+# The (n_channels, n_sources) of the cases below in which some M step moves
+# one (source, pair) delay and keeps another. run_em wraps a residual again
+# only when its delay moves, so such a step reads fresh and cached residuals.
+PARTIAL_MOVES = {(4, 3), (8, 1), (8, 3), (8, 2)}
 
 
 @pytest.mark.parametrize("n_channels,n_sources,garbage,n_iterations,tol,ref,grid,converges", [
@@ -591,7 +646,7 @@ def test_em_matches_per_source_reference_bit_for_bit(
                       **({} if grid is None else {"delay_grid": default_delay_grid(*grid)}))
     specs = _channel_specs(render, SMALL)
     got = run_em(specs, cfg)
-    want = _reference_run_em(specs, cfg)
+    want, delay_steps = _reference_run_em(specs, cfg)
     fields = dict(masks=[m.values for m in got.masks], loglik_trace=got.loglik_trace,
                   target_index=got.target_index, pair_channels=got.pair_channels,
                   converged=got.converged, **vars(got.params))
@@ -600,6 +655,9 @@ def test_em_matches_per_source_reference_bit_for_bit(
         assert np.array_equal(fields[key], value), key
         assert np.asarray(fields[key]).dtype == np.asarray(value).dtype, key
     assert got.converged is converges
+    moved = [after != before for before, after in zip(delay_steps, delay_steps[1:])]
+    partial = any(m.any() and not m.all() for m in moved)
+    assert partial is ((n_channels, n_sources) in PARTIAL_MOVES)
 
 
 # ------------------------------------------------------------------ config
