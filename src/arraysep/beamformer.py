@@ -1,12 +1,18 @@
 """Mask-driven spatial covariance estimation and MVDR beamforming.
 
 Speech and noise covariance matrices are mask-weighted outer-product
-averages per frequency, built for all frequencies in one batched matrix
-product. The distortionless-response weights come from one batched
-linear solve of every usable noise covariance against its steering
-vector (the principal eigenvector of the speech covariance); no matrix
-is ever explicitly inverted. A batched Cholesky factorization serves as
-the positive-definiteness test; only when it fails are the covariances
+averages per frequency. They are built, and the beamformer output is
+formed, one block of frequencies at a time: a block stacks every
+channel's bins for at most BLOCK_BYTES (and at least one frequency), and
+its results are written into arrays allocated once for all frequencies.
+Every frequency's product is its own matrix product and every
+normalization is per frequency, so the block size changes no bit of the
+result; it only bounds the working memory to a few blocks. The
+distortionless-response weights come from one batched linear solve of
+every usable noise covariance against its steering vector (the principal
+eigenvector of the speech covariance); no matrix is ever explicitly
+inverted. A batched Cholesky factorization serves as the
+positive-definiteness test; only when it fails are the covariances
 factored one frequency at a time, to find the ones that are not. Those
 frequencies, and those whose covariances are degenerate or not finite,
 fall back to a reference-channel selector and are flagged.
@@ -23,6 +29,7 @@ from .signal import AMP_FLOOR, MaskGrid, Spectrogram, check_channels, check_rati
 
 LOAD_FACTOR = 1e-6     # diagonal loading relative to mean eigenvalue
 WEIGHT_FLOOR = 1e-3    # minimum mask weight (in frames) per frequency
+BLOCK_BYTES = 1 << 20  # stacked bins per frequency block, all channels
 
 
 @dataclass
@@ -84,19 +91,55 @@ def _weighted_covariances(bins: np.ndarray, adjoint: np.ndarray, weights: np.nda
     return cov, degenerate
 
 
+def _frequency_blocks(n_freq: int, n_channels: int, n_frames: int):
+    """Slices of the frequency axis whose stacked complex bins, all
+    channels and frames, take at most BLOCK_BYTES; each holds at least one
+    frequency (all of them when there are no frames)."""
+    step = max(1, BLOCK_BYTES // max(1, n_channels * n_frames * 16))
+    return [slice(f, min(f + step, n_freq)) for f in range(0, n_freq, step)]
+
+
+def _stacked_blocks(specs):
+    """Every channel's bins, one frequency block at a time.
+
+    Yields (block, bins), bins of shape (block length, n_channels,
+    n_frames). All blocks are written into one buffer; a leading slice of
+    it is C-contiguous, so a short last block has the strides of a full
+    one.
+    """
+    n_freq, n_frames = specs[0].bins.shape
+    blocks = _frequency_blocks(n_freq, len(specs), n_frames)
+    buffer = np.empty(
+        (blocks[0].stop - blocks[0].start, len(specs), n_frames), dtype=np.complex128
+    )
+    for block in blocks:
+        bins = buffer[: block.stop - block.start]
+        for c, s in enumerate(specs):
+            bins[:, c] = s.bins[block]
+        yield block, bins
+
+
 def estimate_covariances(specs, mask: MaskGrid) -> CovarianceField:
     """Speech covariances weighted by the mask, noise by its complement."""
     specs = check_channels(specs)
     shape = specs[0].bins.shape
-    m = check_ratio_mask(mask)
+    # In C order each frequency's weight sum is a pairwise sum along its
+    # row, whatever the block size and the memory order of the mask given.
+    m = np.ascontiguousarray(check_ratio_mask(mask))
     if m.shape != shape:
         raise DataError(
             f"mask shape {m.shape} does not match spectrogram shape {shape}"
         )
-    bins = np.stack([s.bins for s in specs], axis=1)
-    adjoint = np.swapaxes(np.conj(bins), 1, 2)
-    speech, deg_s = _weighted_covariances(bins, adjoint, m)
-    noise, deg_n = _weighted_covariances(bins, adjoint, 1.0 - m)
+    n_channels = len(specs)
+    speech = np.empty((shape[0], n_channels, n_channels), dtype=np.complex128)
+    noise = np.empty_like(speech)
+    deg_s = np.empty(shape[0], dtype=bool)
+    deg_n = np.empty(shape[0], dtype=bool)
+    for block, bins in _stacked_blocks(specs):
+        adjoint = np.swapaxes(np.conj(bins), 1, 2)
+        weights = m[block]
+        speech[block], deg_s[block] = _weighted_covariances(bins, adjoint, weights)
+        noise[block], deg_n[block] = _weighted_covariances(bins, adjoint, 1.0 - weights)
     return CovarianceField(
         speech=speech, noise=noise, degenerate_speech=deg_s, degenerate_noise=deg_n
     )
@@ -139,28 +182,33 @@ def mvdr_weights(cov: CovarianceField, reference_channel: int = 0) -> Beamformer
     steering = np.tile(selector, (n_freq, 1))
     passthrough = np.ones(n_freq, dtype=bool)
 
-    _, eigvecs = np.linalg.eigh(cov.speech)
+    usable = ~(cov.degenerate_speech | cov.degenerate_noise)
+    usable &= np.all(np.isfinite(cov.speech), axis=(1, 2))
+    usable &= np.all(np.isfinite(cov.noise), axis=(1, 2))
+    idx = np.flatnonzero(usable)
+    # eigh works per matrix, so only the usable frequencies are decomposed;
+    # a non-finite one would make it raise (NaN) or return garbage (inf).
+    _, eigvecs = np.linalg.eigh(cov.speech[idx])
     principal = eigvecs[:, :, -1]
     ref = principal[:, reference_channel]
     magnitude = np.abs(ref)
     rotate = magnitude > 1e-12
-    phase = np.ones(n_freq, dtype=np.complex128)
+    phase = np.ones(len(idx), dtype=np.complex128)
     phase[rotate] = np.conj(ref[rotate]) / magnitude[rotate]
     d = principal * phase[:, None] * np.sqrt(n_channels)
 
-    usable = ~(cov.degenerate_speech | cov.degenerate_noise)
-    usable &= np.all(np.isfinite(cov.noise), axis=(1, 2))
-    usable &= np.all(np.isfinite(d), axis=1)
-    idx = np.flatnonzero(usable)
-    idx = idx[_positive_definite(cov.noise[idx])]
-    solved = np.linalg.solve(cov.noise[idx], d[idx][:, :, None])[:, :, 0]
-    denom = np.real(np.sum(np.conj(d[idx]) * solved, axis=1))
+    finite = np.all(np.isfinite(d), axis=1)
+    idx, d = idx[finite], d[finite]
+    definite = _positive_definite(cov.noise[idx])
+    idx, d = idx[definite], d[definite]
+    solved = np.linalg.solve(cov.noise[idx], d[:, :, None])[:, :, 0]
+    denom = np.real(np.sum(np.conj(d) * solved, axis=1))
     valid = np.isfinite(denom) & (denom > 0)
     w = solved / np.where(valid, denom, 1.0)[:, None]
     valid &= np.all(np.isfinite(w), axis=1)
-    idx, w = idx[valid], w[valid]
-    weights[idx] = w
-    steering[idx] = d[idx]
+    idx = idx[valid]
+    weights[idx] = w[valid]
+    steering[idx] = d[valid]
     passthrough[idx] = False
     return BeamformerWeights(
         weights=weights,
@@ -179,7 +227,8 @@ def beamform(specs, bw: BeamformerWeights) -> Spectrogram:
         )
     if specs[0].n_freq != bw.weights.shape[0]:
         raise DataError("weights frequency axis does not match spectrograms")
-    bins = np.stack([s.bins for s in specs])
-    out = np.einsum("fm,mft->ft", np.conj(bw.weights), bins)
+    conj_weights = np.conj(bw.weights)
+    out = np.empty(specs[0].bins.shape, dtype=np.complex128)
+    for block, bins in _stacked_blocks(specs):
+        out[block] = np.einsum("fm,fmt->ft", conj_weights[block], bins)
     return Spectrogram(bins=out, config=specs[0].config, sample_rate=specs[0].sample_rate)
-

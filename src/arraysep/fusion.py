@@ -28,17 +28,24 @@ class CombineMode(enum.Enum):
 
 
 def fuse_channels(masks) -> MaskGrid:
-    """Elementwise maximum over per-channel masks."""
+    """Elementwise maximum over per-channel masks, as a running maximum
+    into one grid rather than a reduction over a stack of every channel."""
     masks = list(masks)
     if not masks:
         raise DataError("need at least one channel mask")
     shape = masks[0].values.shape
-    stacked = []
+    fused = None
     for mask in masks:
         if mask.values.shape != shape:
             raise DataError("channel masks must share shape")
-        stacked.append(check_ratio_mask(mask))
-    return MaskGrid(values=np.max(stacked, axis=0))
+        values = check_ratio_mask(mask)
+        if fused is None:
+            # C order, as a reduction over a stack returns it: the
+            # covariances' weight sums follow the mask's memory order.
+            fused = np.ascontiguousarray(values)
+        else:
+            np.maximum(fused, values, out=fused)
+    return MaskGrid(values=fused)
 
 
 def combine_masks(enhanced: MaskGrid, clustering: MaskGrid, mode: CombineMode) -> MaskGrid:

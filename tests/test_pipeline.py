@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -888,3 +889,28 @@ def test_cli_evaluate_names_a_malformed_manifest(cli_workspace, tmp_path, capsys
     assert code == 2
     assert f"scene manifest {scene / 'manifest.yaml'}: " in err
     assert "Traceback" not in err
+
+
+# The working-memory bound the README states: enhance()'s traced peak per
+# byte of float64 input, at 8 channels, 1024/256 and a 9-candidate EM grid.
+PEAK_PER_INPUT_BYTE = 14.0
+
+
+@pytest.mark.parametrize("seconds", [2.0, 4.0])
+def test_enhance_peak_memory_per_input_byte(seconds):
+    render = render_scene(random_scene_spec(
+        np.random.default_rng(11), n_channels=8, duration=seconds,
+        sample_rate=16000, n_interferers=1))
+    cfg = PipelineConfig(
+        stft=StftConfig(window_size=1024, hop_size=256),
+        messl=MesslConfig(n_iterations=2, delay_grid=default_delay_grid(2.0, 0.5)),
+    )
+    input_bytes = render.mixture.n_channels * render.mixture.n_samples * 8
+    tracemalloc.start()
+    try:
+        enhance(render.mixture, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / input_bytes
+    assert ratio <= PEAK_PER_INPUT_BYTE, f"peak {peak / 1e6:.1f} MB, {ratio:.2f}x the input"
