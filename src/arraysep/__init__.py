@@ -26,7 +26,7 @@ from .enhancer import (
     save_model,
     train,
 )
-from .errors import DataError, NumericalError, StageError
+from .errors import DataError, NumericalError
 from .fusion import CombineMode, combine_masks, fuse_channels
 from .metrics import EvalScores, bss_eval, decompose, seg_snr
 from .pipeline import (

@@ -12,7 +12,7 @@ import sys
 
 from . import pipeline as pl
 from .enhancer import init_model, save_history, save_model, train
-from .errors import DataError, NumericalError, StageError
+from .errors import DataError, NumericalError
 from .scene import load_render, load_scene_specs, render_scene, save_render
 from .signal import read_wav, save_mask, write_wav
 from .util import load_config
@@ -222,10 +222,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except StageError as exc:
-        kind = EXIT_NUMERIC if isinstance(exc.original, NumericalError) else EXIT_DATA
-        print(f"error: {exc}", file=sys.stderr)
-        return kind
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -55,11 +55,8 @@ class EnhancerConfig:
     target_kind: TargetKind = TargetKind.IA
 
     def __post_init__(self):
-        try:
+        with _located(f"layer_sizes must be a list of widths, got {self.layer_sizes!r}"):
             widths = tuple(self.layer_sizes)
-        except TypeError:
-            raise DataError(f"layer_sizes must be a list of widths, "
-                            f"got {self.layer_sizes!r}") from None
         sizes = tuple(_int_field("layer_sizes", w) for w in widths)
         object.__setattr__(self, "layer_sizes", sizes)
         if not 1 <= len(self.layer_sizes) <= 2:
@@ -600,7 +597,7 @@ def load_model(path) -> EnhancerModel:
     with open(path, "rb") as handle, _located(f"model file {path}"):
         if handle.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
             raise DataError("not a model file")
-        try:
+        with _located("malformed header"):
             (header_len,) = struct.unpack("<I", handle.read(4))
             header = json.loads(handle.read(header_len).decode("utf-8"))
             if set(header["config"]) != {f.name for f in fields(EnhancerConfig)}:
@@ -612,10 +609,6 @@ def load_model(path) -> EnhancerModel:
                 (str(entry["name"]), tuple(int(n) for n in entry["shape"]))
                 for entry in header["tensors"]
             ]
-        except DataError:
-            raise
-        except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise DataError(f"malformed header: {exc!r}") from exc
         if n_freq < 1 or dict(shapes) != dict(tensor_order(config, n_freq)):
             raise DataError("unexpected tensor set")
         params = {}

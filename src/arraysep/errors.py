@@ -7,12 +7,3 @@ class DataError(ValueError):
 
 class NumericalError(ArithmeticError):
     """A computation failed numerically (silent input, divergence, overflow)."""
-
-
-class StageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name for diagnostics."""
-
-    def __init__(self, stage: str, original: BaseException):
-        super().__init__(f"stage '{stage}': {original}")
-        self.stage = stage
-        self.original = original

@@ -18,13 +18,13 @@ class CombineMode(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "CombineMode":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
+        mode = {m.value: m for m in cls}.get(name.strip().lower())
+        if mode is None:
             raise DataError(
                 f"unknown combine mode '{name}', expected one of "
                 f"{[m.value for m in cls]}"
-            ) from None
+            )
+        return mode
 
 
 def fuse_channels(masks) -> MaskGrid:

@@ -4,9 +4,10 @@ preparation and batch experiment loops.
 Stage order: per-channel STFT, EM spatial clustering, optional recurrent
 enhancement of every channel, cross-channel max fusion, combination with
 the clustering mask, mask-driven covariances, MVDR, post filtering with the
-same final mask, inverse STFT. Any stage failure is re-raised with the
-stage name attached. Runs are deterministic for a fixed input and config;
-a digest of the config is recorded in every output table.
+same final mask, inverse STFT. A stage failure is raised as DataError or
+NumericalError with "stage '<name>': " before its message (util._located).
+Runs are deterministic for a fixed input and config; a digest of the
+config is recorded in every output table.
 
 The stages up to fusion do not depend on the combine mode; analyze() runs
 them and enhance() runs the rest. run_experiment() therefore analyzes each
@@ -30,7 +31,7 @@ from .enhancer import (
     enhance_channels,
     load_model,
 )
-from .errors import DataError, StageError
+from .errors import DataError
 from .fusion import CombineMode, combine_masks, fuse_channels
 from .metrics import SEG_FRAME, ProjectionBasis, bss_eval, projection_basis, seg_snr
 from .scene import SceneRender, load_render
@@ -132,13 +133,9 @@ class SceneAnalysis:
     enhanced_mask: MaskGrid | None
 
 
-def _stage(name, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, exc) from exc
+def _stage(name, fn, *args):
+    with _located(f"stage '{name}'"):
+        return fn(*args)
 
 
 def analyze(

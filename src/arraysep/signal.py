@@ -18,7 +18,7 @@ import numpy as np
 import scipy.io.wavfile
 
 from .errors import DataError
-from .util import _int_fields
+from .util import _int_fields, _located
 
 AMP_FLOOR = 1e-8      # linear magnitude floor before dB conversion
 MASK_EPS = 1e-3       # clamp for ratio masks entering logit or log
@@ -230,6 +230,8 @@ class MaskGrid:
 def check_ratio_mask(mask: MaskGrid) -> np.ndarray:
     """Validate a [0, 1] ratio mask, tolerating round-off overshoot."""
     v = mask.values
+    if not v.size:
+        raise DataError(f"ratio mask has no values, shape {v.shape}")
     if v.min() < -1e-9 or v.max() > 1.0 + 1e-9:
         raise DataError(
             f"ratio mask out of [0, 1]: min {v.min():.3g}, max {v.max():.3g}"
@@ -341,16 +343,11 @@ def read_wav(path) -> MultichannelWaveform:
     A file that ends before the length its header declares, as one cut
     inside its data chunk does, raises DataError instead of reading short.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "error", "Reached EOF prematurely", scipy.io.wavfile.WavFileWarning
-            )
-            rate, data = scipy.io.wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise DataError(f"cannot read WAV file {path}: {exc}") from exc
+    with _located(f"cannot read WAV file {path}"), warnings.catch_warnings():
+        warnings.filterwarnings(
+            "error", "Reached EOF prematurely", scipy.io.wavfile.WavFileWarning
+        )
+        rate, data = scipy.io.wavfile.read(path)
     if data.dtype == np.int16:
         data = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
@@ -390,16 +387,14 @@ def load_mask(path) -> MaskGrid:
         blob = handle.read()
     if not blob.startswith(MASK_MAGIC + b"\n"):
         raise DataError(f"{path} is not a mask file")
-    try:
+    with _located(f"malformed mask header in {path}"):
         head, payload = blob.split(b"end\n", 1)
         fields = dict(
             line.split(b" ", 1) for line in head.splitlines()[1:] if b" " in line
         )
         n_freq, n_frames = (int(v) for v in fields[b"shape"].split())
         if n_freq < 0 or n_frames < 0:
-            raise ValueError("negative mask shape")
-    except (ValueError, KeyError) as exc:
-        raise DataError(f"malformed mask header in {path}") from exc
+            raise DataError("negative mask shape")
     if len(payload) != 4 * n_freq * n_frames:
         raise DataError(
             f"mask payload has {len(payload)} bytes, header says "

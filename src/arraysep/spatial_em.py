@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .signal import MaskGrid, check_channels
-from .util import _int_fields
+from .util import _int_fields, _located
 
 VAR_FLOOR = 1e-4          # rad^2, keeps residual Gaussians proper
 MAX_DELAY_CANDIDATES = 4097   # bounds the (sources, freqs, candidates) scores
@@ -83,10 +83,8 @@ class MesslConfig:
         if self.target_source is not None:
             _int_fields(self, "target_source")
         # A read-only copy, so that no in-place write skips these checks.
-        try:
+        with _located("delay grid must be an array of delays"):
             grid = np.array(self.delay_grid, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"delay grid must be an array of delays: {exc}") from None
         grid.flags.writeable = False
         object.__setattr__(self, "delay_grid", grid)
         if self.n_sources < 1:
@@ -337,7 +335,10 @@ def _cross_spectra(specs, reference_channel: int):
     # the output and multiplies as conj(ref) * bins, and the complex
     # product's last bit depends on the operand order, so one shared
     # conjugate changes the phases on one side of that size or the other.
-    return np.stack([specs[c].bins * np.conj(ref) for c in pairs]), pairs
+    # A product that overflows is caught by run_em, as a PHAT sum that is
+    # not finite, so no warning is raised here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([specs[c].bins * np.conj(ref) for c in pairs]), pairs
 
 
 def _phat_correlation(cross: np.ndarray, omega: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -346,7 +347,8 @@ def _phat_correlation(cross: np.ndarray, omega: np.ndarray, grid: np.ndarray) ->
     steering = np.exp(1j * np.outer(grid, omega))
     for p in range(cross.shape[0]):
         mag = np.abs(cross[p])
-        normed = np.where(mag > 0, cross[p] / np.maximum(mag, 1e-30), 0.0)
+        with np.errstate(invalid="ignore"):
+            normed = np.where(mag > 0, cross[p] / np.maximum(mag, 1e-30), 0.0)
         spectrum = normed.sum(axis=1)
         total += np.real(steering @ spectrum)
     return total
@@ -397,11 +399,11 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     omega = 2.0 * np.pi * np.arange(n_freq) / window_size
     grid = cfg.delay_grid
 
+    correlation = _phat_correlation(cross, omega, grid)
+    if not np.all(np.isfinite(correlation)):
+        raise NumericalError("cross spectra overflow: input level too high")
     peaks = _top_peaks(
-        _phat_correlation(cross, omega, grid),
-        grid,
-        cfg.n_sources,
-        min_sep=max(cfg.grid_step, 1.0),
+        correlation, grid, cfg.n_sources, min_sep=max(cfg.grid_step, 1.0)
     )
     del cross
     splits = _delay_splits(phi, grid, omega)

@@ -33,13 +33,13 @@ class TargetKind(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "TargetKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
+        kind = {k.value: k for k in cls}.get(name.strip().lower())
+        if kind is None:
             raise DataError(
                 f"unknown target kind '{name}', expected one of "
                 f"{[k.value for k in cls]}"
-            ) from None
+            )
+        return kind
 
 
 @dataclass

@@ -2,10 +2,13 @@
 one reader of YAML documents (pipeline, train, experiment and scene
 configs, and scene manifests).
 
+_located(where) is the one place where a failure becomes a library
+error: DataError or NumericalError again, with ``where`` in front of its
+message. Pipeline stages, document values, nested sections and file
+readers all run inside it, so an error says where it happened.
+
 Every document value is read with _value(doc, key, convert), which names
 the key in the DataError raised when the value is missing or malformed.
-Readers of a nested section or of a file wrap their work in _located, so
-that the error also says where the key sits.
 The converters below are the only value conversions of document data.
 """
 
@@ -19,7 +22,7 @@ import os
 import numpy as np
 import yaml
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 
 def as_plain_data(obj):
@@ -58,11 +61,8 @@ def load_config(source) -> dict:
     where = "config"
     if isinstance(source, (str, os.PathLike)):
         where = f"config {source}"
-        try:
-            with open(source) as handle:
-                doc = yaml.safe_load(handle)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
-            raise DataError(f"config {source} is not valid YAML: {exc}") from exc
+        with open(source) as handle, _located(f"{where} is not valid YAML"):
+            doc = yaml.safe_load(handle)
         if doc is None:
             doc = {}
     if not isinstance(doc, dict):
@@ -83,19 +83,23 @@ def _value(doc: dict, key: str, convert, default=_REQUIRED):
         raise DataError(f"config is missing '{key}'")
     else:
         value = default
-    try:
+    with _located(f"config key '{key}' = {value!r}"):
         return convert(value)
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise DataError(f"config key '{key}' = {value!r}: {exc}") from exc
 
 
 @contextlib.contextmanager
 def _located(where: str):
-    """Prefix ``where`` (a section, a list entry or a file) to the message
-    of any DataError raised in the block."""
+    """Name ``where`` (a stage, a section, a list entry or a file) in any
+    failure of the block. A NumericalError is raised again as one and an
+    OSError passes through; anything else becomes a DataError, chained
+    from the original. The message is "{where}: {original message}"."""
     try:
         yield
-    except DataError as exc:
+    except NumericalError as exc:
+        raise NumericalError(f"{where}: {exc}") from exc
+    except OSError:
+        raise
+    except Exception as exc:
         raise DataError(f"{where}: {exc}") from exc
 
 
@@ -137,10 +141,8 @@ def _int_field(name: str, value) -> int:
     """A config field's value as an integer (see _int); anything else, a
     number with a fractional part among them, raises DataError naming the
     field ``name``."""
-    try:
+    with _located(f"{name} must be an integer, got {value!r}"):
         return _int(value)
-    except (TypeError, ValueError, ArithmeticError):
-        raise DataError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _int_fields(config, *names) -> None:

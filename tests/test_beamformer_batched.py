@@ -24,6 +24,8 @@ from arraysep.beamformer import (
 )
 from arraysep.signal import AMP_FLOOR, MaskGrid, Spectrogram, StftConfig
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TOL = 1e-12
 
 

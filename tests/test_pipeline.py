@@ -32,9 +32,12 @@ from arraysep import (
     evaluate_scene,
     init_model,
     istft,
+    load_mask,
+    load_model,
     load_render,
     logit_mask,
     random_scene_spec,
+    read_wav,
     render_scene,
     run_experiment,
     save_model,
@@ -45,8 +48,9 @@ from arraysep import (
 from arraysep import pipeline
 from arraysep.cli import main
 from arraysep.enhancer import MODEL_MAGIC, FeatureStats
-from arraysep.errors import DataError, StageError
+from arraysep.errors import DataError
 from arraysep.pipeline import analyze, score_row, write_score_csv
+from arraysep.signal import MASK_MAGIC
 from arraysep.spatial_em import MesslConfig, MesslResult, default_delay_grid, run_em
 from arraysep.util import config_hash, load_config
 
@@ -129,9 +133,9 @@ def test_stage_error_names_failing_stage(render):
     arr = np.stack([render.mixture.channel(c).samples[:8]
                     for c in range(render.mixture.n_channels)])
     short = MultichannelWaveform.from_array(arr, rate)
-    with pytest.raises(StageError, match="stft") as info:
+    with pytest.raises(DataError, match="^stage 'stft': ") as info:
         enhance(short, _small_cfg())
-    assert isinstance(info.value.original, DataError)
+    assert type(info.value) is DataError
 
 
 def test_silent_mixture_fails_numerically(render):
@@ -139,9 +143,9 @@ def test_silent_mixture_fails_numerically(render):
         np.zeros((render.mixture.n_channels, render.mixture.n_samples)),
         render.mixture.sample_rate,
     )
-    with pytest.raises(StageError, match="spatial_em") as info:
+    with pytest.raises(NumericalError, match="^stage 'spatial_em': ") as info:
         enhance(silent, _small_cfg())
-    assert isinstance(info.value.original, NumericalError)
+    assert type(info.value) is NumericalError
 
 
 def test_enhance_exposes_em_result(render):
@@ -386,7 +390,7 @@ def test_run_experiment_failed_analysis_gives_row_per_mode(tmp_path, monkeypatch
     scene_dir = str(tmp_path / "silent")
     save_render(silent, scene_dir)
     manifest = dict(_manifest([scene_dir]), combine_modes=["avg", "max", "min"])
-    with pytest.raises(StageError, match="spatial_em") as info:
+    with pytest.raises(NumericalError, match="^stage 'spatial_em': ") as info:
         enhance(silent.mixture, pipeline.pipeline_config_from_dict(manifest))
     calls = _count_run_em(monkeypatch)
     rows = run_experiment(manifest)
@@ -889,6 +893,102 @@ def test_cli_evaluate_names_a_malformed_manifest(cli_workspace, tmp_path, capsys
     assert code == 2
     assert f"scene manifest {scene / 'manifest.yaml'}: " in err
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------- error contract
+
+CONTRACT_CASES = [
+    "enhance too short", "enhance silent", "enhance reference channel",
+    "load_model junk header", "load_mask junk shape", "load_config broken YAML",
+    "read_wav junk bytes", "read_wav directory",
+]
+
+
+def _contract_cases(render, tmp_path, workspace):
+    """{case: (library call, class, location, foreign cause, CLI arguments,
+    exit code)}. The location starts the message; the foreign cause is the
+    class of the exception at the root of the __cause__ chain (None when a
+    library error is raised again). An OSError is located by its filename,
+    and load_mask has no CLI command."""
+    rate = render.mixture.sample_rate
+    scene_wav = str(workspace / "scenes" / "scene_000" / "mixture.wav")
+
+    def wav(name, samples):
+        wave = MultichannelWaveform.from_array(samples, rate)
+        write_wav(str(tmp_path / name), wave)
+        return wave, str(tmp_path / name)
+
+    def junk(name, blob):
+        (tmp_path / name).write_bytes(blob)
+        return str(tmp_path / name)
+
+    def cli(wav_path, *flags, config=str(workspace / "pipeline.yml")):
+        return ["enhance", "--input", wav_path, "--out", str(tmp_path / "out.wav"),
+                "--config", config, *flags]
+
+    short, short_wav = wav("short.wav", render.mixture.as_array()[:, :8])
+    silent, silent_wav = wav("silent.wav", np.zeros_like(render.mixture.as_array()))
+    model = junk("junk.model", MODEL_MAGIC + struct.pack("<I", 5) + b"junk!")
+    mask = junk("junk.mask", MASK_MAGIC + b"\nshape a b\nconfig -\nend\n")
+    config = junk("broken.yml", b"stft: [64\n")
+    bad_wav = junk("junk.wav", b"not a RIFF file at all")
+    folder = str(tmp_path)
+    return {
+        "enhance too short": (
+            lambda: enhance(short, _small_cfg()), DataError, "stage 'stft'",
+            None, cli(short_wav), 2),
+        "enhance silent": (
+            lambda: enhance(silent, _small_cfg()), NumericalError,
+            "stage 'spatial_em'", None, cli(silent_wav), 3),
+        "enhance reference channel": (
+            lambda: enhance(render.mixture, _small_cfg(reference_channel=2)),
+            DataError, "stage 'spatial_em'", None,
+            cli(scene_wav, "--ref-channel", "2"), 2),
+        "load_model junk header": (
+            lambda: load_model(model), DataError,
+            f"model file {model}: malformed header", json.JSONDecodeError,
+            cli(scene_wav, "--model", model), 2),
+        "load_mask junk shape": (
+            lambda: load_mask(mask), DataError, f"malformed mask header in {mask}",
+            ValueError, None, None),
+        "load_config broken YAML": (
+            lambda: load_config(config), DataError,
+            f"config {config} is not valid YAML", yaml.YAMLError,
+            cli(scene_wav, config=config), 2),
+        "read_wav junk bytes": (
+            lambda: read_wav(bad_wav), DataError, f"cannot read WAV file {bad_wav}",
+            ValueError, cli(bad_wav), 2),
+        "read_wav directory": (
+            lambda: read_wav(folder), IsADirectoryError, folder, None,
+            cli(folder), 2),
+    }
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_malformed_input_raises_its_documented_class(render, cli_workspace, tmp_path,
+                                                     capsys, case):
+    call, kind, where, cause, argv, code = _contract_cases(
+        render, tmp_path, cli_workspace)[case]
+    with pytest.raises(Exception) as info:
+        call()
+    exc = info.value
+    assert type(exc) is kind
+    if issubclass(kind, OSError):
+        assert exc.filename == where
+    else:
+        assert str(exc).startswith(f"{where}: ")
+        root = exc
+        while root.__cause__ is not None:
+            root = root.__cause__
+        if cause is None:
+            assert root is not exc and type(root) is kind
+        else:
+            assert isinstance(root, cause)
+            assert not isinstance(root, (DataError, NumericalError))
+    if argv is not None:
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
 
 
 # The working-memory bound the README states: enhance()'s traced peak per

@@ -13,6 +13,7 @@ from scipy.special import expit
 
 from arraysep import (
     BeamformerWeights,
+    CombineMode,
     DataError,
     FeatureStats,
     MaskGrid,
@@ -23,7 +24,9 @@ from arraysep import (
     Waveform,
     apply_mask,
     beamform,
+    combine_masks,
     estimate_covariances,
+    fuse_channels,
     istft,
     load_mask,
     read_wav,
@@ -40,6 +43,8 @@ from arraysep.signal import (
     make_window,
 )
 from waveforms import make_noise, make_tone
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ---------------------------------------------------------------- analysis
@@ -218,6 +223,19 @@ def test_check_ratio_mask_tolerates_roundoff():
 def test_check_ratio_mask_rejects_out_of_range():
     with pytest.raises(DataError, match="out of"):
         check_ratio_mask(MaskGrid(values=np.array([[1.5]])))
+
+
+@pytest.mark.parametrize("use", [
+    lambda mask: estimate_covariances(
+        [Spectrogram(bins=np.zeros((5, 0), complex), config=StftConfig(8, 2),
+                     sample_rate=16000)] * 2, mask),
+    lambda mask: fuse_channels([mask, mask]),
+    lambda mask: combine_masks(mask, mask, CombineMode.AVG),
+    logit_mask,
+], ids=["estimate_covariances", "fuse_channels", "combine_masks", "logit_mask"])
+def test_zero_frame_ratio_mask_is_data_error(use):
+    with pytest.raises(DataError, match=r"ratio mask has no values, shape \(5, 0\)"):
+        use(MaskGrid(values=np.zeros((5, 0))))
 
 
 def test_mask_rejects_non_finite():

@@ -12,13 +12,16 @@ from scipy.special import logsumexp
 from arraysep import (
     DataError,
     MesslConfig,
+    MultichannelWaveform,
     NumericalError,
+    PipelineConfig,
     SceneSpec,
     SourceSpec,
     Spectrogram,
     StftConfig,
     binarize,
     default_delay_grid,
+    enhance,
     random_scene_spec,
     render_scene,
     run_em,
@@ -38,6 +41,8 @@ from arraysep.spatial_em import (
     _silent,
     _wrap,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _delayed_scene(delay: float, seed: int = 0, noise: float = 0.0,
@@ -491,6 +496,30 @@ def test_em_silent_input_raises():
                        sample_rate=16000)
     with pytest.raises(NumericalError, match="silent"):
         run_em([zero, zero], MesslConfig())
+
+
+def test_em_overflowing_cross_spectra_fail_numerically():
+    # A power-of-two scale leaves every phase as it was until the largest
+    # cross products overflow: at 2**505 EM fits the unscaled delays, at
+    # 2**510 it must stop instead of fitting the NaN phases.
+    render = render_scene(random_scene_spec(np.random.default_rng(3),
+                                            n_channels=4, duration=1.0))
+    cfg = PipelineConfig(stft=StftConfig(window_size=512, hop_size=128))
+
+    def scaled(k):
+        return MultichannelWaveform.from_array(
+            render.mixture.as_array() * 2.0 ** k, render.mixture.sample_rate)
+
+    def delays(k):
+        mixture = scaled(k)
+        specs = [stft(mixture.channel(c), cfg.stft) for c in range(4)]
+        return run_em(specs, cfg.messl).params.delays
+
+    np.testing.assert_array_equal(delays(505), delays(0))
+    with pytest.raises(NumericalError, match="^cross spectra overflow"):
+        delays(510)
+    with pytest.raises(NumericalError, match="^stage 'spatial_em': cross spectra"):
+        enhance(scaled(510), cfg)
 
 
 def _old_silent(specs):
