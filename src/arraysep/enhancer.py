@@ -32,7 +32,17 @@ from scipy.special import expit
 from .errors import DataError, NumericalError
 from .signal import FeatureStats, MaskGrid, logit_mask, to_log_features
 from .targets import TargetContext, TargetKind, compute_target, loss_with_grad
-from .util import _int_field, _int_fields, _located, as_plain_data
+from .util import (
+    _at_least,
+    _fields,
+    _located,
+    _nonnegative,
+    _one_of,
+    _parsed,
+    _seed,
+    _tuple_of,
+    as_plain_data,
+)
 
 MERGE_MODES = ("sum", "multiply", "average", "concatenate")
 OUTPUT_ACTIVATIONS = ("sigmoid", "hard_sigmoid")
@@ -54,22 +64,16 @@ class EnhancerConfig:
     output_activation: str = "sigmoid"
     target_kind: TargetKind = TargetKind.IA
 
+    _converters = dict(
+        layer_sizes=_tuple_of(_at_least(1)), merge_mode=_one_of(*MERGE_MODES),
+        output_activation=_one_of(*OUTPUT_ACTIVATIONS),
+        target_kind=_parsed(TargetKind),
+    )
+
     def __post_init__(self):
-        with _located(f"layer_sizes must be a list of widths, got {self.layer_sizes!r}"):
-            widths = tuple(self.layer_sizes)
-        sizes = tuple(_int_field("layer_sizes", w) for w in widths)
-        object.__setattr__(self, "layer_sizes", sizes)
+        _fields(self, **self._converters)
         if not 1 <= len(self.layer_sizes) <= 2:
             raise DataError("one or two recurrent layers are supported")
-        if any(w < 1 for w in self.layer_sizes):
-            raise DataError("layer widths must be positive")
-        if self.merge_mode not in MERGE_MODES:
-            raise DataError(f"merge_mode must be one of {MERGE_MODES}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise DataError(f"output_activation must be one of {OUTPUT_ACTIVATIONS}")
-        if not isinstance(self.target_kind, TargetKind):
-            kind = TargetKind.parse(str(self.target_kind))
-            object.__setattr__(self, "target_kind", kind)
 
 
 @dataclass
@@ -427,19 +431,14 @@ class TrainSettings:
     patience: int = 5
     seed: int = 0
 
+    # A learning rate of 0 is kept: it evaluates without updating.
+    _converters = dict(
+        learning_rate=_nonnegative, max_epochs=_at_least(1),
+        patience=_at_least(1), seed=_seed,
+    )
+
     def __post_init__(self):
-        _int_fields(self, "max_epochs", "patience", "seed")
-        # A learning rate of 0 is kept: it evaluates without updating.
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise DataError(
-                f"learning_rate must be finite and not negative, got {self.learning_rate}"
-            )
-        if self.max_epochs < 1:
-            raise DataError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise DataError(f"patience must be at least 1, got {self.patience}")
-        if self.seed < 0:
-            raise DataError(f"seed must be at least 0, got {self.seed}")
+        _fields(self, **self._converters)
 
 
 class _Adam:

@@ -31,7 +31,6 @@ from .enhancer import (
     enhance_channels,
     load_model,
 )
-from .errors import DataError
 from .fusion import CombineMode, combine_masks, fuse_channels
 from .metrics import SEG_FRAME, ProjectionBasis, bss_eval, projection_basis, seg_snr
 from .scene import SceneRender, load_render
@@ -55,12 +54,11 @@ from .spatial_em import (
 )
 from .targets import TargetKind
 from .util import (
-    _bool,
+    _at_least,
+    _expect,
+    _fields,
     _fraction,
     _given,
-    _int,
-    _int_fields,
-    _int_tuple,
     _list,
     _located,
     _mapping,
@@ -91,13 +89,15 @@ class PipelineConfig:
     messl_binarize_threshold: float | None = None
     seg_frame: int = SEG_FRAME
 
+    _converters = dict(
+        stft=_expect(StftConfig, "an StftConfig"),
+        messl=_expect(MesslConfig, "a MesslConfig"),
+        combine_mode=_parsed(CombineMode), model_path=_optional(_string),
+        messl_binarize_threshold=_optional(_fraction), seg_frame=_at_least(1),
+    )
+
     def __post_init__(self):
-        _int_fields(self, "seg_frame")
-        threshold = self.messl_binarize_threshold
-        if threshold is not None and not 0.0 <= threshold < 1.0:
-            raise DataError(f"messl_binarize_threshold must be in [0, 1), got {threshold}")
-        if self.seg_frame < 1:
-            raise DataError(f"seg_frame must be at least 1, got {self.seg_frame}")
+        _fields(self, **self._converters)
 
     @property
     def reference_channel(self) -> int:
@@ -254,7 +254,7 @@ def evaluate_scene(
 
 @_located("stft")
 def _stft_from_dict(d: dict) -> StftConfig:
-    kwargs = _given(d, window_size=_int, hop_size=_int, window=_string)
+    kwargs = _given(d, **StftConfig._converters)
     if "window_size" in kwargs:
         kwargs.setdefault("hop_size", kwargs["window_size"] // 4)
     return StftConfig(**kwargs)
@@ -262,10 +262,9 @@ def _stft_from_dict(d: dict) -> StftConfig:
 
 @_located("messl")
 def _messl_from_dict(d: dict) -> MesslConfig:
-    kwargs = _given(
-        d, n_sources=_int, n_iterations=_int, convergence_tol=float,
-        use_garbage=_bool, target_source=_optional(_int),
-    )
+    # reference_channel is the top-level key ref_channel.
+    keys = {k: c for k, c in MesslConfig._converters.items() if k != "reference_channel"}
+    kwargs = _given(d, **keys)
     grid = _given(d, max_delay=float, step=("grid_step", float))
     if grid:
         kwargs["delay_grid"] = default_delay_grid(**grid)
@@ -275,20 +274,23 @@ def _messl_from_dict(d: dict) -> MesslConfig:
 def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
     """Build a pipeline config from a parsed YAML mapping.
 
-    Sections must be mappings and values must convert to their types;
-    otherwise DataError names the key. The top-level ref_channel key sets
-    messl.reference_channel.
+    Sections must be mappings and each value goes through the converter of
+    the config field it sets; otherwise DataError names the key. The
+    top-level ref_channel key sets messl.reference_channel.
     """
+    convert = PipelineConfig._converters
     return PipelineConfig(
         stft=_stft_from_dict(_value(doc, "stft", _mapping, {})),
         messl=dataclasses.replace(
             _messl_from_dict(_value(doc, "messl", _mapping, {})),
-            **_given(doc, reference_channel=("ref_channel", _int)),
+            **_given(doc, reference_channel=(
+                "ref_channel", MesslConfig._converters["reference_channel"])),
         ),
         **_given(
-            doc, combine_mode=("combine", _parsed(CombineMode)),
-            model_path=("model", _optional(_string)),
-            messl_binarize_threshold=_optional(float), seg_frame=_int,
+            doc, combine_mode=("combine", convert["combine_mode"]),
+            model_path=("model", convert["model_path"]),
+            messl_binarize_threshold=convert["messl_binarize_threshold"],
+            seg_frame=convert["seg_frame"],
         ),
     )
 
@@ -300,13 +302,8 @@ def training_config_from_dict(doc: dict) -> tuple:
     holdout_fraction, all_channels); all_channels is true when every
     channel, not only the reference channel, gives a training sequence.
     """
-    net = EnhancerConfig(**_given(
-        doc, layer_sizes=_int_tuple, merge_mode=_string,
-        output_activation=_string, target_kind=_parsed(TargetKind),
-    ))
-    settings = TrainSettings(**_given(
-        doc, learning_rate=float, max_epochs=_int, patience=_int, seed=_int,
-    ))
+    net = EnhancerConfig(**_given(doc, **EnhancerConfig._converters))
+    settings = TrainSettings(**_given(doc, **TrainSettings._converters))
     holdout = _value(doc, "holdout_fraction", _fraction, 0.2)
     channels = _value(doc, "channels", _one_of("reference", "all"), "reference")
     scenes = _value(doc, "scenes", _string)

@@ -30,16 +30,18 @@ from .signal import (
 from .targets import TargetContext, TargetKind, compute_target
 from .util import (
     _at_least,
+    _expect,
+    _fields,
+    _finite,
     _float_pair,
-    _float_tuple,
     _given,
-    _int,
-    _int_fields,
     _located,
     _mapping,
+    _nonnegative,
     _number_or_range,
     _one_of,
     _optional,
+    _positive,
     _seed,
     _string,
     _tuple_of,
@@ -68,15 +70,23 @@ class SourceSpec:
     delays: tuple
     gains: tuple
 
+    _converters = dict(
+        signal=_expect(Waveform, "a Waveform"),
+        delays=_tuple_of(_finite), gains=_tuple_of(_positive),
+    )
+
     def __post_init__(self):
-        object.__setattr__(self, "delays", tuple(float(d) for d in self.delays))
-        object.__setattr__(self, "gains", tuple(float(g) for g in self.gains))
+        _fields(self, **self._converters)
         if len(self.delays) != len(self.gains):
             raise DataError("delays and gains must have one entry per channel")
-        if not all(np.isfinite(self.delays)):
-            raise DataError("delays must be finite")
-        if any(g <= 0 for g in self.gains):
-            raise DataError("gains must be positive")
+
+
+def _sources(value) -> tuple:
+    """A nonempty list of SourceSpecs, as a tuple."""
+    sources = _tuple_of(_expect(SourceSpec, "a SourceSpec"))(value)
+    if not sources:
+        raise ValueError("scene needs at least one source")
+    return sources
 
 
 @dataclass(frozen=True)
@@ -89,18 +99,14 @@ class SceneSpec:
     diffuse_noise_level: float = 0.0
     seed: int = 0
 
+    # sources first: its error is the one a scene without sources reports.
+    _converters = dict(
+        sources=_sources, n_channels=_at_least(2), sample_rate=_at_least(1),
+        diffuse_noise_level=_nonnegative, seed=_seed,
+    )
+
     def __post_init__(self):
-        _int_fields(self, "n_channels", "sample_rate", "seed")
-        object.__setattr__(self, "sources", tuple(self.sources))
-        if not self.sources:
-            raise DataError("scene needs at least one source")
-        if self.n_channels < 2:
-            raise DataError("scene needs at least two channels")
-        if not 0.0 <= self.diffuse_noise_level < np.inf:
-            raise DataError(f"diffuse_noise_level must be finite and nonnegative, "
-                            f"got {self.diffuse_noise_level}")
-        if self.seed < 0:
-            raise DataError(f"seed must be at least 0, got {self.seed}")
+        _fields(self, **self._converters)
         for src in self.sources:
             if len(src.delays) != self.n_channels:
                 raise DataError(
@@ -331,11 +337,12 @@ def _source_from_dict(entry: dict, sample_rate: int, seed: int) -> SourceSpec:
                 samples=signal.samples * level / current,
                 sample_rate=signal.sample_rate,
             )
-    delays = _value(entry, "delays", _float_tuple)
+    convert = SourceSpec._converters
+    delays = _value(entry, "delays", convert["delays"])
     return SourceSpec(
         signal=signal,
         delays=delays,
-        gains=_value(entry, "gains", _float_tuple, [1.0] * len(delays)),
+        gains=_value(entry, "gains", convert["gains"], [1.0] * len(delays)),
     )
 
 
@@ -351,14 +358,16 @@ def load_scene_specs(path) -> list:
     or malformed value (n_scenes below 1, say) raises DataError naming it.
     """
     doc = load_config(path)
+    convert = SceneSpec._converters
     if "batch" in doc:
         batch = _value(doc, "batch", _mapping)
         with _located("batch"):
             rng = np.random.default_rng(_value(batch, "seed", _seed, 0))
             layout = _given(
-                batch, snr_db=_number_or_range, n_channels=_int, duration=float,
-                sample_rate=_int, target_delay_range=("delay_range", _float_pair),
-                n_interferers=_int,
+                batch, snr_db=_number_or_range, n_channels=convert["n_channels"],
+                duration=float, sample_rate=convert["sample_rate"],
+                target_delay_range=("delay_range", _float_pair),
+                n_interferers=_at_least(0),
             )
             snr = layout.get("snr_db")
             specs = []
@@ -367,23 +376,17 @@ def load_scene_specs(path) -> list:
                     layout["snr_db"] = rng.uniform(*snr)
                 specs.append(random_scene_spec(rng, **layout))
         return specs
-    rate = _value(doc, "sample_rate", _int, 16000)
-    seed = _value(doc, "seed", _seed, 0)
+    rate = _value(doc, "sample_rate", convert["sample_rate"], 16000)
+    seed = _value(doc, "seed", convert["seed"], 0)
     sources = []
     for i, entry in enumerate(_value(doc, "sources", _tuple_of(_mapping))):
         with _located(f"sources[{i}]"):
             sources.append(_source_from_dict(entry, rate, seed * 1000 + i))
-    return [
-        SceneSpec(
-            sources=tuple(sources),
-            n_channels=_value(
-                doc, "n_channels", _int, len(sources[0].delays) if sources else 0
-            ),
-            sample_rate=rate,
-            seed=seed,
-            **_given(doc, diffuse_noise_level=float),
-        )
-    ]
+    given = _given(doc, n_channels=convert["n_channels"],
+                   diffuse_noise_level=convert["diffuse_noise_level"])
+    # With no sources SceneSpec reports that, not the 0 channels.
+    given.setdefault("n_channels", len(sources[0].delays) if sources else 0)
+    return [SceneSpec(sources=tuple(sources), sample_rate=rate, seed=seed, **given)]
 
 
 def save_render(render: SceneRender, directory, extras: dict | None = None) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.io.wavfile
 
 from .errors import DataError
-from .util import _int_fields, _located
+from .util import _at_least, _fields, _located, _one_of
 
 AMP_FLOOR = 1e-8      # linear magnitude floor before dB conversion
 MASK_EPS = 1e-3       # clamp for ratio masks entering logit or log
@@ -42,9 +42,7 @@ class Waveform:
             raise DataError(f"waveform must be 1-D, got shape {self.samples.shape}")
         if not np.all(np.isfinite(self.samples)):
             raise DataError("waveform contains non-finite samples")
-        self.sample_rate = int(self.sample_rate)
-        if self.sample_rate <= 0:
-            raise DataError(f"sample rate must be positive, got {self.sample_rate}")
+        _fields(self, sample_rate=_at_least(1))
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -103,17 +101,12 @@ class MultichannelWaveform:
 
 
 def make_window(name: str, size: int) -> np.ndarray:
-    """Return a periodic window of the given size."""
-    if size <= 0:
-        raise DataError(f"window size must be positive, got {size}")
+    """Return a periodic window of the given size; StftConfig checks that
+    ``name`` is one of WINDOW_NAMES and ``size`` is positive."""
     if name == "rect":
         return np.ones(size)
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(size) / size)
-    if name == "hann":
-        return hann
-    if name == "sqrt_hann":
-        return np.sqrt(hann)
-    raise DataError(f"unknown window '{name}', expected one of {WINDOW_NAMES}")
+    return hann if name == "hann" else np.sqrt(hann)
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -154,13 +147,15 @@ class StftConfig:
     hop_size: int = 256
     window: str = "sqrt_hann"
 
+    _converters = dict(
+        window_size=_at_least(1), hop_size=_at_least(1), window=_one_of(*WINDOW_NAMES)
+    )
+
     def __post_init__(self):
-        _int_fields(self, "window_size", "hop_size")
-        if self.window_size <= 0:
-            raise DataError(f"window_size must be positive, got {self.window_size}")
-        if not 0 < self.hop_size <= self.window_size:
+        _fields(self, **self._converters)
+        if self.hop_size > self.window_size:
             raise DataError(
-                f"hop_size must be in (0, window_size], got {self.hop_size}"
+                f"hop_size must be at most window_size, got {self.hop_size}"
             )
         _check_cola(make_window(self.window, self.window_size), self.hop_size)
 
@@ -341,13 +336,23 @@ def read_wav(path) -> MultichannelWaveform:
     """Read a RIFF/WAVE file (PCM16, PCM32, float32/64) as float64 channels.
 
     A file that ends before the length its header declares, as one cut
-    inside its data chunk does, raises DataError instead of reading short.
+    inside its data chunk does, or that lacks its format or data chunk,
+    raises DataError instead of reading short. scipy's warnings (a chunk
+    it does not know and skips) are passed on only when the file reads.
     """
-    with _located(f"cannot read WAV file {path}"), warnings.catch_warnings():
-        warnings.filterwarnings(
-            "error", "Reached EOF prematurely", scipy.io.wavfile.WavFileWarning
-        )
-        rate, data = scipy.io.wavfile.read(path)
+    wav_warning = scipy.io.wavfile.WavFileWarning
+    with (warnings.catch_warnings(record=True) as caught,
+          _located(f"cannot read WAV file {path}")):
+        warnings.filterwarnings("error", "Reached EOF prematurely", wav_warning)
+        try:
+            rate, data = scipy.io.wavfile.read(path)
+        except UnboundLocalError as exc:
+            # scipy reads to the end of such a file, then returns its rate
+            # (fs) or its samples (data) unset.
+            missing = "data" if "'data'" in str(exc) else "format ('fmt ')"
+            raise DataError(f"no {missing} chunk") from None
+    for caught_warning in caught:
+        warnings.warn(caught_warning.message, stacklevel=2)
     if data.dtype == np.int16:
         data = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .signal import MaskGrid, check_channels
-from .util import _int_fields, _located
+from .util import _at_least, _bool, _fields, _located, _nonnegative, _optional
 
 VAR_FLOOR = 1e-4          # rad^2, keeps residual Gaussians proper
 MAX_DELAY_CANDIDATES = 4097   # bounds the (sources, freqs, candidates) scores
@@ -78,23 +78,19 @@ class MesslConfig:
     use_garbage: bool = True
     target_source: int | None = None
 
+    _converters = dict(
+        n_sources=_at_least(1), n_iterations=_at_least(1),
+        reference_channel=_at_least(0), convergence_tol=_nonnegative,
+        use_garbage=_bool, target_source=_optional(_at_least(0)),
+    )
+
     def __post_init__(self):
-        _int_fields(self, "n_sources", "n_iterations", "reference_channel")
-        if self.target_source is not None:
-            _int_fields(self, "target_source")
+        _fields(self, **self._converters)
         # A read-only copy, so that no in-place write skips these checks.
         with _located("delay grid must be an array of delays"):
             grid = np.array(self.delay_grid, dtype=np.float64)
         grid.flags.writeable = False
         object.__setattr__(self, "delay_grid", grid)
-        if self.n_sources < 1:
-            raise DataError("need at least one source")
-        if self.n_iterations < 1:
-            raise DataError("need at least one EM iteration")
-        if self.reference_channel < 0:
-            raise DataError(
-                f"reference_channel must be at least 0, got {self.reference_channel}"
-            )
         if grid.ndim != 1 or not np.all(np.isfinite(grid)):
             raise DataError("delay grid must be a 1-D array of finite delays")
         if not self.n_sources <= grid.size <= MAX_DELAY_CANDIDATES:
@@ -104,12 +100,7 @@ class MesslConfig:
             )
         if np.abs(grid).min() > 1e-12:
             raise DataError("delay grid must contain zero")
-        if not 0.0 <= self.convergence_tol < np.inf:
-            raise DataError(f"convergence_tol must be finite and at least 0, "
-                            f"got {self.convergence_tol}")
-        if self.target_source is not None and not (
-            0 <= self.target_source < self.n_sources
-        ):
+        if self.target_source is not None and self.target_source >= self.n_sources:
             raise DataError("target source index out of range")
 
     @property
@@ -323,22 +314,23 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 def _cross_spectra(specs, reference_channel: int):
     """Each non-reference channel times the conjugate reference, stacked
-    as (n_pairs, n_freq, n_frames), and the non-reference channels."""
+    as (n_pairs, n_freq, n_frames), and the non-reference channels. With
+    FMA a complex product's last bit depends on the operand order, so it is
+    fixed: conj(ref) * bins, whatever the size and the numpy build."""
     specs = check_channels(specs)
     if len(specs) < 2:
         raise DataError("need at least two channels for phase differences")
     if not 0 <= reference_channel < len(specs):
         raise DataError(f"reference channel {reference_channel} out of range")
-    ref = specs[reference_channel].bins
+    ref_conj = np.conj(specs[reference_channel].bins)
     pairs = tuple(c for c in range(len(specs)) if c != reference_channel)
-    # No hoisted np.conj(ref): from 256 KiB numpy reuses the temporary as
-    # the output and multiplies as conj(ref) * bins, and the complex
-    # product's last bit depends on the operand order, so one shared
-    # conjugate changes the phases on one side of that size or the other.
+    cross = np.empty((len(pairs),) + ref_conj.shape, dtype=np.complex128)
     # A product that overflows is caught by run_em, as a PHAT sum that is
     # not finite, so no warning is raised here.
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.stack([specs[c].bins * np.conj(ref) for c in pairs]), pairs
+        for p, c in enumerate(pairs):
+            np.multiply(ref_conj, specs[c].bins, out=cross[p])
+    return cross, pairs
 
 
 def _phat_correlation(cross: np.ndarray, omega: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -8,8 +8,10 @@ message. Pipeline stages, document values, nested sections and file
 readers all run inside it, so an error says where it happened.
 
 Every document value is read with _value(doc, key, convert), which names
-the key in the DataError raised when the value is missing or malformed.
-The converters below are the only value conversions of document data.
+the key in the DataError raised when the value is missing or malformed. A
+config dataclass stores each field through its converter (_fields), and a
+reader reads a key with the converter of the field it sets. The converters
+below are the only value conversions of config fields and document data.
 """
 
 import contextlib
@@ -103,6 +105,19 @@ def _located(where: str):
         raise DataError(f"{where}: {exc}") from exc
 
 
+def _fields(config, **converters) -> None:
+    """Store each named field of ``config`` (a dataclass, frozen or not)
+    through its converter. A value the converter rejects raises DataError
+    "{name} = {value!r}: ..."; the message is formed only then."""
+    for name, convert in converters.items():
+        value = getattr(config, name)
+        try:
+            object.__setattr__(config, name, convert(value))
+        except Exception:
+            with _located(f"{name} = {value!r}"):
+                raise
+
+
 def _given(doc: dict, **fields) -> dict:
     """{field: value} read by _value for each key ``doc`` sets. A keyword
     maps a field to its converter, or to (document key, converter); a
@@ -129,32 +144,13 @@ _string = _expect(str, "a string")
 _bool = _expect(bool, "true or false")
 
 
-def _int(value) -> int:
-    """An integer; a number with a fractional part is rejected, not truncated."""
-    number = int(value)
-    if not isinstance(value, str) and number != value:
-        raise ValueError("not an integer")
-    return number
-
-
-def _int_field(name: str, value) -> int:
-    """A config field's value as an integer (see _int); anything else, a
-    number with a fractional part among them, raises DataError naming the
-    field ``name``."""
-    with _located(f"{name} must be an integer, got {value!r}"):
-        return _int(value)
-
-
-def _int_fields(config, *names) -> None:
-    """Store each named field of a frozen config as an int (see _int_field)."""
-    for name in names:
-        object.__setattr__(config, name, _int_field(name, getattr(config, name)))
-
-
 def _at_least(low):
-    """An integer (see _int) of at least ``low``."""
+    """An integer of at least ``low``; a number with a fractional part is
+    rejected, not truncated."""
     def check(value):
-        number = _int(value)
+        number = int(value)
+        if not isinstance(value, str) and number != value:
+            raise ValueError("not an integer")
         if number < low:
             raise ValueError(f"must be at least {low}")
         return number
@@ -164,12 +160,20 @@ def _at_least(low):
 _seed = _at_least(0)
 
 
-def _fraction(value) -> float:
-    """A finite float in [0, 1)."""
-    number = float(value)
-    if not 0.0 <= number < 1.0:
-        raise ValueError("expected a finite number in [0, 1)")
-    return number
+def _real(expected, test=lambda number: True):
+    """A finite float for which ``test`` holds, else "expected {expected}"."""
+    def check(value):
+        number = float(value)
+        if not (np.isfinite(number) and test(number)):
+            raise ValueError(f"expected {expected}")
+        return number
+    return check
+
+
+_finite = _real("a finite number")
+_nonnegative = _real("a finite number of at least 0", lambda x: x >= 0.0)
+_positive = _real("a positive finite number", lambda x: x > 0.0)
+_fraction = _real("a finite number in [0, 1)", lambda x: 0.0 <= x < 1.0)
 
 
 def _optional(convert):
@@ -180,17 +184,13 @@ def _tuple_of(convert):
     return lambda value: tuple(convert(v) for v in _list(value))
 
 
-_int_tuple = _tuple_of(_int)
-_float_tuple = _tuple_of(float)
-
-
 def _float_pair(value) -> tuple:
     """A (low, high) range of two finite floats."""
-    pair = _float_tuple(value)
+    pair = _tuple_of(_finite)(value)
     if len(pair) != 2:
         raise ValueError(f"expected two numbers, got {len(pair)}")
-    if not (np.all(np.isfinite(pair)) and pair[0] <= pair[1]):
-        raise ValueError("expected a finite range, low <= high")
+    if pair[0] > pair[1]:
+        raise ValueError("expected a range, low <= high")
     return pair
 
 
@@ -208,5 +208,6 @@ def _one_of(*choices):
 
 
 def _parsed(kind):
-    """A converter through ``kind.parse`` (a name-parsing enum)."""
-    return lambda value: kind.parse(str(value))
+    """A member of ``kind`` (a name-parsing enum), or its name through
+    ``kind.parse``."""
+    return lambda value: value if isinstance(value, kind) else kind.parse(str(value))

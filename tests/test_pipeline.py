@@ -6,6 +6,7 @@ import os
 import shutil
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ def test_config_validation():
             PipelineConfig(messl_binarize_threshold=threshold)
     with pytest.raises(DataError, match="seg_frame"):
         dataclasses.replace(PipelineConfig(), seg_frame=0)
-    with pytest.raises(DataError, match="reference_channel must be at least 0"):
+    with pytest.raises(DataError, match="reference_channel = -1: must be at least 0"):
         MesslConfig(reference_channel=-1)
 
 
@@ -235,7 +236,7 @@ def _scene_spec(**kwargs) -> SceneSpec:
     (EnhancerConfig, "layer_sizes", (2.5,)),
 ])
 def test_integer_fields_reject_fractions(build, name, value):
-    with pytest.raises(DataError, match=f"{name} must be an integer, got 2.5"):
+    with pytest.raises(DataError, match=f"{name} = .*2.5.*: not an integer"):
         build(**{name: value})
 
 
@@ -841,8 +842,8 @@ def test_cli_numerical_error_exit_code(cli_workspace, tmp_path):
     ("enhance", "messl_binarize_threshold: .nan\n", "messl_binarize_threshold"),
     ("enhance", "messl_binarize_threshold: 1.0\n", "messl_binarize_threshold"),
     ("enhance", "messl: {grid_step: .inf}\n", "step"),
-    ("enhance", "ref_channel: -1\n", "reference_channel"),
-    ("experiment", "ref_channel: -1\n", "reference_channel"),
+    ("enhance", "ref_channel: -1\n", "ref_channel"),
+    ("experiment", "ref_channel: -1\n", "ref_channel"),
 ])
 def test_cli_malformed_config_is_data_error(cli_workspace, tmp_path, capsys,
                                             command, doc, key):
@@ -897,10 +898,13 @@ def test_cli_evaluate_names_a_malformed_manifest(cli_workspace, tmp_path, capsys
 
 # ------------------------------------------------------- error contract
 
+# A RIFF/WAVE header and one chunk that scipy does not know: no 'fmt '.
+NO_FMT_WAV = b"RIFF\x10\0\0\0WAVEjunkjunkjunk"
+
 CONTRACT_CASES = [
     "enhance too short", "enhance silent", "enhance reference channel",
     "load_model junk header", "load_mask junk shape", "load_config broken YAML",
-    "read_wav junk bytes", "read_wav directory",
+    "read_wav junk bytes", "read_wav no format chunk", "read_wav directory",
 ]
 
 
@@ -932,6 +936,7 @@ def _contract_cases(render, tmp_path, workspace):
     mask = junk("junk.mask", MASK_MAGIC + b"\nshape a b\nconfig -\nend\n")
     config = junk("broken.yml", b"stft: [64\n")
     bad_wav = junk("junk.wav", b"not a RIFF file at all")
+    no_fmt = junk("no_fmt.wav", NO_FMT_WAV)
     folder = str(tmp_path)
     return {
         "enhance too short": (
@@ -958,6 +963,9 @@ def _contract_cases(render, tmp_path, workspace):
         "read_wav junk bytes": (
             lambda: read_wav(bad_wav), DataError, f"cannot read WAV file {bad_wav}",
             ValueError, cli(bad_wav), 2),
+        "read_wav no format chunk": (
+            lambda: read_wav(no_fmt), DataError, f"cannot read WAV file {no_fmt}",
+            None, cli(no_fmt), 2),
         "read_wav directory": (
             lambda: read_wav(folder), IsADirectoryError, folder, None,
             cli(folder), 2),
@@ -989,6 +997,17 @@ def test_malformed_input_raises_its_documented_class(render, cli_workspace, tmp_
         assert main(argv) == code
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err
+
+
+def test_cli_wav_without_format_chunk_says_so_without_warning(tmp_path, capsys):
+    path = tmp_path / "no_fmt.wav"
+    path.write_bytes(NO_FMT_WAV)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["enhance", "--input", str(path), "--out", str(tmp_path / "o.wav")])
+    err = capsys.readouterr().err
+    assert code == 2 and caught == []
+    assert f"cannot read WAV file {path}: no format ('fmt ') chunk" in err
 
 
 # The working-memory bound the README states: enhance()'s traced peak per

@@ -171,7 +171,7 @@ def test_snr_mapping():
 
 def test_scene_spec_validation():
     sig = Waveform(samples=np.zeros(10) + 0.1, sample_rate=16000)
-    with pytest.raises(DataError, match="at least two channels"):
+    with pytest.raises(DataError, match="n_channels = 1: must be at least 2"):
         SceneSpec(sources=(SourceSpec(sig, (0.0,), (1.0,)),),
                   n_channels=1, sample_rate=16000)
     with pytest.raises(DataError, match="channel placements"):

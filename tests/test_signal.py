@@ -202,7 +202,7 @@ def test_hop_bounds():
 
 
 def test_unknown_window_rejected():
-    with pytest.raises(DataError, match="unknown window"):
+    with pytest.raises(DataError, match="window = 'kaiser': expected"):
         StftConfig(window_size=64, hop_size=16, window="kaiser")
 
 
@@ -384,6 +384,16 @@ def test_wav_unknown_trailing_chunk_only_warns(tmp_path):
     with pytest.warns(UserWarning, match="not understood"):
         back = read_wav(path)
     assert back.n_samples == 40
+
+
+def test_wav_without_format_chunk_is_data_error_without_warning(tmp_path):
+    path = tmp_path / "no_fmt.wav"
+    path.write_bytes(b"RIFF\x10\0\0\0WAVEjunkjunkjunk")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError, match=r"no format \('fmt '\) chunk"):
+            read_wav(path)
+    assert caught == []
 
 
 # -------------------------------------------------------------- mask files

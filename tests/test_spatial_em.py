@@ -691,10 +691,28 @@ def test_em_matches_per_source_reference_bit_for_bit(
 
 # ------------------------------------------------------------------ config
 
+@pytest.mark.parametrize("n_frames", [100, 160])
+def test_cross_spectra_bits_are_conjugate_reference_times_channel(n_frames):
+    """Every cross spectrum has the bits of conj(ref) * bins in that operand
+    order, below (202 KiB per channel) and above (322 KiB) the 256 KiB from
+    which numpy's temporary elision reorders ``bins * np.conj(ref)``."""
+    cfg = StftConfig(window_size=256, hop_size=64)
+    rng = np.random.default_rng(5)
+    specs = [Spectrogram(rng.standard_normal((cfg.n_freq, n_frames))
+                         + 1j * rng.standard_normal((cfg.n_freq, n_frames)), cfg, 16000)
+             for _ in range(3)]
+    cross, pairs = _cross_spectra(specs, 1)
+    assert pairs == (0, 2) and cross.shape == (2, cfg.n_freq, n_frames)
+    ref_conj = np.conj(specs[1].bins)
+    for slot, channel in enumerate(pairs):
+        np.testing.assert_array_equal(
+            cross[slot], np.multiply(ref_conj, specs[channel].bins))
+
+
 def test_config_validation():
     with pytest.raises(DataError, match="zero"):
         MesslConfig(delay_grid=np.array([1.0, 2.0]))
-    with pytest.raises(DataError, match="at least one source"):
+    with pytest.raises(DataError, match="n_sources = 0: must be at least 1"):
         MesslConfig(n_sources=0)
     with pytest.raises(DataError, match="out of range"):
         MesslConfig(n_sources=2, target_source=2)
