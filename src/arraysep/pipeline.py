@@ -62,6 +62,7 @@ from .util import (
     _list,
     _located,
     _mapping,
+    _nonnegative,
     _one_of,
     _optional,
     _parsed,
@@ -254,10 +255,7 @@ def evaluate_scene(
 
 @_located("stft")
 def _stft_from_dict(d: dict) -> StftConfig:
-    kwargs = _given(d, **StftConfig._converters)
-    if "window_size" in kwargs:
-        kwargs.setdefault("hop_size", kwargs["window_size"] // 4)
-    return StftConfig(**kwargs)
+    return StftConfig(**_given(d, **StftConfig._converters))
 
 
 @_located("messl")
@@ -265,7 +263,7 @@ def _messl_from_dict(d: dict) -> MesslConfig:
     # reference_channel is the top-level key ref_channel.
     keys = {k: c for k, c in MesslConfig._converters.items() if k != "reference_channel"}
     kwargs = _given(d, **keys)
-    grid = _given(d, max_delay=float, step=("grid_step", float))
+    grid = _given(d, max_delay=_nonnegative, step=("grid_step", float))
     if grid:
         kwargs["delay_grid"] = default_delay_grid(**grid)
     return MesslConfig(**kwargs)
@@ -367,9 +365,8 @@ def run_experiment(manifest, out_csv=None) -> list:
     """
     manifest = load_config(manifest)
     base = pipeline_config_from_dict(manifest)
-    modes = _value(
-        manifest, "combine_modes", _tuple_of(_parsed(CombineMode)), ["avg"]
-    )
+    modes = _value(manifest, "combine_modes", _tuple_of(_parsed(CombineMode)),
+                   [base.combine_mode])
     scene_dirs = _value(manifest, "scenes", _list, [])
 
     model = None

@@ -329,7 +329,7 @@ def _source_from_dict(entry: dict, sample_rate: int, seed: int) -> SourceSpec:
         )
     else:
         signal = read_wav(_value(entry, "path", _string)).channel(0)
-    level = _value(entry, "level", _optional(float), None)
+    level = _value(entry, "level", _optional(_positive), None)
     if level is not None:
         current = signal.rms()
         if current > 0:

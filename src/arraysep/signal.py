@@ -18,7 +18,7 @@ import numpy as np
 import scipy.io.wavfile
 
 from .errors import DataError
-from .util import _at_least, _fields, _located, _one_of
+from .util import _at_least, _fields, _located, _one_of, _optional
 
 AMP_FLOOR = 1e-8      # linear magnitude floor before dB conversion
 MASK_EPS = 1e-3       # clamp for ratio masks entering logit or log
@@ -141,18 +141,22 @@ def _check_cola(window: np.ndarray, hop: int) -> None:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Frame size, hop, and window family for analysis and synthesis."""
+    """Frame size, hop (by default a quarter of the window), and window
+    family for analysis and synthesis."""
 
     window_size: int = 1024
-    hop_size: int = 256
+    hop_size: int | None = None
     window: str = "sqrt_hann"
 
     _converters = dict(
-        window_size=_at_least(1), hop_size=_at_least(1), window=_one_of(*WINDOW_NAMES)
+        window_size=_at_least(1), hop_size=_optional(_at_least(1)),
+        window=_one_of(*WINDOW_NAMES),
     )
 
     def __post_init__(self):
         _fields(self, **self._converters)
+        if self.hop_size is None:
+            object.__setattr__(self, "hop_size", self.window_size // 4)
         if self.hop_size > self.window_size:
             raise DataError(
                 f"hop_size must be at most window_size, got {self.hop_size}"

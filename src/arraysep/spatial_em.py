@@ -57,8 +57,8 @@ _AUDIBLE = 1e-150
 
 def default_delay_grid(max_delay: float = 8.0, step: float = 0.25) -> np.ndarray:
     """Symmetric candidate delays in samples, always including zero."""
-    if not (0 < step < np.inf and np.isfinite(max_delay)):
-        raise DataError(f"delay grid needs a finite step > 0 and max_delay, "
+    if not (0 < step < np.inf and 0 <= max_delay < np.inf):
+        raise DataError(f"delay grid needs a finite step > 0 and max_delay >= 0, "
                         f"got step {step}, max_delay {max_delay}")
     n = np.round(max_delay / step)
     if 2 * n + 1 > MAX_DELAY_CANDIDATES:
@@ -312,38 +312,45 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
         return np.log1p(s) + np.log(m) + top
 
 
-def _cross_spectra(specs, reference_channel: int):
-    """Each non-reference channel times the conjugate reference, stacked
-    as (n_pairs, n_freq, n_frames), and the non-reference channels. With
-    FMA a complex product's last bit depends on the operand order, so it is
-    fixed: conj(ref) * bins, whatever the size and the numpy build."""
+def _pair_phases(specs, reference_channel: int, grid: np.ndarray):
+    """Check the channels, then read each channel pair once for its phase
+    differences and its PHAT cross-correlation term on the delay grid.
+
+    Returns the (n_pairs, n_freq, n_frames) phases, the non-reference
+    channels, the bin frequencies omega and the summed correlation. Each
+    pair's product is conj(ref) * bins in that operand order, since with FMA
+    a complex product's last bit depends on it, whatever the size and the
+    numpy build; the phases have np.angle's bits. PHAT divides each bin by
+    its magnitude wherever that is a normal float64, with no absolute floor,
+    so the correlation does not depend on the input level; dividing by a
+    subnormal magnitude overflows.
+    """
     specs = check_channels(specs)
     if len(specs) < 2:
         raise DataError("need at least two channels for phase differences")
     if not 0 <= reference_channel < len(specs):
         raise DataError(f"reference channel {reference_channel} out of range")
+    if _silent(specs):
+        raise NumericalError("silent input: no energy in any channel")
     ref_conj = np.conj(specs[reference_channel].bins)
     pairs = tuple(c for c in range(len(specs)) if c != reference_channel)
-    cross = np.empty((len(pairs),) + ref_conj.shape, dtype=np.complex128)
-    # A product that overflows is caught by run_em, as a PHAT sum that is
-    # not finite, so no warning is raised here.
+    omega = 2.0 * np.pi * np.arange(len(ref_conj)) / specs[0].config.window_size
+    steering = np.exp(1j * np.outer(grid, omega))
+    phi = np.empty((len(pairs),) + ref_conj.shape)
+    cross = np.empty_like(ref_conj)
+    correlation = np.zeros(grid.size)
+    # A product that overflows leaves a correlation that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         for p, c in enumerate(pairs):
-            np.multiply(ref_conj, specs[c].bins, out=cross[p])
-    return cross, pairs
-
-
-def _phat_correlation(cross: np.ndarray, omega: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Summed phase-transform cross-correlation evaluated on the delay grid."""
-    total = np.zeros(grid.size)
-    steering = np.exp(1j * np.outer(grid, omega))
-    for p in range(cross.shape[0]):
-        mag = np.abs(cross[p])
-        with np.errstate(invalid="ignore"):
-            normed = np.where(mag > 0, cross[p] / np.maximum(mag, 1e-30), 0.0)
-        spectrum = normed.sum(axis=1)
-        total += np.real(steering @ spectrum)
-    return total
+            np.multiply(ref_conj, specs[c].bins, out=cross)
+            np.arctan2(cross.imag, cross.real, out=phi[p])
+            mag = np.abs(cross)
+            normed = np.divide(cross, mag, out=np.zeros_like(cross),
+                               where=mag >= np.finfo(np.float64).tiny)
+            correlation += np.real(steering @ normed.sum(axis=1))
+    if not np.all(np.isfinite(correlation)):
+        raise NumericalError("cross spectra overflow: input level too high")
+    return phi, pairs, omega, correlation
 
 
 def _top_peaks(values: np.ndarray, grid: np.ndarray, count: int, min_sep: float) -> np.ndarray:
@@ -378,26 +385,13 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     after the last M step, so masks and parameters are consistent. On
     convergence EM stops before an M step, so the last value repeats.
     """
-    specs = list(specs)
-    cross, pairs = _cross_spectra(specs, cfg.reference_channel)
-    phi = np.angle(cross)
-    if _silent(specs):
-        raise NumericalError("silent input: no energy in any channel")
-
-    window_size = specs[0].config.window_size
-    n_freq, n_frames = specs[0].bins.shape
-    n_pairs = len(pairs)
-    k_total = cfg.n_sources + (1 if cfg.use_garbage else 0)
-    omega = 2.0 * np.pi * np.arange(n_freq) / window_size
     grid = cfg.delay_grid
-
-    correlation = _phat_correlation(cross, omega, grid)
-    if not np.all(np.isfinite(correlation)):
-        raise NumericalError("cross spectra overflow: input level too high")
+    phi, pairs, omega, correlation = _pair_phases(specs, cfg.reference_channel, grid)
+    n_pairs, n_freq, n_frames = phi.shape
+    k_total = cfg.n_sources + (1 if cfg.use_garbage else 0)
     peaks = _top_peaks(
         correlation, grid, cfg.n_sources, min_sep=max(cfg.grid_step, 1.0)
     )
-    del cross
     splits = _delay_splits(phi, grid, omega)
     delays = np.tile(peaks[:, None], (1, n_pairs))
     mean = np.zeros((cfg.n_sources, n_freq))

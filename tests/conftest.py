@@ -7,7 +7,9 @@ acceptance tests exercise the full default sizes.
 import numpy as np
 import pytest
 
-from arraysep import MesslConfig, StftConfig, random_scene_spec, render_scene
+from arraysep import (
+    MesslConfig, PipelineConfig, StftConfig, random_scene_spec, render_scene,
+)
 
 
 @pytest.fixture
@@ -35,3 +37,13 @@ def two_channel_render():
     spec = random_scene_spec(np.random.default_rng(7), n_channels=2,
                              duration=0.6, snr_db=10.0)
     return render_scene(spec)
+
+
+@pytest.fixture(scope="session")
+def level_probe():
+    """A 4-channel, 1 s scene and a no-model pipeline config (512/128, two
+    sources, eight EM iterations) for the input-level tests."""
+    spec = random_scene_spec(np.random.default_rng(3), n_channels=4, duration=1.0)
+    cfg = PipelineConfig(stft=StftConfig(window_size=512, hop_size=128),
+                         messl=MesslConfig(n_sources=2, n_iterations=8))
+    return render_scene(spec), cfg

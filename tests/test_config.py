@@ -122,6 +122,26 @@ def test_code_and_yaml_reject_a_value_alike(tmp_path, build, field, document, wh
     assert f"config key '{where[-1]}' = {value!r}: {reason}" in str(from_yaml.value)
 
 
+# (built in code, the document that reads as the same config)
+SAME = [
+    (PipelineConfig(), {}),
+    (PipelineConfig(stft=StftConfig(window_size=512)), {"stft": {"window_size": 512}}),
+    (PipelineConfig(stft=StftConfig(window_size=512, hop_size=128)),
+     {"stft": {"window_size": 512}}),
+    (PipelineConfig(stft=StftConfig(window_size=512, hop_size=256)),
+     {"stft": {"window_size": 512, "hop_size": 256}}),
+]
+
+
+@pytest.mark.parametrize("built, doc", SAME, ids=[
+    "default", "window 512", "window 512 hop 128", "window 512 hop 256"])
+def test_code_and_yaml_build_alike(built, doc):
+    """A field left out takes its dataclass default in code and in YAML,
+    the hop (a quarter of the window) included."""
+    read = pipeline_config_from_dict(doc)
+    assert read.stft == built.stft and read.digest() == built.digest()
+
+
 def test_string_names_and_numbers_convert_alike():
     """Code and YAML store the same converted values: an enum name as its
     member, an integral number as an int, so the digests agree."""

@@ -174,6 +174,27 @@ def test_enhance_reuses_analysis_bit_for_bit(render):
         assert shared.em is analysis.em
 
 
+def _scaled(mixture, scale):
+    return MultichannelWaveform.from_array(mixture.as_array() * scale,
+                                           mixture.sample_rate)
+
+
+@pytest.fixture(scope="module")
+def unscaled_probe_output(level_probe):
+    render, cfg = level_probe
+    return enhance(render.mixture, cfg).waveform.samples
+
+
+@pytest.mark.parametrize("k", [-200, -100, -60, 100, 200])
+def test_enhance_without_model_does_not_depend_on_the_input_level(
+        level_probe, unscaled_probe_output, k):
+    # EM, the covariances and the beamformer all scale exactly with a
+    # power of two at these levels, so the waveform scales with the input.
+    render, cfg = level_probe
+    got = enhance(_scaled(render.mixture, 2.0 ** k), cfg).waveform.samples
+    np.testing.assert_array_equal(got, unscaled_probe_output * 2.0 ** k)
+
+
 def test_config_digest_tracks_content():
     assert _small_cfg().digest() == _small_cfg().digest()
     assert _small_cfg().digest() != _small_cfg(reference_channel=1).digest()
@@ -332,6 +353,20 @@ def test_run_experiment_scores_every_pair(tmp_path):
         header = handle.readline()
     assert first.startswith("# config_hash=")
     assert header.strip() == "scene,mode,sdr,sir,sar,seg_snr,error"
+
+
+def test_run_experiment_runs_the_combine_mode_it_digests(tmp_path):
+    # Without combine_modes an experiment runs the one mode that its
+    # combine key sets, the mode of the config its CSV header names.
+    dirs = _write_scenes(str(tmp_path), n=1)
+    manifest = {**_manifest(dirs), "combine": "max"}
+    del manifest["combine_modes"]
+    out = tmp_path / "scores.csv"
+    rows = run_experiment(manifest, out_csv=str(out))
+    assert [(row["mode"], row["error"]) for row in rows] == [("max", "")]
+    digest = pipeline.pipeline_config_from_dict(manifest).digest()
+    assert digest != pipeline.pipeline_config_from_dict(_manifest(dirs)).digest()
+    assert out.read_text().splitlines()[0] == f"# config_hash={digest}"
 
 
 def test_run_experiment_records_errors_and_continues(tmp_path):
@@ -594,6 +629,28 @@ def test_cli_simulate_flags_share_the_batch_checks(tmp_path, capsys, flags, key)
     err = capsys.readouterr().err
     assert code == 2
     assert key in err and "Traceback" not in err
+
+
+def test_cli_enhance_output_scales_with_a_quiet_float32_input(level_probe, tmp_path):
+    render, cfg = level_probe
+    config = tmp_path / "probe.yml"
+    config.write_text(yaml.safe_dump({
+        "stft": {"window_size": cfg.stft.window_size, "hop_size": cfg.stft.hop_size},
+        "messl": {"n_sources": cfg.messl.n_sources,
+                  "n_iterations": cfg.messl.n_iterations},
+    }))
+    # Scaling the quiet float32 samples back up is exact, so the two files
+    # differ by the factor 2**-100 alone.
+    quiet = _scaled(render.mixture, 2.0 ** -100).as_array().astype(np.float32)
+    outputs = {}
+    for name, samples in (("quiet", quiet), ("loud", quiet * np.float32(2.0 ** 100))):
+        mixture = tmp_path / f"{name}.wav"
+        write_wav(mixture, MultichannelWaveform.from_array(samples, render.mixture.sample_rate))
+        out = tmp_path / f"{name}_out.wav"
+        assert main(["enhance", "--input", str(mixture), "--out", str(out),
+                     "--config", str(config)]) == 0
+        outputs[name] = read_wav(out).channel(0).samples
+    np.testing.assert_array_equal(outputs["quiet"], outputs["loud"] * 2.0 ** -100)
 
 
 def test_cli_usage_errors():

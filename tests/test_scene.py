@@ -354,6 +354,9 @@ def test_load_scene_specs_batch(tmp_path):
     ("sources: [{kind: tone, delays: [0, 1]}]\n", "kind"),
     ("sources: [{kind: wav, delays: [0, 1]}]\n", "missing 'path'"),
     ("sources: [{duration: 0.1, delays: [0, 1], level: loud}]\n", "level"),
+    ("sources: [{duration: 0.1, delays: [0, 1], level: -0.1}]\n", "key 'level'"),
+    ("sources: [{duration: 0.1, delays: [0, 1], level: 0}]\n", "key 'level'"),
+    ("sources: [{duration: 0.1, delays: [0, 1], level: .nan}]\n", "key 'level'"),
     ("sources: []\n", "at least one source"),
     ("- 1\n", "mapping"),
     ("batch: {n_scenes: 2.5}\n", "n_scenes"),

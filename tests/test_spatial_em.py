@@ -1,6 +1,7 @@
 """Spatial clustering EM: phase model, initialization, convergence, masks."""
 
 import dataclasses
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -29,15 +30,15 @@ from arraysep import (
     stft,
 )
 from arraysep import spatial_em
+from arraysep.pipeline import pipeline_config_from_dict
 from arraysep.signal import MaskGrid, Waveform
 from arraysep.spatial_em import (
     MAX_DELAY_CANDIDATES,
     VAR_FLOOR,
-    _cross_spectra,
     _delay_scores,
     _delay_splits,
     _logsumexp,
-    _phat_correlation,
+    _pair_phases,
     _silent,
     _wrap,
 )
@@ -522,6 +523,28 @@ def test_em_overflowing_cross_spectra_fail_numerically():
         enhance(scaled(510), cfg)
 
 
+def _probe_em(level_probe, scale):
+    render, cfg = level_probe
+    mixture = MultichannelWaveform.from_array(
+        render.mixture.as_array() * scale, render.mixture.sample_rate)
+    specs = [stft(mixture.channel(c), cfg.stft) for c in range(mixture.n_channels)]
+    return run_em(specs, cfg.messl)
+
+
+@pytest.fixture(scope="module")
+def unscaled_probe_em(level_probe):
+    return _probe_em(level_probe, 1.0)
+
+
+@pytest.mark.parametrize("k", [-500, -300, -100, -60, 100, 300, 450])
+def test_em_result_does_not_depend_on_the_input_level(level_probe, unscaled_probe_em, k):
+    # A power-of-two scale moves no phase and no PHAT term while the cross
+    # products stay normal, so EM fits the same model to the bit; the
+    # pickles hold every array's bytes.
+    got = _probe_em(level_probe, 2.0 ** k)
+    assert pickle.dumps(got) == pickle.dumps(unscaled_probe_em)
+
+
 def _old_silent(specs):
     return sum(float(np.sum(np.abs(s.bins) ** 2)) for s in specs) == 0.0
 
@@ -580,15 +603,24 @@ def _reference_run_em(specs, cfg):
     """EM with one residual pass per source in each step and a separate
     final E step: the original loop, kept as a bitwise oracle. Returns the
     result fields and the delays at the start and after each M step."""
-    cross, pairs = _cross_spectra(specs, cfg.reference_channel)
+    ref_conj = np.conj(specs[cfg.reference_channel].bins)
+    pairs = tuple(c for c in range(len(specs)) if c != cfg.reference_channel)
+    cross = np.stack([np.multiply(ref_conj, specs[c].bins) for c in pairs])
     phi = np.angle(cross)
     n_freq, n_frames = specs[0].bins.shape
     n_pairs = len(pairs)
     k_total = cfg.n_sources + (1 if cfg.use_garbage else 0)
     omega = 2.0 * np.pi * np.arange(n_freq) / specs[0].config.window_size
     grid = cfg.delay_grid
-    peaks = _reference_top_peaks(_phat_correlation(cross, omega, grid), grid,
-                                 cfg.n_sources, max(cfg.grid_step, 1.0))
+    # PHAT: each bin over its magnitude where that is normal, summed over
+    # frames, steered to every grid delay and summed over pairs.
+    mag = np.abs(cross)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        normed = np.where(mag >= np.finfo(np.float64).tiny, cross / mag, 0.0)
+    steering = np.exp(1j * np.outer(grid, omega))
+    correlation = sum(np.real(steering @ spectrum) for spectrum in normed.sum(axis=2))
+    peaks = _reference_top_peaks(correlation, grid, cfg.n_sources,
+                                 max(cfg.grid_step, 1.0))
     delays = np.tile(peaks[:, None], (1, n_pairs))
     mean = np.zeros((cfg.n_sources, n_freq))
     var = np.ones((cfg.n_sources, n_freq))
@@ -693,20 +725,21 @@ def test_em_matches_per_source_reference_bit_for_bit(
 
 @pytest.mark.parametrize("n_frames", [100, 160])
 def test_cross_spectra_bits_are_conjugate_reference_times_channel(n_frames):
-    """Every cross spectrum has the bits of conj(ref) * bins in that operand
-    order, below (202 KiB per channel) and above (322 KiB) the 256 KiB from
-    which numpy's temporary elision reorders ``bins * np.conj(ref)``."""
+    """Every pair's phases have the bits of np.angle of conj(ref) * bins in
+    that operand order, below (202 KiB per channel) and above (322 KiB) the
+    256 KiB from which numpy's temporary elision reorders
+    ``bins * np.conj(ref)``."""
     cfg = StftConfig(window_size=256, hop_size=64)
     rng = np.random.default_rng(5)
     specs = [Spectrogram(rng.standard_normal((cfg.n_freq, n_frames))
                          + 1j * rng.standard_normal((cfg.n_freq, n_frames)), cfg, 16000)
              for _ in range(3)]
-    cross, pairs = _cross_spectra(specs, 1)
-    assert pairs == (0, 2) and cross.shape == (2, cfg.n_freq, n_frames)
+    phi, pairs, _, _ = _pair_phases(specs, 1, default_delay_grid())
+    assert pairs == (0, 2) and phi.shape == (2, cfg.n_freq, n_frames)
     ref_conj = np.conj(specs[1].bins)
     for slot, channel in enumerate(pairs):
         np.testing.assert_array_equal(
-            cross[slot], np.multiply(ref_conj, specs[channel].bins))
+            phi[slot], np.angle(np.multiply(ref_conj, specs[channel].bins)))
 
 
 def test_config_validation():
@@ -759,6 +792,15 @@ def test_default_delay_grid_is_capped():
     for max_delay, step in ((8.0, np.inf), (8.0, np.nan), (np.nan, 0.25), (8.0, 0.0)):
         with pytest.raises(DataError, match="finite step > 0"):
             default_delay_grid(max_delay, step)
+
+
+def test_default_delay_grid_rejects_a_negative_max_delay():
+    assert default_delay_grid(0.0, 0.25).tolist() == [0.0]
+    for max_delay in (-0.1, -1.0):
+        with pytest.raises(DataError, match="max_delay >= 0"):
+            default_delay_grid(max_delay, 0.25)
+        with pytest.raises(DataError, match=f"config key 'max_delay' = {max_delay}: "):
+            pipeline_config_from_dict({"messl": {"max_delay": max_delay}})
 
 
 def test_binarize_strict_threshold():
