@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .signal import AMP_FLOOR, MaskGrid, Spectrogram, check_channels, check_ratio_mask
 
 LOAD_FACTOR = 1e-6     # diagonal loading relative to mean eigenvalue
@@ -135,11 +135,16 @@ def estimate_covariances(specs, mask: MaskGrid) -> CovarianceField:
     noise = np.empty_like(speech)
     deg_s = np.empty(shape[0], dtype=bool)
     deg_n = np.empty(shape[0], dtype=bool)
-    for block, bins in _stacked_blocks(specs):
-        adjoint = np.swapaxes(np.conj(bins), 1, 2)
-        weights = m[block]
-        speech[block], deg_s[block] = _weighted_covariances(bins, adjoint, weights)
-        noise[block], deg_n[block] = _weighted_covariances(bins, adjoint, 1.0 - weights)
+    # Bins above about 1e154 overflow the products: that fails here, and not
+    # as a beamformer that passes those frequencies through.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, bins in _stacked_blocks(specs):
+            adjoint = np.swapaxes(np.conj(bins), 1, 2)
+            weights = m[block]
+            speech[block], deg_s[block] = _weighted_covariances(bins, adjoint, weights)
+            noise[block], deg_n[block] = _weighted_covariances(bins, adjoint, 1.0 - weights)
+    if not (np.isfinite(speech).all() and np.isfinite(noise).all()):
+        raise NumericalError("covariances overflow float64: input level too high")
     return CovarianceField(
         speech=speech, noise=noise, degenerate_speech=deg_s, degenerate_noise=deg_n
     )

@@ -261,10 +261,7 @@ class FeatureStats:
         specs = list(specs)
         if not specs:
             raise DataError("need at least one spectrogram for stats")
-        feats = np.concatenate(
-            [20.0 * np.log10(np.maximum(np.abs(s.bins), AMP_FLOOR)) for s in specs],
-            axis=1,
-        )
+        feats = np.concatenate([_level_db(s) for s in specs], axis=1)
         return cls(mean=feats.mean(axis=1), std=feats.std(axis=1))
 
 
@@ -308,14 +305,18 @@ def istft(spec: Spectrogram) -> Waveform:
     return Waveform(samples=out, sample_rate=spec.sample_rate)
 
 
+def _level_db(spec: Spectrogram) -> np.ndarray:
+    """Bin magnitudes in dB, floored at AMP_FLOOR."""
+    return 20.0 * np.log10(np.maximum(np.abs(spec.bins), AMP_FLOOR))
+
+
 def to_log_features(spec: Spectrogram, stats: FeatureStats) -> np.ndarray:
     """dB magnitudes normalized per frequency with the given stats."""
     if stats.mean.shape[0] != spec.n_freq:
         raise DataError(
             f"stats length {stats.mean.shape[0]} does not match {spec.n_freq} bins"
         )
-    level_db = 20.0 * np.log10(np.maximum(np.abs(spec.bins), AMP_FLOOR))
-    return (level_db - stats.mean[:, None]) / stats.std[:, None]
+    return (_level_db(spec) - stats.mean[:, None]) / stats.std[:, None]
 
 
 def logit_mask(mask: MaskGrid) -> np.ndarray:

@@ -50,9 +50,6 @@ VAR_FLOOR = 1e-4          # rad^2, keeps residual Gaussians proper
 MAX_DELAY_CANDIDATES = 4097   # bounds the (sources, freqs, candidates) scores
 _LOG_UNIFORM = -np.log(2.0 * np.pi)
 _PRIOR_FLOOR = 1e-300
-# A component at least this large in magnitude squares to at least 1e-300,
-# which is normal, so a channel holding one has energy that cannot round to 0.
-_AUDIBLE = 1e-150
 
 
 def default_delay_grid(max_delay: float = 8.0, step: float = 0.25) -> np.ndarray:
@@ -220,7 +217,7 @@ def _score_work(n_sources: int, n_freq: int, n_frames: int):
             np.empty((n_sources, n_freq, n_frames)))
 
 
-def _delay_scores(splits, weight, mean, work=None) -> np.ndarray:
+def _delay_scores(splits, weight, mean, work) -> np.ndarray:
     """Score every candidate delay of every pair for every source.
 
     Returns (n_pairs, n_sources, n_cand) values of
@@ -230,13 +227,12 @@ def _delay_scores(splits, weight, mean, work=None) -> np.ndarray:
     splits: _delay_splits(phi, cand, omega) of the (n_pairs, n_freq,
     n_frames) phases. weight: (n_sources, n_freq, n_frames); mean:
     (n_sources, n_freq). work: _score_work buffers of that size, which
-    every pair overwrites; allocated here when not given.
+    every pair overwrites.
     """
     sorted_phi, orders, shift, (shift_sq, up_factor, down_factor), los, his = splits
-    _, n_freq, n_frames = sorted_phi.shape
     n_sources = len(weight)
     flat_weight = weight.reshape(n_sources, -1)
-    stacked, cum, dev = work or _score_work(n_sources, n_freq, n_frames)
+    stacked, cum, dev = work
     w, wdev = stacked
     tot_w, tot_d = cum[..., -1]                            # (K, F) views
     flat_cum = cum.reshape(2, n_sources, -1)
@@ -317,39 +313,45 @@ def _pair_phases(specs, reference_channel: int, grid: np.ndarray):
     differences and its PHAT cross-correlation term on the delay grid.
 
     Returns the (n_pairs, n_freq, n_frames) phases, the non-reference
-    channels, the bin frequencies omega and the summed correlation. Each
-    pair's product is conj(ref) * bins in that operand order, since with FMA
-    a complex product's last bit depends on it, whatever the size and the
-    numpy build; the phases have np.angle's bits. PHAT divides each bin by
-    its magnitude wherever that is a normal float64, with no absolute floor,
-    so the correlation does not depend on the input level; dividing by a
-    subnormal magnitude overflows.
+    channels, the bin frequencies omega and the summed correlation. Neither
+    depends on the level, so each channel is scaled by 2^-e, e the frexp
+    exponent of its largest component magnitude: exact for normal bins, and
+    no product or PHAT sum of components below 1 can overflow. A pair's
+    product is conj(ref) * bins in that operand order, since with FMA its
+    last bit depends on it; the phases have np.angle's bits. PHAT divides
+    each bin by its magnitude where that is normal and zeroes it elsewhere.
     """
     specs = check_channels(specs)
     if len(specs) < 2:
         raise DataError("need at least two channels for phase differences")
     if not 0 <= reference_channel < len(specs):
         raise DataError(f"reference channel {reference_channel} out of range")
-    if _silent(specs):
+    peaks = [max(x.max(), -x.min()) for x in
+             (s.bins.ravel(order="K").view(np.float64) for s in specs)]
+    if not any(peaks):
         raise NumericalError("silent input: no energy in any channel")
-    ref_conj = np.conj(specs[reference_channel].bins)
+    exponents = np.frexp(peaks)[1]
+
+    def scale(c, out):  # by ldexp: 2.0 ** -e overflows for a subnormal peak
+        np.ldexp(specs[c].bins.real, -exponents[c], out=out.real)
+        np.ldexp(specs[c].bins.imag, -exponents[c], out=out.imag)
+        return out
+
+    ref_conj = np.conj(scale(reference_channel, np.empty_like(specs[reference_channel].bins)))
     pairs = tuple(c for c in range(len(specs)) if c != reference_channel)
     omega = 2.0 * np.pi * np.arange(len(ref_conj)) / specs[0].config.window_size
     steering = np.exp(1j * np.outer(grid, omega))
     phi = np.empty((len(pairs),) + ref_conj.shape)
     cross = np.empty_like(ref_conj)
     correlation = np.zeros(grid.size)
-    # A product that overflows leaves a correlation that is not finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p, c in enumerate(pairs):
-            np.multiply(ref_conj, specs[c].bins, out=cross)
-            np.arctan2(cross.imag, cross.real, out=phi[p])
-            mag = np.abs(cross)
-            normed = np.divide(cross, mag, out=np.zeros_like(cross),
-                               where=mag >= np.finfo(np.float64).tiny)
-            correlation += np.real(steering @ normed.sum(axis=1))
-    if not np.all(np.isfinite(correlation)):
-        raise NumericalError("cross spectra overflow: input level too high")
+    for p, c in enumerate(pairs):
+        np.multiply(ref_conj, scale(c, cross), out=cross)
+        np.arctan2(cross.imag, cross.real, out=phi[p])
+        mag = np.abs(cross)
+        normal = mag >= np.finfo(np.float64).tiny
+        np.divide(cross, mag, out=cross, where=normal)  # PHAT in place
+        cross[~normal] = 0.0
+        correlation += np.real(steering @ cross.sum(axis=1))
     return phi, pairs, omega, correlation
 
 
@@ -365,17 +367,6 @@ def _top_peaks(values: np.ndarray, grid: np.ndarray, count: int, min_sep: float)
         ):
             chosen.append(idx)
     return grid[np.array(chosen)]
-
-
-def _silent(specs) -> bool:
-    """Whether the channels' energy, the sum of |bins|**2, is exactly zero.
-    Any component of magnitude _AUDIBLE or more settles it as nonzero, so
-    the exact sum is formed only when every component is below that."""
-    for s in specs:
-        parts = s.bins.ravel(order="K").view(np.float64)
-        if parts.max() >= _AUDIBLE or parts.min() <= -_AUDIBLE:
-            return False
-    return sum(float(np.sum(np.abs(s.bins) ** 2)) for s in specs) == 0.0
 
 
 def run_em(specs, cfg: MesslConfig) -> MesslResult:

@@ -22,6 +22,7 @@ from arraysep.beamformer import (
     estimate_covariances,
     mvdr_weights,
 )
+from arraysep.errors import NumericalError
 from arraysep.signal import AMP_FLOOR, MaskGrid, Spectrogram, StftConfig
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -126,6 +127,29 @@ def test_weighted_covariances_match_einsum(n_channels, n_freq, n_frames):
 
 
 # ------------------------------------------------------------------- MVDR
+
+def test_overflowing_covariances_fail_numerically():
+    """Bins whose products overflow float64 make estimate_covariances raise,
+    without a RuntimeWarning, whether their frequency is weighted or
+    degenerate (no speech weight, so its power fills the diagonal)."""
+    gen = np.random.default_rng(9)
+    cfg = StftConfig(window_size=16, hop_size=4)
+    bins = gen.standard_normal((3, 9, 6)) + 1j * gen.standard_normal((3, 9, 6))
+    weights = gen.uniform(0.0, 1.0, (9, 6))
+    weights[5] = 0.0
+    mask = MaskGrid(weights)
+
+    def covariances(bins):
+        return estimate_covariances(
+            [Spectrogram(bins=b, config=cfg, sample_rate=16000) for b in bins], mask)
+
+    assert np.isfinite(covariances(bins * 2.0 ** 500).noise).all()
+    for f in (2, 5):
+        loud = bins.copy()
+        loud[:, f] *= 2.0 ** 520
+        with pytest.raises(NumericalError, match="^covariances overflow float64"):
+            covariances(loud)
+
 
 @pytest.mark.parametrize("seed", range(6))
 def test_batched_mvdr_matches_per_bin_on_pd_fields(seed):

@@ -55,6 +55,8 @@ from arraysep.signal import MASK_MAGIC
 from arraysep.spatial_em import MesslConfig, MesslResult, default_delay_grid, run_em
 from arraysep.util import config_hash, load_config
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SMALL = StftConfig(window_size=64, hop_size=16)
 FAST_EM = MesslConfig(n_iterations=5, delay_grid=default_delay_grid(4.0, 0.5))
 
@@ -193,6 +195,16 @@ def test_enhance_without_model_does_not_depend_on_the_input_level(
     render, cfg = level_probe
     got = enhance(_scaled(render.mixture, 2.0 ** k), cfg).waveform.samples
     np.testing.assert_array_equal(got, unscaled_probe_output * 2.0 ** k)
+
+
+@pytest.mark.parametrize("k", [505, 510])
+def test_enhance_reports_overflowing_covariances(level_probe, k):
+    # EM fits at any level whose STFT bins are normal; the covariances'
+    # products overflow first and fail at their own stage.
+    render, cfg = level_probe
+    with pytest.raises(NumericalError,
+                       match="^stage 'covariance': covariances overflow float64"):
+        enhance(_scaled(render.mixture, 2.0 ** k), cfg)
 
 
 def test_config_digest_tracks_content():

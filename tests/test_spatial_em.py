@@ -1,6 +1,7 @@
 """Spatial clustering EM: phase model, initialization, convergence, masks."""
 
 import dataclasses
+import itertools
 import pickle
 import re
 import tracemalloc
@@ -15,14 +16,12 @@ from arraysep import (
     MesslConfig,
     MultichannelWaveform,
     NumericalError,
-    PipelineConfig,
     SceneSpec,
     SourceSpec,
     Spectrogram,
     StftConfig,
     binarize,
     default_delay_grid,
-    enhance,
     random_scene_spec,
     render_scene,
     run_em,
@@ -39,7 +38,7 @@ from arraysep.spatial_em import (
     _delay_splits,
     _logsumexp,
     _pair_phases,
-    _silent,
+    _score_work,
     _wrap,
 )
 
@@ -177,7 +176,8 @@ def test_delay_scores_match_brute_force(window, n_frames, n_sources, seed):
     assert omega[-1] * grid[grid == 1.0][0] == np.pi  # Nyquist shift hits pi
     cand = np.append(grid, gen.uniform(-8.0, 8.0))    # off-grid incumbent
 
-    fast = _delay_scores(_delay_splits(phi[None], cand, omega), weight, mean)[0]
+    work = _score_work(n_sources, n_freq, n_frames)
+    fast = _delay_scores(_delay_splits(phi[None], cand, omega), weight, mean, work)[0]
     slow = _brute_delay_scores(phi, weight, mean, cand, omega)
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
     np.testing.assert_array_equal(np.argmax(fast, axis=1),
@@ -499,77 +499,57 @@ def test_em_silent_input_raises():
         run_em([zero, zero], MesslConfig())
 
 
-def test_em_overflowing_cross_spectra_fail_numerically():
-    # A power-of-two scale leaves every phase as it was until the largest
-    # cross products overflow: at 2**505 EM fits the unscaled delays, at
-    # 2**510 it must stop instead of fitting the NaN phases.
-    render = render_scene(random_scene_spec(np.random.default_rng(3),
-                                            n_channels=4, duration=1.0))
-    cfg = PipelineConfig(stft=StftConfig(window_size=512, hop_size=128))
-
-    def scaled(k):
-        return MultichannelWaveform.from_array(
-            render.mixture.as_array() * 2.0 ** k, render.mixture.sample_rate)
-
-    def delays(k):
-        mixture = scaled(k)
-        specs = [stft(mixture.channel(c), cfg.stft) for c in range(4)]
-        return run_em(specs, cfg.messl).params.delays
-
-    np.testing.assert_array_equal(delays(505), delays(0))
-    with pytest.raises(NumericalError, match="^cross spectra overflow"):
-        delays(510)
-    with pytest.raises(NumericalError, match="^stage 'spatial_em': cross spectra"):
-        enhance(scaled(510), cfg)
-
-
-def _probe_em(level_probe, scale):
+def _probe_specs(level_probe, k):
     render, cfg = level_probe
     mixture = MultichannelWaveform.from_array(
-        render.mixture.as_array() * scale, render.mixture.sample_rate)
-    specs = [stft(mixture.channel(c), cfg.stft) for c in range(mixture.n_channels)]
-    return run_em(specs, cfg.messl)
+        render.mixture.as_array() * 2.0 ** k, render.mixture.sample_rate)
+    return [stft(mixture.channel(c), cfg.stft) for c in range(mixture.n_channels)]
 
 
 @pytest.fixture(scope="module")
 def unscaled_probe_em(level_probe):
-    return _probe_em(level_probe, 1.0)
+    return run_em(_probe_specs(level_probe, 0), level_probe[1].messl)
 
 
-@pytest.mark.parametrize("k", [-500, -300, -100, -60, 100, 300, 450])
+@pytest.mark.parametrize("k", [-1000, -997, -600, -500, -300, -100, -60,
+                               100, 300, 450, 505, 510, 1000])
 def test_em_result_does_not_depend_on_the_input_level(level_probe, unscaled_probe_em, k):
-    # A power-of-two scale moves no phase and no PHAT term while the cross
-    # products stay normal, so EM fits the same model to the bit; the
-    # pickles hold every array's bytes.
-    got = _probe_em(level_probe, 2.0 ** k)
+    # EM scales each channel by an exact power of two before its products,
+    # so any level whose STFT bins are finite and normal fits the same
+    # model to the bit (2**-997 is about 1e-300); the pickles hold every
+    # array's bytes.
+    specs = _probe_specs(level_probe, k)
+    parts = np.abs(np.concatenate([s.bins.view(np.float64).ravel() for s in specs]))
+    assert np.isfinite(parts).all()
+    assert parts[parts > 0].min() >= np.finfo(np.float64).tiny
+    got = run_em(specs, level_probe[1].messl)
     assert pickle.dumps(got) == pickle.dumps(unscaled_probe_em)
 
 
-def _old_silent(specs):
-    return sum(float(np.sum(np.abs(s.bins) ** 2)) for s in specs) == 0.0
-
-
-@pytest.mark.parametrize("value, silent", [
-    (0.0, True),
-    (1e-170 + 1e-170j, True),      # every |bin|**2 underflows to zero
-    (-1e-162j, True),              # squares below the least subnormal
-    (1e-160 - 1e-160j, False),     # subnormal squares, still energy
-    (-1e-150j, False),             # settled by the early exit
-    (1.0, False),
-])
-def test_silent_check_keeps_the_energy_sum_answer(value, silent):
+def test_em_silent_means_every_bin_is_zero():
     cfg = StftConfig(window_size=16, hop_size=4)
-    zero = Spectrogram(bins=np.zeros((9, 6), dtype=complex), config=cfg,
-                       sample_rate=16000)
-    quiet = Spectrogram(bins=np.full((9, 6), value), config=cfg, sample_rate=16000)
-    # A non-contiguous channel reads the same components.
-    strided = Spectrogram(bins=np.full((9, 12), value)[:, ::2], config=cfg,
-                          sample_rate=16000)
-    for specs in ([zero, quiet], [strided, zero]):
-        assert _silent(specs) is _old_silent(specs) is silent
-    if silent:
-        with pytest.raises(NumericalError, match="silent"):
-            run_em([zero, quiet], MesslConfig())
+
+    def spec(bins):
+        return Spectrogram(bins=bins, config=cfg, sample_rate=16000)
+
+    zero = spec(np.zeros((9, 6), dtype=complex))
+    with pytest.raises(NumericalError, match="^silent input"):
+        run_em([zero, zero], MesslConfig())
+    gen = np.random.default_rng(5)
+    ref = spec(gen.normal(size=(9, 6)) + 1j * gen.normal(size=(9, 6)))
+    for value in (1e-170 + 1e-170j, -1e-162j):
+        # Bins whose squares underflow still carry phase. A strided channel
+        # reads the same components; at unit scale it is 2**-e times them.
+        quiet = spec(np.full((9, 12), value)[:, ::2])
+        e = np.frexp(max(abs(value.real), abs(value.imag)))[1]
+        unit = np.full((9, 6), value)
+        unit.real *= 2.0 ** -e         # keeps the sign of a zero part
+        unit.imag *= 2.0 ** -e
+        unit = spec(unit)
+        assert np.abs(unit.bins).max() >= 0.5
+        for other, order in itertools.product((ref, zero), (1, -1)):
+            got, want = (run_em([other, c][::order], MesslConfig()) for c in (quiet, unit))
+            assert pickle.dumps(got) == pickle.dumps(want)
 
 
 def test_em_reference_channel_variant():
@@ -656,7 +636,8 @@ def _reference_run_em(specs, cfg):
         for p in range(n_pairs):
             # Splits per pair and per iteration; run_em forms them once per call.
             one = phi[p:p + 1]
-            score = _delay_scores(_delay_splits(one, grid, omega), weight, mean)[0]
+            work = _score_work(cfg.n_sources, n_freq, n_frames)
+            score = _delay_scores(_delay_splits(one, grid, omega), weight, mean, work)[0]
             delays[:, p] = grid[np.argmax(score, axis=1)]
         delay_steps.append(delays.copy())
         for k in range(cfg.n_sources):
