@@ -526,30 +526,47 @@ def test_em_result_does_not_depend_on_the_input_level(level_probe, unscaled_prob
     assert pickle.dumps(got) == pickle.dumps(unscaled_probe_em)
 
 
-def test_em_silent_means_every_bin_is_zero():
+def _old_silent(specs):
+    return sum(float(np.sum(np.abs(s.bins) ** 2)) for s in specs) == 0.0
+
+
+@pytest.mark.parametrize("value, silent", [
+    (0.0, True),
+    (1e-170 + 1e-170j, True),      # every |bin|**2 underflows to zero
+    (-1e-162j, True),              # squares below the least subnormal
+    (1e-160 - 1e-160j, False),     # subnormal squares, still energy
+    (-1e-150j, False),
+    (1.0, False),
+])
+def test_silent_check_keeps_the_energy_sum_answer(value, silent):
+    # `silent` is the answer of the old energy-sum rule. EM keeps it where
+    # every bin is zero or some square is nonzero; bins whose squares all
+    # underflow still carry phase, so EM now fits them like the same
+    # channel at unit scale. Silent input means every bin is zero.
     cfg = StftConfig(window_size=16, hop_size=4)
 
     def spec(bins):
         return Spectrogram(bins=bins, config=cfg, sample_rate=16000)
 
     zero = spec(np.zeros((9, 6), dtype=complex))
-    with pytest.raises(NumericalError, match="^silent input"):
-        run_em([zero, zero], MesslConfig())
+    # A non-contiguous channel reads the same components.
+    quiet = spec(np.full((9, 12), value, dtype=complex)[:, ::2])
+    assert _old_silent([zero, quiet]) is silent
+    if value == 0:
+        with pytest.raises(NumericalError, match="^silent input"):
+            run_em([zero, quiet], MesslConfig())
+        return
+    e = np.frexp(max(abs(value.real), abs(value.imag)))[1]
+    unit = np.full((9, 6), value, dtype=complex)
+    unit.real *= 2.0 ** -e             # keeps the sign of a zero part
+    unit.imag *= 2.0 ** -e
+    unit = spec(unit)
+    assert np.abs(unit.bins).max() >= 0.5
     gen = np.random.default_rng(5)
     ref = spec(gen.normal(size=(9, 6)) + 1j * gen.normal(size=(9, 6)))
-    for value in (1e-170 + 1e-170j, -1e-162j):
-        # Bins whose squares underflow still carry phase. A strided channel
-        # reads the same components; at unit scale it is 2**-e times them.
-        quiet = spec(np.full((9, 12), value)[:, ::2])
-        e = np.frexp(max(abs(value.real), abs(value.imag)))[1]
-        unit = np.full((9, 6), value)
-        unit.real *= 2.0 ** -e         # keeps the sign of a zero part
-        unit.imag *= 2.0 ** -e
-        unit = spec(unit)
-        assert np.abs(unit.bins).max() >= 0.5
-        for other, order in itertools.product((ref, zero), (1, -1)):
-            got, want = (run_em([other, c][::order], MesslConfig()) for c in (quiet, unit))
-            assert pickle.dumps(got) == pickle.dumps(want)
+    for other, order in itertools.product((ref, zero), (1, -1)):
+        got, want = (run_em([other, c][::order], MesslConfig()) for c in (quiet, unit))
+        assert pickle.dumps(got) == pickle.dumps(want)
 
 
 def test_em_reference_channel_variant():
