@@ -201,9 +201,6 @@ def mvdr_weights(cov: CovarianceField, reference_channel: int = 0) -> Beamformer
     phase = np.ones(len(idx), dtype=np.complex128)
     phase[rotate] = np.conj(ref[rotate]) / magnitude[rotate]
     d = principal * phase[:, None] * np.sqrt(n_channels)
-
-    finite = np.all(np.isfinite(d), axis=1)
-    idx, d = idx[finite], d[finite]
     definite = _positive_definite(cov.noise[idx])
     idx, d = idx[definite], d[definite]
     solved = np.linalg.solve(cov.noise[idx], d[:, :, None])[:, :, 0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.io.wavfile
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .util import _at_least, _fields, _located, _one_of, _optional
 
 AMP_FLOOR = 1e-8      # linear magnitude floor before dB conversion
@@ -170,16 +170,24 @@ class StftConfig:
 
 @dataclass
 class Spectrogram:
-    """One-sided complex STFT, shape (n_freq, n_frames)."""
+    """One-sided complex STFT, shape (n_freq, n_frames).
+
+    The bins are stored as a C-contiguous complex128 array, copied only when
+    the given array is not one already.
+    """
 
     bins: np.ndarray
     config: StftConfig
     sample_rate: int
 
     def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.complex128)
-        if self.bins.ndim != 2:
-            raise DataError(f"spectrogram must be 2-D, got shape {self.bins.shape}")
+        # Checked before the copy: ascontiguousarray makes a 0-d array 1-D.
+        bins = np.asarray(self.bins, dtype=np.complex128)
+        if bins.ndim != 2:
+            raise DataError(f"spectrogram must be 2-D, got shape {bins.shape}")
+        # C-contiguous (n_freq, n_frames) bins: every consumer reads them bin by
+        # bin, and a transposed view would make each stack of channels strided.
+        self.bins = np.ascontiguousarray(bins)
         if self.bins.shape[0] != self.config.n_freq:
             raise DataError(
                 f"frequency axis {self.bins.shape[0]} inconsistent with window "
@@ -270,7 +278,8 @@ def stft(wave: Waveform, cfg: StftConfig) -> Spectrogram:
 
     Frames are hop-spaced slices of length window_size; no padding is added,
     so a signal shorter than one window is an error and trailing samples
-    that do not fill a frame are dropped.
+    that do not fill a frame are dropped. A bin that overflows float64
+    raises NumericalError.
     """
     x = wave.samples
     size, hop = cfg.window_size, cfg.hop_size
@@ -280,10 +289,12 @@ def stft(wave: Waveform, cfg: StftConfig) -> Spectrogram:
         )
     window = make_window(cfg.window, size)
     frames = np.lib.stride_tricks.sliding_window_view(x, size)[::hop]
-    # C-contiguous (n_freq, n_frames) bins: every consumer reads them bin by
-    # bin, and a transposed view would make each stack of channels strided.
-    bins = np.ascontiguousarray(np.fft.rfft(frames * window, axis=1).T)
-    return Spectrogram(bins=bins, config=cfg, sample_rate=wave.sample_rate)
+    # Samples near the float64 limit overflow the transform's sums.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.rfft(frames * window, axis=1)
+    if not np.isfinite(spectrum).all():
+        raise NumericalError("spectrogram overflows float64: input level too high")
+    return Spectrogram(bins=spectrum.T, config=cfg, sample_rate=wave.sample_rate)
 
 
 def istft(spec: Spectrogram) -> Waveform:

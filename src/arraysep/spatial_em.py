@@ -265,47 +265,40 @@ def _delay_scores(splits, weight, mean, work) -> np.ndarray:
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """scipy.special.logsumexp(a, axis=0), computed as scipy 1.17 does.
+    """scipy.special.logsumexp(a, axis=0) of EM's log posteriors, computed
+    as scipy 1.17 does.
+
+    The input must be finite. EM's is: with wrapped residuals, means in
+    [-pi, pi], variances of at least VAR_FLOOR and priors of at least
+    _PRIOR_FLOOR, every log posterior lies within about P 2e5 + 700 of zero
+    for P pairs, so no difference of two overflows.
 
     The maxima are taken out of the sum and added back as log(count), so
-    the result is bit for bit scipy's, an all -inf column included. Where
-    every column's maximum is finite, exp(a - top) is exactly 1.0 at each
+    the result is bit for bit scipy's. exp(a - top) is exactly 1.0 at each
     maximum and nowhere else, so subtracting the indicator a == top zeroes
     the maxima with the same bits as a masked write. With one maximum per
     column the count is 1: s / 1 is s and log(1) is +0.0, which leaves
     log1p(s) >= +0 unchanged, so both steps are skipped.
 
-    Two components (one source and the garbage) take a closed form when
-    every maximum is finite: top + log1p(exp(-|a0 - a1|)). The sum then
-    holds the one non-maximum term, and a - top is -|a0 - a1| to the bit;
-    a tie gives log1p(exp(0)) = log1p(1) = log(2), scipy's log(count).
+    Two components (one source and the garbage) take a closed form:
+    top + log1p(exp(-|a0 - a1|)). The sum then holds the one non-maximum
+    term, and a - top is -|a0 - a1| to the bit; a tie gives
+    log1p(exp(0)) = log1p(1) = log(2), scipy's log(count).
     """
     top = a.max(axis=0)
-    is_finite = np.isfinite(top).all()
-    if len(a) == 2 and is_finite:
-        # |a0 - a1| overflows to inf for opposite-signed maxima near 1e308,
-        # and exp(-inf) = 0 is scipy's term as well.
-        with np.errstate(over="ignore"):
-            gap = np.subtract(a[0], a[1])
+    if len(a) == 2:
+        gap = np.subtract(a[0], a[1])
         np.abs(gap, out=gap)
         np.negative(gap, out=gap)
         np.log1p(np.exp(gap, out=gap), out=gap)
         return np.add(gap, top, out=gap)
     is_top = a == top
-    # -inf - -inf and inf - inf give NaN at masked maxima, log(0) -inf in a
-    # NaN column, as in scipy; -1e308 - 1e308 = -inf has exp 0.
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        e = np.exp(a - top)
-        if is_finite:
-            e -= is_top
-            if np.count_nonzero(is_top) == top.size:
-                return np.log1p(e.sum(axis=0)) + top
-        else:
-            e[is_top] = 0.0
-        s = e.sum(axis=0)
-        m = is_top.sum(axis=0, dtype=np.float64)
-        s = np.where(s == 0, s, s / m)
-        return np.log1p(s) + np.log(m) + top
+    e = np.exp(a - top)
+    e -= is_top
+    if np.count_nonzero(is_top) == top.size:
+        return np.log1p(e.sum(axis=0)) + top
+    m = is_top.sum(axis=0, dtype=np.float64)
+    return np.log1p(e.sum(axis=0) / m) + np.log(m) + top
 
 
 def _pair_phases(specs, reference_channel: int, grid: np.ndarray):
@@ -316,7 +309,9 @@ def _pair_phases(specs, reference_channel: int, grid: np.ndarray):
     channels, the bin frequencies omega and the summed correlation. Neither
     depends on the level, so each channel is scaled by 2^-e, e the frexp
     exponent of its largest component magnitude: exact for normal bins, and
-    no product or PHAT sum of components below 1 can overflow. A pair's
+    no product or PHAT sum of components below 1 can overflow. Spectrogram
+    bins are C-contiguous, so one float64 view of a channel's components
+    gives its peak and takes its one ldexp. A pair's
     product is conj(ref) * bins in that operand order, since with FMA its
     last bit depends on it; the phases have np.angle's bits. PHAT divides
     each bin by its magnitude where that is normal and zeroes it elsewhere.
@@ -326,15 +321,14 @@ def _pair_phases(specs, reference_channel: int, grid: np.ndarray):
         raise DataError("need at least two channels for phase differences")
     if not 0 <= reference_channel < len(specs):
         raise DataError(f"reference channel {reference_channel} out of range")
-    peaks = [max(x.max(), -x.min()) for x in
-             (s.bins.ravel(order="K").view(np.float64) for s in specs)]
+    parts = [s.bins.view(np.float64) for s in specs]   # (F, 2 T) each
+    peaks = [max(x.max(), -x.min()) for x in parts]
     if not any(peaks):
         raise NumericalError("silent input: no energy in any channel")
     exponents = np.frexp(peaks)[1]
 
     def scale(c, out):  # by ldexp: 2.0 ** -e overflows for a subnormal peak
-        np.ldexp(specs[c].bins.real, -exponents[c], out=out.real)
-        np.ldexp(specs[c].bins.imag, -exponents[c], out=out.imag)
+        np.ldexp(parts[c], -exponents[c], out=out.view(np.float64))
         return out
 
     ref_conj = np.conj(scale(reference_channel, np.empty_like(specs[reference_channel].bins)))
@@ -343,10 +337,11 @@ def _pair_phases(specs, reference_channel: int, grid: np.ndarray):
     steering = np.exp(1j * np.outer(grid, omega))
     phi = np.empty((len(pairs),) + ref_conj.shape)
     cross = np.empty_like(ref_conj)
+    cross_parts = cross.view(np.float64)
     correlation = np.zeros(grid.size)
     for p, c in enumerate(pairs):
         np.multiply(ref_conj, scale(c, cross), out=cross)
-        np.arctan2(cross.imag, cross.real, out=phi[p])
+        np.arctan2(cross_parts[:, 1::2], cross_parts[:, ::2], out=phi[p])
         mag = np.abs(cross)
         normal = mag >= np.finfo(np.float64).tiny
         np.divide(cross, mag, out=cross, where=normal)  # PHAT in place

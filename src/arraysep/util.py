@@ -35,12 +35,6 @@ def as_plain_data(obj):
         return obj.value
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {str(k): as_plain_data(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [as_plain_data(v) for v in obj]
     return obj

@@ -207,6 +207,16 @@ def test_enhance_reports_overflowing_covariances(level_probe, k):
         enhance(_scaled(render.mixture, 2.0 ** k), cfg)
 
 
+@pytest.mark.parametrize("k", [1020, 1023])
+def test_enhance_reports_an_overflowing_stft(level_probe, k):
+    # The samples are finite, but their transform overflows float64: a
+    # numerical failure of the STFT, raised without a RuntimeWarning.
+    render, cfg = level_probe
+    with pytest.raises(NumericalError,
+                       match="^stage 'stft': spectrogram overflows float64"):
+        enhance(_scaled(render.mixture, 2.0 ** k), cfg)
+
+
 def test_config_digest_tracks_content():
     assert _small_cfg().digest() == _small_cfg().digest()
     assert _small_cfg().digest() != _small_cfg(reference_channel=1).digest()

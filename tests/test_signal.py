@@ -1,6 +1,8 @@
 """STFT analysis/synthesis, masks, features, file IO, and channel lists."""
 
 import os
+import pickle
+import re
 import tempfile
 import warnings
 
@@ -476,6 +478,41 @@ def test_spectrogram_freq_axis_checked(small_cfg):
     with pytest.raises(DataError, match="inconsistent"):
         Spectrogram(bins=np.zeros((5, 4), dtype=complex), config=small_cfg,
                     sample_rate=16000)
+
+
+@pytest.mark.parametrize("bins, shape", [(1.0, "()"), (np.zeros(33), "(33,)")])
+def test_spectrogram_reports_the_given_shape(small_cfg, bins, shape):
+    with pytest.raises(DataError, match=re.escape(f"2-D, got shape {shape}")):
+        Spectrogram(bins=bins, config=small_cfg, sample_rate=16000)
+
+
+def test_hand_built_non_finite_spectrogram_is_data_error(small_cfg):
+    bins = np.zeros((small_cfg.n_freq, 4), dtype=complex)
+    bins[3, 1] = np.inf
+    with pytest.raises(DataError, match="non-finite bins"):
+        Spectrogram(bins=bins, config=small_cfg, sample_rate=16000)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_spectrogram_stores_c_contiguous_bins(small_cfg, layout):
+    gen = np.random.default_rng(4)
+    shape = (small_cfg.n_freq, 14)
+    bins = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    given = np.asfortranarray(bins) if layout == "fortran" else bins[:, ::2]
+    assert not given.flags.c_contiguous
+    spec = Spectrogram(bins=given, config=small_cfg, sample_rate=16000)
+    assert spec.bins.flags.c_contiguous
+    np.testing.assert_array_equal(spec.bins, given)
+
+
+def test_em_fits_a_fortran_order_channel_as_its_c_order_copy(two_channel_render, small_cfg):
+    mixture = two_channel_render.mixture
+    specs = [stft(mixture.channel(c), small_cfg) for c in range(2)]
+    fortran = Spectrogram(bins=np.asfortranarray(specs[1].bins), config=small_cfg,
+                          sample_rate=mixture.sample_rate)
+    cfg = MesslConfig(n_iterations=4)
+    got = run_em([specs[0], fortran], cfg)
+    assert pickle.dumps(got) == pickle.dumps(run_em(specs, cfg))
 
 
 # ------------------------------------------------------------ channel lists

@@ -196,39 +196,33 @@ def test_logsumexp_matches_scipy_bit_for_bit(n_components):
             a = np.round(a)                                      # ties anywhere
         a = np.where(gen.random(shape) < 0.2, a.max(axis=0), a)  # ties at the top
         a[:, gen.random(shape[1:]) < 0.1] = gen.normal()         # constant columns
-        a[gen.random(shape) < 0.1] = -np.inf
-        a[:, gen.random(shape[1:]) < 0.1] = -np.inf              # all -inf columns
-        if trial % 5 == 0:
-            a[gen.integers(n_components)] = -np.inf              # a -inf component
-        if trial % 7 == 0:
-            a[gen.random(shape) < 0.2] = gen.choice([-1e308, 1e308])
         got, want = _logsumexp(a), logsumexp(a, axis=0)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), trial
 
 
-@pytest.mark.parametrize("case", ["no ties", "tied maxima", "inf and nan"])
+# The log posteriors of P pairs lie within about P 2e5 + 700 of zero; eight
+# channels give seven pairs.
+EM_BOUND = 7 * 2e5 + 700
+
+
+@pytest.mark.parametrize("case", ["no ties", "tied maxima", "em bound"])
 @pytest.mark.parametrize("n_components", [2, 3])
 def test_logsumexp_matches_scipy_bit_for_bit_em_sized(n_components, case):
-    """E-step-sized stacks through each path, bit for bit with scipy,
-    NaN bits included, and without a warning."""
+    """E-step-sized stacks through each path, bit for bit with scipy and
+    without a warning, out to the widest log posteriors EM forms."""
     gen = np.random.default_rng([n_components, len(case)])
     a = gen.normal(-40.0, 15.0, (n_components, 257, 122))
     if case == "tied maxima":
         cols = gen.integers(0, 257, 5), gen.integers(0, 122, 5)
         a[1][cols] = a[0][cols] = a[:, cols[0], cols[1]].max(axis=0)
-    if case == "inf and nan":
-        a[0, :3, 0] = np.inf
-        a[1, 3:6, 1] = np.nan
-        a[:2, 6, 2] = np.nan, np.inf
-        a[:, 7, 3] = np.inf
-        a[:, 8, 4] = -np.inf
+    if case == "em bound":
+        a = gen.uniform(-EM_BOUND, EM_BOUND, a.shape)
+        a[0, :3] = -EM_BOUND
+        a[1, :3] = EM_BOUND                          # exp(a - top) underflows
     top = a.max(axis=0)
-    if case == "inf and nan":
-        assert not np.isfinite(top).all()
-    else:
-        ties = np.count_nonzero(a == top) - top.size
-        assert (ties > 0) == (case == "tied maxima")
+    ties = np.count_nonzero(a == top) - top.size
+    assert (ties > 0) == (case == "tied maxima")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _logsumexp(a)
@@ -237,26 +231,22 @@ def test_logsumexp_matches_scipy_bit_for_bit_em_sized(n_components, case):
 
 
 def test_logsumexp_two_components_closed_form():
-    """One source plus garbage, every maximum finite: the closed form
-    top + log1p(exp(-|a0 - a1|)) is scipy's bits on ties, on a -inf row
-    and where a0 - a1 overflows, without a warning."""
+    """One source plus garbage: the closed form
+    top + log1p(exp(-|a0 - a1|)) is scipy's bits on ties and on gaps out to
+    the widest EM forms, without a warning."""
     # A tie gives log1p(exp(0)), which must be scipy's log(count).
     assert np.log1p(1.0) == np.log(2.0)
     gen = np.random.default_rng(9)
     a = gen.normal(-40.0, 15.0, (2, 40, 33))
     a[1, :5] = a[0, :5]                              # ties
-    a[0, 6:10] = -np.inf                             # one row -inf
-    a[1, 10:15] = -np.inf
-    a[0, 15:20], a[1, 15:20] = 1e308, -1e308         # a0 - a1 = inf
-    a[0, 20:25], a[1, 20:25] = -1e308, 1e308         # a0 - a1 = -inf
-    a[:, 25] = -1e308                                # ties at the extremes
-    a[:, 26] = 1e308
-    assert np.isfinite(a.max(axis=0)).all()
+    a[0, 15:20], a[1, 15:20] = EM_BOUND, -EM_BOUND   # exp(a0 - a1) underflows
+    a[0, 20:25], a[1, 20:25] = -EM_BOUND, EM_BOUND
+    a[:, 25] = -EM_BOUND                             # ties at the extremes
+    a[:, 26] = EM_BOUND
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _logsumexp(a)
-    with np.errstate(over="ignore"):
-        want = logsumexp(a, axis=0)
+    want = logsumexp(a, axis=0)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -506,6 +496,31 @@ def _probe_specs(level_probe, k):
     return [stft(mixture.channel(c), cfg.stft) for c in range(mixture.n_channels)]
 
 
+@pytest.mark.parametrize("k, n_sources, garbage", [
+    (-1000, 2, True), (0, 2, True), (1000, 2, True), (0, 1, False), (0, 3, False),
+])
+def test_em_forms_only_finite_bounded_log_posteriors(level_probe, monkeypatch,
+                                                    k, n_sources, garbage):
+    # _logsumexp handles finite input only; every stack EM hands it must be
+    # finite and within the bound its docstring states.
+    stacks = []
+
+    def spy(a):
+        stacks.append(a.copy())
+        return _logsumexp(a)
+
+    monkeypatch.setattr(spatial_em, "_logsumexp", spy)
+    cfg = dataclasses.replace(level_probe[1].messl, n_sources=n_sources,
+                              use_garbage=garbage)
+    result = run_em(_probe_specs(level_probe, k), cfg)
+    n_pairs = len(result.pair_channels)
+    assert len(stacks) == len(result.loglik_trace) - result.converged
+    for a in stacks:
+        assert a.shape[0] == n_sources + garbage
+        assert np.isfinite(a).all()
+        assert np.abs(a).max() < n_pairs * 2e5 + 700
+
+
 @pytest.fixture(scope="module")
 def unscaled_probe_em(level_probe):
     return run_em(_probe_specs(level_probe, 0), level_probe[1].messl)
@@ -549,7 +564,8 @@ def test_silent_check_keeps_the_energy_sum_answer(value, silent):
         return Spectrogram(bins=bins, config=cfg, sample_rate=16000)
 
     zero = spec(np.zeros((9, 6), dtype=complex))
-    # A non-contiguous channel reads the same components.
+    # Spectrogram stores a strided array's bins C-contiguous, so EM reads
+    # the same components.
     quiet = spec(np.full((9, 12), value, dtype=complex)[:, ::2])
     assert _old_silent([zero, quiet]) is silent
     if value == 0:
