@@ -51,6 +51,7 @@ from .util import (
 
 DELAY_TAPS = 32
 DELAY_KAISER_BETA = 8.6
+_KAISER_NORM = np.i0(DELAY_KAISER_BETA)
 MANIFEST_NAME = "manifest.yaml"
 # speechlike_signal: fundamental range (Hz), share of silence, level of the
 # colored noise bursts against the voiced part, and RMS over active samples.
@@ -60,6 +61,10 @@ SPEECH_NOISE_LEVEL = 0.12
 SPEECH_RMS = 0.15
 # random_scene_spec: non-anchor channel gains are 1 +- up to this.
 GAIN_JITTER = 0.1
+# _one_pole: samples per chunk, and the warm-up each chunk runs from zero
+# before its first sample. Its output is exact whatever their values.
+_POLE_CHUNK = 128
+_POLE_WARMUP = 48
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,8 @@ class SourceSpec:
 
     def __post_init__(self):
         _fields(self, **self._converters)
+        if not len(self.signal):
+            raise DataError("source signal has no samples")
         if len(self.delays) != len(self.gains):
             raise DataError("delays and gains must have one entry per channel")
 
@@ -130,35 +137,52 @@ class SceneRender:
         return self.mixture.sample_rate
 
 
+def _delay_parts(delays) -> list:
+    """(whole-sample shift, kernel) per delay; None for no fractional part.
+
+    The Kaiser-windowed sinc kernels of DELAY_TAPS taps for all fractional
+    parts are designed in one pass. Each part lies in (0, 1], so every tap
+    sits inside the window.
+    """
+    delays = np.asarray(delays, dtype=np.float64)
+    shifts = np.floor(delays)
+    fracs = delays - shifts
+    half = DELAY_TAPS // 2
+    arg = np.arange(-half + 1, half + 1) - fracs[fracs > 0.0][:, None]
+    taper = np.sqrt(1.0 - (arg / half) ** 2)
+    window = np.i0(DELAY_KAISER_BETA * taper) / _KAISER_NORM
+    kernels = iter(np.sinc(arg) * window)
+    return [(int(shift), next(kernels) if frac > 0.0 else None)
+            for shift, frac in zip(shifts, fracs)]
+
+
+def _delayed(x: np.ndarray, shift: int, kernel) -> np.ndarray:
+    """x filtered by kernel (None for none), then shifted by whole samples."""
+    n = x.shape[0]
+    out = np.zeros(n)
+    if abs(shift) >= n:
+        return out
+    if kernel is not None:
+        half = DELAY_TAPS // 2
+        x = np.convolve(x, kernel)[half - 1:half - 1 + n]
+    if shift >= 0:
+        out[shift:] = x[:n - shift] if shift else x
+    else:
+        out[:n + shift] = x[-shift:]
+    return out
+
+
 def fractional_delay(x: np.ndarray, delay: float) -> np.ndarray:
     """Delay a signal by a possibly fractional number of samples.
 
     Integer delays are exact shifts. Fractional parts are interpolated with
     a Kaiser-windowed sinc kernel of DELAY_TAPS taps, so the result is
     accurate for signals whose energy sits below roughly 0.6 of Nyquist.
-    Output has the same length as the input, zero-filled at the exposed end.
+    Output has the same length as the input, zero-filled at the exposed end;
+    a delay of the whole length or more, either way, gives all zeros.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    shift = int(np.floor(delay))
-    frac = delay - shift
-    if frac > 0.0:
-        half = DELAY_TAPS // 2
-        offsets = np.arange(-half + 1, half + 1)
-        arg = offsets - frac
-        scaled = arg / half
-        window = np.zeros_like(arg, dtype=np.float64)
-        inside = np.abs(scaled) <= 1.0
-        taper = np.sqrt(1.0 - scaled[inside] ** 2)
-        window[inside] = np.i0(DELAY_KAISER_BETA * taper) / np.i0(DELAY_KAISER_BETA)
-        kernel = np.sinc(arg) * window
-        x = np.convolve(x, kernel)[half - 1:half - 1 + n]
-    out = np.zeros(n)
-    if shift >= 0:
-        out[shift:] = x[:n - shift] if shift else x
-    else:
-        out[:n + shift] = x[-shift:]
-    return out
+    [(shift, kernel)] = _delay_parts([delay])
+    return _delayed(np.asarray(x, dtype=np.float64), shift, kernel)
 
 
 def render_scene(spec: SceneSpec) -> SceneRender:
@@ -171,8 +195,8 @@ def render_scene(spec: SceneSpec) -> SceneRender:
         padded[:len(src.signal)] = src.signal.samples
         rows = np.stack(
             [
-                gain * fractional_delay(padded, delay)
-                for delay, gain in zip(src.delays, src.gains)
+                gain * _delayed(padded, shift, kernel)
+                for (shift, kernel), gain in zip(_delay_parts(src.delays), src.gains)
             ]
         )
         images.append(MultichannelWaveform.from_array(rows, rate))
@@ -203,6 +227,46 @@ def ideal_masks(render: SceneRender, cfg: StftConfig) -> list:
     return out
 
 
+def _run_pole(drive: np.ndarray, state: np.ndarray, alpha: float) -> np.ndarray:
+    """Rows y[t] = alpha * y[t-1] + drive[t] from y[-1] = state, per column."""
+    out = np.empty_like(drive)
+    for row, d in zip(out, drive):
+        np.multiply(state, alpha, out=row)
+        np.add(row, d, out=row)
+        state = row
+    return out
+
+
+def _one_pole(drive: np.ndarray, alpha: float) -> np.ndarray:
+    """y[t] = alpha * y[t-1] + drive[t] from y[-1] = 0, bit for bit.
+
+    Each step rounds as a scalar loop does: one multiply, then one add.
+    Chunks of _POLE_CHUNK samples run side by side, each from state 0 at
+    _POLE_WARMUP samples before its first one (chunk 0's warm-up input is
+    zero, so it starts exactly). The step is deterministic, so a chunk is
+    exact once its state at the end of its warm-up has the bits of the
+    previous chunk's last output. A chunk without that runs again from that
+    output, until none changes; each pass makes at least one more chunk
+    exact.
+    """
+    n = drive.shape[0]
+    chunks = -(-n // _POLE_CHUNK)
+    # Time-major: column j holds chunk j's warm-up and then its samples.
+    rows = np.zeros((_POLE_WARMUP + _POLE_CHUNK, chunks))
+    rows[_POLE_WARMUP:].T.flat[:n] = drive
+    rows[:_POLE_WARMUP, 1:] = rows[_POLE_CHUNK:, :-1]
+    y = _run_pole(rows, np.zeros(chunks), alpha)
+    start, body = y[_POLE_WARMUP - 1], y[_POLE_WARMUP:]
+    while True:
+        last = body[-1]
+        stale = np.flatnonzero(
+            start[1:].view(np.int64) != last[:-1].view(np.int64)) + 1
+        if not stale.size:
+            return body.T.reshape(-1)[:n]
+        start[stale] = last[stale - 1]
+        body[:, stale] = _run_pole(rows[_POLE_WARMUP:, stale], start[stale], alpha)
+
+
 def speechlike_signal(
     duration: float, sample_rate: int, rng: np.random.Generator
 ) -> Waveform:
@@ -228,9 +292,14 @@ def speechlike_signal(
     f_max = 0.55 * sample_rate / 2.0
     n_harm = max(1, int(f_max / SPEECH_F0_RANGE[1]))
     voiced = np.zeros(n)
+    term = np.empty(n)
     for h in range(1, n_harm + 1):
         amp = rng.uniform(0.5, 1.0) / h
-        voiced += amp * np.sin(h * phase + rng.uniform(0.0, 2.0 * np.pi))
+        np.multiply(h, phase, out=term)
+        term += rng.uniform(0.0, 2.0 * np.pi)
+        np.sin(term, out=term)
+        term *= amp
+        voiced += term
 
     # Syllabic on/off envelope with raised-cosine edges and hard pauses.
     envelope = np.zeros(n)
@@ -255,17 +324,10 @@ def speechlike_signal(
     sig = voiced * envelope
 
     # One-pole lowpassed noise gated by short bursts inside voiced spans.
-    # The recursion runs over Python floats: numpy scalar arithmetic per
-    # sample costs about twice as much, with the same bits.
     white = rng.standard_normal(n)
     alpha = float(np.exp(-2.0 * np.pi * 3500.0 / sample_rate))
     b = float(np.sqrt(1.0 - alpha * alpha))
-    colored = []
-    acc = 0.0
-    for w in white.tolist():
-        acc = alpha * acc + b * w
-        colored.append(acc)
-    sig += SPEECH_NOISE_LEVEL * np.array(colored) * envelope
+    sig += SPEECH_NOISE_LEVEL * _one_pole(b * white, alpha) * envelope
 
     active = sig[envelope > 0.5]
     level = np.sqrt(np.mean(active ** 2)) if active.size else 1.0

@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from arraysep import (
@@ -103,7 +103,8 @@ SCENE_KEYS = ["batch", "sample_rate", "seed", "sources", "n_channels",
               "diffuse_noise_level"]
 RATES = _numbers(8000, 16000, 0, -8000, 800.5)
 DURATIONS = _numbers(0.05, 0.1, 0.0, -0.1, float("nan"), float("inf"))
-PLACEMENTS = st.lists(_numbers(0.0, 1.5, -2.0, 0.5, float("nan")), max_size=4)
+PLACEMENTS = st.lists(_numbers(0.0, 1.5, -2.0, 0.5, 900.5, -900.5, float("nan")),
+                      max_size=4)
 
 SOURCE_DOCS = _doc({
     "kind": _either(_numbers("speechlike", "wav", "tone"), SOURCE_KEYS),
@@ -269,8 +270,15 @@ def test_enhance_config_fuzz(mixture_wav, capsys, doc):
     _run(capsys, "enhance", doc, ["--input", mixture_wav])
 
 
+# Few drawn documents render a short source, so these pin a 900.5-sample
+# delay between one and two source lengths, in either direction, and one
+# past twice the length.
 @FUZZ
 @given(doc=SCENE_DOCS)
+@example(doc={"sources": [{"duration": 0.05, "delays": [0.0, 900.5]}]})
+@example(doc={"sources": [{"duration": 0.05, "delays": [-900.5, 0.0]}]})
+@example(doc={"sample_rate": 8000,
+              "sources": [{"duration": 0.05, "delays": [0.0, 900.5]}]})
 def test_simulate_config_fuzz(capsys, doc):
     _run(capsys, "simulate", doc, [])
 

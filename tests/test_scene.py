@@ -1,7 +1,10 @@
 """Scene simulation: delays, rendering, oracle masks, signal generator, IO."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,8 +26,19 @@ from arraysep import (
     save_render,
     speechlike_signal,
 )
-from arraysep.scene import DELAY_TAPS, load_scene_specs
-from arraysep.signal import AMP_FLOOR
+from arraysep.cli import main
+from arraysep.scene import (
+    _POLE_CHUNK,
+    DELAY_KAISER_BETA,
+    DELAY_TAPS,
+    SPEECH_F0_RANGE,
+    SPEECH_NOISE_LEVEL,
+    SPEECH_PAUSE_FRACTION,
+    SPEECH_RMS,
+    _one_pole,
+    load_scene_specs,
+)
+from arraysep.signal import AMP_FLOOR, write_wav
 
 
 def _bandlimited(n: int, sample_rate: int, seed: int = 0, top: float = 0.4):
@@ -79,6 +93,12 @@ def test_fractional_delay_matches_analytic_oracle():
         hi = 2000 - DELAY_TAPS - 4
         err = np.max(np.abs(y[lo:hi] - expected[lo:hi]))
         assert err < 1e-3, f"delay {d}: err {err:.2e}"
+
+
+@pytest.mark.parametrize("delay", [10.0, 12.0, 12.5, -10.5, -12.0, -12.5, 1e6])
+def test_delay_past_the_end_gives_zeros(delay):
+    y = fractional_delay(np.arange(10.0), delay)
+    np.testing.assert_array_equal(y, np.zeros(10))
 
 
 def test_fractional_delay_composition():
@@ -167,6 +187,30 @@ def test_snr_mapping():
     target_rms = spec.sources[0].signal.rms()
     assert spec.diffuse_noise_level == pytest.approx(
         target_rms * 10.0 ** (-0.5), rel=1e-9)
+
+
+def test_source_without_samples_is_rejected(tmp_path, capsys):
+    empty = Waveform(samples=np.zeros(0), sample_rate=16000)
+    with pytest.raises(DataError, match="source signal has no samples"):
+        SourceSpec(signal=empty, delays=(0.0, 0.5), gains=(1.0, 1.0))
+    wav = tmp_path / "empty.wav"
+    write_wav(wav, empty)
+    config = tmp_path / "scene.yml"
+    config.write_text(f"sources: [{{kind: wav, path: '{wav}', delays: [0, 0.5]}}]\n")
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "sources[0]" in err and "no samples" in err and "Traceback" not in err
+
+
+def test_cli_renders_a_delay_past_the_end_as_silence(tmp_path):
+    config = tmp_path / "scene.yml"
+    config.write_text("sources: [{duration: 0.1, delays: [0, 2000]}]\n")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    render = load_render(tmp_path / "scene_000")
+    image = render.per_source_images[0].as_array()
+    assert image[0].any()
+    assert not image[1].any()
 
 
 def test_scene_spec_validation():
@@ -393,3 +437,150 @@ def test_load_scene_specs_explicit(tmp_path):
     assert specs[0].sources[0].delays == (0.0, 2.5)
     render = render_scene(specs[0])
     assert render.mixture.n_channels == 2
+
+
+# ------------------------------------------- oracles for the vectorized paths
+#
+# The scalar loop, the per-call delay kernel and the speechlike generator as
+# they were before the noise recursion and the kernels ran as array code.
+# The array code must reproduce them bit for bit: compared by tobytes(), a
+# -0.0 against a +0.0 counts as a difference.
+
+def _one_pole_loop(drive, alpha):
+    out = []
+    acc = 0.0
+    for d in drive.tolist():
+        acc = alpha * acc + d
+        out.append(acc)
+    return np.array(out)
+
+
+def _reference_delay(x, delay):
+    n = x.shape[0]
+    shift = int(np.floor(delay))
+    frac = delay - shift
+    if frac > 0.0:
+        half = DELAY_TAPS // 2
+        offsets = np.arange(-half + 1, half + 1)
+        arg = offsets - frac
+        scaled = arg / half
+        window = np.zeros_like(arg, dtype=np.float64)
+        inside = np.abs(scaled) <= 1.0
+        taper = np.sqrt(1.0 - scaled[inside] ** 2)
+        window[inside] = np.i0(DELAY_KAISER_BETA * taper) / np.i0(DELAY_KAISER_BETA)
+        kernel = np.sinc(arg) * window
+        x = np.convolve(x, kernel)[half - 1:half - 1 + n]
+    out = np.zeros(n)
+    if shift >= 0:
+        out[shift:] = x[:n - shift] if shift else x
+    else:
+        out[:n + shift] = x[-shift:]
+    return out
+
+
+def _reference_render(spec):
+    n = max(len(src.signal) for src in spec.sources)
+    images = []
+    for src in spec.sources:
+        padded = np.zeros(n)
+        padded[:len(src.signal)] = src.signal.samples
+        images.append(np.stack([gain * _reference_delay(padded, delay)
+                                for delay, gain in zip(src.delays, src.gains)]))
+    noise = spec.diffuse_noise_level * np.random.default_rng(spec.seed).standard_normal(
+        (spec.n_channels, n))
+    return noise + np.sum(images, axis=0), images, noise
+
+
+def _reference_speechlike(duration, sample_rate, rng):
+    n = int(round(duration * sample_rate))
+    knot_hop = max(1, int(0.2 * sample_rate))
+    n_knots = n // knot_hop + 2
+    knots = rng.uniform(SPEECH_F0_RANGE[0], SPEECH_F0_RANGE[1], size=n_knots)
+    f0 = np.interp(np.arange(n), np.arange(n_knots) * knot_hop, knots)
+    phase = np.cumsum(2.0 * np.pi * f0 / sample_rate)
+    f_max = 0.55 * sample_rate / 2.0
+    n_harm = max(1, int(f_max / SPEECH_F0_RANGE[1]))
+    voiced = np.zeros(n)
+    for h in range(1, n_harm + 1):
+        amp = rng.uniform(0.5, 1.0) / h
+        voiced += amp * np.sin(h * phase + rng.uniform(0.0, 2.0 * np.pi))
+    envelope = np.zeros(n)
+    edge = max(1, int(0.02 * sample_rate))
+    ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
+    pause = SPEECH_PAUSE_FRACTION
+    pos = int(rng.uniform(0.4, 1.0) * pause * 0.5 * n)
+    while pos < n:
+        on = int(rng.uniform(0.12, 0.3) * sample_rate)
+        off = int(rng.uniform(0.3, 1.0) * on * pause / (1.0 - pause) * 2.0)
+        hi = min(n, pos + on)
+        envelope[pos:hi] = 1.0
+        if hi - pos > 2 * edge:
+            envelope[pos:pos + edge] = ramp
+            envelope[hi - edge:hi] = ramp[::-1]
+        pos = hi + max(edge, off)
+    tail = max(1, int(pause * 0.25 * n))
+    envelope[-tail:] = 0.0
+    if not envelope.any():
+        envelope[: max(2 * edge, n // 2)] = 1.0
+    sig = voiced * envelope
+    white = rng.standard_normal(n)
+    alpha = float(np.exp(-2.0 * np.pi * 3500.0 / sample_rate))
+    b = float(np.sqrt(1.0 - alpha * alpha))
+    colored = []
+    acc = 0.0
+    for w in white.tolist():
+        acc = alpha * acc + b * w
+        colored.append(acc)
+    sig += SPEECH_NOISE_LEVEL * np.array(colored) * envelope
+    active = sig[envelope > 0.5]
+    level = np.sqrt(np.mean(active ** 2)) if active.size else 1.0
+    scale = SPEECH_RMS / max(level, 1e-12)
+    return np.clip(sig * scale, -0.99, 0.99)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal would cost about 40 MB of RSS for one filter.
+    import arraysep
+    src = os.path.dirname(os.path.dirname(arraysep.__file__))
+    code = "import sys, arraysep; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
+
+
+SPEECH_ALPHA = float(np.exp(-2.0 * np.pi * 3500.0 / 16000))
+POLE_LENGTHS = [1, _POLE_CHUNK - 1, _POLE_CHUNK, _POLE_CHUNK + 1, 3 * _POLE_CHUNK + 7,
+                *np.random.default_rng(30).integers(2, 20 * _POLE_CHUNK, size=4).tolist()]
+
+
+@pytest.mark.parametrize("alpha", [SPEECH_ALPHA, 0.999])
+@pytest.mark.parametrize("n", POLE_LENGTHS)
+def test_one_pole_matches_the_scalar_loop(n, alpha):
+    # At 0.999 no warm-up is long enough for chunk states to merge, so the
+    # re-run pass does the work there.
+    drive = np.random.default_rng(n).standard_normal(n)
+    assert _one_pole(drive, alpha).tobytes() == _one_pole_loop(drive, alpha).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100])
+@pytest.mark.parametrize("duration", [0.01, 0.33, 1.0, 3.7])
+def test_speechlike_matches_the_reference(duration, rate, seed):
+    sig = speechlike_signal(duration, rate, np.random.default_rng(seed))
+    ref = _reference_speechlike(duration, rate, np.random.default_rng(seed))
+    assert sig.samples.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_render_matches_the_reference(seed):
+    rng = np.random.default_rng(40 + seed)
+    spec = random_scene_spec(rng, n_channels=int(rng.integers(2, 9)), duration=0.2,
+                             n_interferers=seed % 3,
+                             target_delay_range=(-6.0, 6.0))
+    render = render_scene(spec)
+    mixture, images, noise = _reference_render(spec)
+    assert render.mixture.as_array().tobytes() == mixture.tobytes()
+    assert render.noise_image.as_array().tobytes() == noise.tobytes()
+    assert len(render.per_source_images) == len(images)
+    for image, ref in zip(render.per_source_images, images):
+        assert image.as_array().tobytes() == ref.tobytes()
