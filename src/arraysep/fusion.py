@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import DataError
 from .signal import MaskGrid, check_ratio_mask
+from .util import _member
 
 
 class CombineMode(enum.Enum):
@@ -16,15 +17,7 @@ class CombineMode(enum.Enum):
     MAX = "max"
     LSTM_ONLY = "lstm"
 
-    @classmethod
-    def parse(cls, name: str) -> "CombineMode":
-        mode = {m.value: m for m in cls}.get(name.strip().lower())
-        if mode is None:
-            raise DataError(
-                f"unknown combine mode '{name}', expected one of "
-                f"{[m.value for m in cls]}"
-            )
-        return mode
+    parse = classmethod(_member)  # the member a name gives, else DataError
 
 
 def fuse_channels(masks) -> MaskGrid:

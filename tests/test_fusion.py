@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from arraysep import CombineMode, DataError, combine_masks, fuse_channels
 from arraysep.signal import MaskGrid, check_ratio_mask
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _random_masks(seed, count=3, shape=(6, 8)):
     gen = np.random.default_rng(seed)

