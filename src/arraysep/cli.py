@@ -55,16 +55,24 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _dump_masks(directory, masks: dict, digest: str) -> None:
+    """With a --dump-masks directory, write each mask that is not None
+    there as <name>.mask under the config digest."""
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+        for name, mask in masks.items():
+            if mask is not None:
+                save_mask(mask, os.path.join(directory, f"{name}.mask"), digest)
+
+
 def cmd_messl(args) -> int:
     mixture = read_wav(args.input)
     cfg = _pipeline_config(args)
     result = pl.analyze(mixture, cfg).em
     digest = cfg.digest()
     save_mask(result.target_mask, args.out, digest)
-    if args.dump_masks:
-        os.makedirs(args.dump_masks, exist_ok=True)
-        for k, mask in enumerate(result.masks):
-            save_mask(mask, os.path.join(args.dump_masks, f"component_{k:02d}.mask"), digest)
+    _dump_masks(args.dump_masks,
+                {f"component_{k:02d}": mask for k, mask in enumerate(result.masks)}, digest)
     print(f"wrote {args.out} (loglik {result.loglik_trace[-1]:.1f}, "
           f"target component {result.target_index})")
     return EXIT_OK
@@ -110,16 +118,8 @@ def cmd_enhance(args) -> int:
     cfg = _pipeline_config(args)
     result = pl.enhance(mixture, cfg)
     write_wav(args.out, result.waveform)
-    if args.dump_masks:
-        os.makedirs(args.dump_masks, exist_ok=True)
-        for name, mask in (
-            ("final", result.final_mask),
-            ("clustering", result.messl_mask),
-            ("enhanced", result.enhanced_mask),
-        ):
-            if mask is not None:
-                path = os.path.join(args.dump_masks, f"{name}.mask")
-                save_mask(mask, path, result.config_digest)
+    _dump_masks(args.dump_masks, {"final": result.final_mask, "clustering": result.messl_mask,
+                                  "enhanced": result.enhanced_mask}, result.config_digest)
     print(f"wrote {args.out} (config {result.config_digest})")
     return EXIT_OK
 

@@ -501,6 +501,12 @@ def train(
     val_batches = list(val_batches)
     if not train_batches or not val_batches:
         raise DataError("need nonempty training and validation sets")
+    for name, batches in (("training", train_batches), ("validation", val_batches)):
+        for index, batch in enumerate(batches):
+            shape = np.shape(batch.inputs)
+            if len(shape) != 2 or not shape[0] or shape[1] != model.input_dim:
+                raise DataError(f"{name} batch {index} has inputs of shape {shape}, "
+                                f"not (frames > 0, {model.input_dim})")
     optimizer = _Adam(model.params, settings.learning_rate)
     history = []
     best_val = np.inf

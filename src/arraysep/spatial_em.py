@@ -31,8 +31,8 @@ variance update need the squared deviations from the means only summed over
 pairs: one (K, F, T) array, which each M step builds pair by pair. It, the
 posteriors, the search weights and the scoring buffers are allocated once
 per call and overwritten by every iteration, not taken as fresh pages in
-each. The E step's log-sum-exp over one source plus the garbage, the
-default model, takes a closed form (see _logsumexp).
+each. The E step turns the log posteriors into posteriors in place, in
+one pass shifted by each bin's maximum (see _normalize).
 """
 
 from __future__ import annotations
@@ -275,41 +275,18 @@ def _pair_sum_sq(resid, mean, out, scratch) -> np.ndarray:
     return out
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """scipy.special.logsumexp(a, axis=0) of EM's log posteriors, computed
-    as scipy 1.17 does.
-
-    The input must be finite. EM's is: with wrapped residuals, means in
-    [-pi, pi], variances of at least VAR_FLOOR and priors of at least
-    _PRIOR_FLOOR, every log posterior lies within about P 2e5 + 700 of zero
-    for P pairs, so no difference of two overflows.
-
-    The maxima are taken out of the sum and added back as log(count), so
-    the result is bit for bit scipy's. exp(a - top) is exactly 1.0 at each
-    maximum and nowhere else, so subtracting the indicator a == top zeroes
-    the maxima with the same bits as a masked write. With one maximum per
-    column the count is 1: s / 1 is s and log(1) is +0.0, which leaves
-    log1p(s) >= +0 unchanged, so both steps are skipped.
-
-    Two components (one source and the garbage) take a closed form:
-    top + log1p(exp(-|a0 - a1|)). The sum then holds the one non-maximum
-    term, and a - top is -|a0 - a1| to the bit; a tie gives
-    log1p(exp(0)) = log1p(1) = log(2), scipy's log(count).
+def _normalize(log_post: np.ndarray) -> np.ndarray:
+    """Turn EM's (components, F, T) log posteriors into posteriors in place
+    and return each bin's log normalizer. The input must be finite. EM's
+    is: with wrapped residuals, means in [-pi, pi], variances of at least
+    VAR_FLOOR and priors of at least _PRIOR_FLOOR, every log posterior lies
+    within about P 2e5 + 700 of zero for P pairs, so a - top cannot overflow.
     """
-    top = a.max(axis=0)
-    if len(a) == 2:
-        gap = np.subtract(a[0], a[1])
-        np.abs(gap, out=gap)
-        np.negative(gap, out=gap)
-        np.log1p(np.exp(gap, out=gap), out=gap)
-        return np.add(gap, top, out=gap)
-    is_top = a == top
-    e = np.exp(a - top)
-    e -= is_top
-    if np.count_nonzero(is_top) == top.size:
-        return np.log1p(e.sum(axis=0)) + top
-    m = is_top.sum(axis=0, dtype=np.float64)
-    return np.log1p(e.sum(axis=0) / m) + np.log(m) + top
+    top = log_post.max(axis=0)
+    e = np.exp(np.subtract(log_post, top, out=log_post), out=log_post)
+    s = e.sum(axis=0)
+    e /= s
+    return np.log(s) + top
 
 
 def _pair_phases(specs, reference_channel: int, grid: np.ndarray):
@@ -330,6 +307,8 @@ def _pair_phases(specs, reference_channel: int, grid: np.ndarray):
     specs = check_channels(specs)
     if len(specs) < 2:
         raise DataError("need at least two channels for phase differences")
+    if not specs[0].bins.size:
+        raise DataError(f"spectrograms have no bins, shape {specs[0].bins.shape}")
     if not 0 <= reference_channel < len(specs):
         raise DataError(f"reference channel {reference_channel} out of range")
     parts = [s.bins.view(np.float64) for s in specs]   # (F, 2 T) each
@@ -419,10 +398,8 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
         if cfg.use_garbage:
             log_post[-1] = n_pairs * _LOG_UNIFORM
         log_post += log_priors[:, None, None]
-        total = _logsumexp(log_post)
-        log_post -= total
-        gamma = np.exp(log_post, out=log_post)
-        trace.append(float(np.sum(total)))
+        trace.append(float(np.sum(_normalize(log_post))))
+        gamma = log_post
         if iteration == cfg.n_iterations:
             break
         if iteration >= 1:

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 import struct
 import tempfile
 
@@ -473,6 +474,22 @@ def test_train_requires_batches():
     model = init_model(config, n_freq=4, feature_stats=_stats(4))
     with pytest.raises(DataError, match="nonempty"):
         train(model, [], [_random_batch(config, 4)], TrainSettings())
+
+
+@pytest.mark.parametrize("shape", [(5, 10), (0, 18)], ids=["wide", "no frames"])
+@pytest.mark.parametrize("bad_set", ["training", "validation"])
+def test_train_checks_every_batch_shape_before_the_first_epoch(bad_set, shape):
+    config = EnhancerConfig(layer_sizes=(4,))
+    model = init_model(config, n_freq=9, feature_stats=_stats(9))
+    before = model.copy_params()
+    good = _random_batch(config, 9)
+    bad = TrainBatch(inputs=np.zeros(shape), target=np.zeros((shape[0], 9)))
+    batches = {"training": [good, good], "validation": [good, good]}
+    batches[bad_set][1] = bad
+    with pytest.raises(DataError, match=re.escape(f"{bad_set} batch 1 has inputs of shape {shape}")):
+        train(model, batches["training"], batches["validation"], TrainSettings())
+    for key in before:
+        np.testing.assert_array_equal(model.params[key], before[key])
 
 
 # ------------------------------------------------------------------- setup

@@ -475,7 +475,7 @@ def test_write_score_csv_round_trip(tmp_path):
     row = {"scene": "s", "mode": "avg", "sdr": "1.0", "sir": "2.0",
            "sar": "3.0", "seg_snr": "4.0", "error": ""}
     write_score_csv([row], path, "deadbeef")
-    lines = open(path).read().splitlines()
+    lines = (tmp_path / "one.csv").read_text().splitlines()
     assert lines[0] == "# config_hash=deadbeef"
     assert lines[2].startswith("s,avg,1.0")
 
@@ -696,7 +696,7 @@ def test_cli_enhance_and_evaluate(cli_workspace, capsys):
     ])
     assert code == 0
     assert "sdr" in capsys.readouterr().out
-    assert open(root / "eval.csv").readline().startswith("# config_hash=")
+    assert (root / "eval.csv").read_text().startswith("# config_hash=")
 
 
 def test_cli_messl_writes_mask(cli_workspace):
@@ -709,6 +709,54 @@ def test_cli_messl_writes_mask(cli_workspace):
     ])
     assert code == 0
     assert os.path.getsize(out) > 0
+
+
+def _dumped_masks(directory):
+    """Each dumped mask by name, with the config line of its header."""
+    dumped = {}
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        with open(path, "rb") as handle:
+            head = handle.read().split(b"end\n", 1)[0].decode()
+        config = [line for line in head.splitlines() if line.startswith("config ")]
+        dumped[name] = load_mask(path), config
+    return dumped
+
+
+def _workspace_digest(root):
+    return pipeline.pipeline_config_from_dict(load_config(str(root / "pipeline.yml"))).digest()
+
+
+def test_cli_messl_dump_masks_read_back(cli_workspace, tmp_path):
+    root = cli_workspace
+    out = tmp_path / "target.mask"
+    assert main(["messl", "--input", str(root / "scenes" / "scene_001" / "mixture.wav"),
+                 "--out", str(out), "--config", str(root / "pipeline.yml"),
+                 "--dump-masks", str(tmp_path / "masks")]) == 0
+    dumped = _dumped_masks(tmp_path / "masks")
+    assert sorted(dumped) == ["component_00.mask", "component_01.mask"]
+    digest = _workspace_digest(root)
+    for mask, config in dumped.values():
+        assert config == [f"config {digest}"]
+    total = sum(mask.values for mask, _ in dumped.values())
+    np.testing.assert_allclose(total, 1.0, atol=1e-6)
+    target = load_mask(str(out)).values
+    assert any(np.array_equal(target, mask.values) for mask, _ in dumped.values())
+
+
+def test_cli_enhance_dump_masks_read_back(cli_workspace, tmp_path):
+    root = cli_workspace
+    assert main(["enhance", "--input", str(root / "scenes" / "scene_001" / "mixture.wav"),
+                 "--out", str(tmp_path / "out.wav"), "--config", str(root / "pipeline.yml"),
+                 "--dump-masks", str(tmp_path / "masks")]) == 0
+    dumped = _dumped_masks(tmp_path / "masks")
+    assert sorted(dumped) == ["clustering.mask", "final.mask"]   # no model, no enhanced mask
+    digest = _workspace_digest(root)
+    for mask, config in dumped.values():
+        assert config == [f"config {digest}"]
+        assert mask.values.shape == dumped["final.mask"][0].values.shape
+        assert mask.values.shape[0] == SMALL.n_freq
+        assert 0.0 <= mask.values.min() and mask.values.max() <= 1.0
 
 
 def test_cli_experiment(cli_workspace):
@@ -724,7 +772,7 @@ def test_cli_experiment(cli_workspace):
     path.write_text(yaml.safe_dump(manifest))
     out = str(root / "scores.csv")
     assert main(["experiment", "--config", str(path), "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = (root / "scores.csv").read_text().splitlines()
     assert len(lines) == 4  # comment, header, two rows
 
 

@@ -36,7 +36,7 @@ from arraysep.spatial_em import (
     VAR_FLOOR,
     _delay_scores,
     _delay_splits,
-    _logsumexp,
+    _normalize,
     _pair_phases,
     _score_work,
     _wrap,
@@ -182,10 +182,17 @@ def test_delay_scores_match_brute_force(window, n_frames, n_sources, seed):
                                   np.argmax(slow, axis=1))
 
 
-# ------------------------------------------------------------ log-sum-exp
+# ---------------------------------------------------------- normalization
 
-@pytest.mark.parametrize("n_components", [1, 2, 3, 4])
-def test_logsumexp_matches_scipy_bit_for_bit(n_components):
+# The log posteriors of P pairs lie within about P 2e5 + 700 of zero; eight
+# channels give seven pairs.
+EM_BOUND = 7 * 2e5 + 700
+
+
+def _log_posterior_stacks(n_components):
+    """Stacks of n_components log posteriors: many scales, rounded ties,
+    tied maxima, constant columns, E-step-sized ones, and gaps and ties out
+    to the widest EM forms."""
     gen = np.random.default_rng(n_components)
     shape = (n_components, 7, 9)
     for trial in range(60):
@@ -194,58 +201,31 @@ def test_logsumexp_matches_scipy_bit_for_bit(n_components):
             a = np.round(a)                                      # ties anywhere
         a = np.where(gen.random(shape) < 0.2, a.max(axis=0), a)  # ties at the top
         a[:, gen.random(shape[1:]) < 0.1] = gen.normal()         # constant columns
-        got, want = _logsumexp(a), logsumexp(a, axis=0)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want), trial
-
-
-# The log posteriors of P pairs lie within about P 2e5 + 700 of zero; eight
-# channels give seven pairs.
-EM_BOUND = 7 * 2e5 + 700
-
-
-@pytest.mark.parametrize("case", ["no ties", "tied maxima", "em bound"])
-@pytest.mark.parametrize("n_components", [2, 3])
-def test_logsumexp_matches_scipy_bit_for_bit_em_sized(n_components, case):
-    """E-step-sized stacks through each path, bit for bit with scipy and
-    without a warning, out to the widest log posteriors EM forms."""
-    gen = np.random.default_rng([n_components, len(case)])
+        yield a
     a = gen.normal(-40.0, 15.0, (n_components, 257, 122))
-    if case == "tied maxima":
-        cols = gen.integers(0, 257, 5), gen.integers(0, 122, 5)
-        a[1][cols] = a[0][cols] = a[:, cols[0], cols[1]].max(axis=0)
-    if case == "em bound":
-        a = gen.uniform(-EM_BOUND, EM_BOUND, a.shape)
-        a[0, :3] = -EM_BOUND
-        a[1, :3] = EM_BOUND                          # exp(a - top) underflows
-    top = a.max(axis=0)
-    ties = np.count_nonzero(a == top) - top.size
-    assert (ties > 0) == (case == "tied maxima")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _logsumexp(a)
-    want = logsumexp(a, axis=0)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    cols = gen.integers(0, 257, 5), gen.integers(0, 122, 5)
+    a[:, cols[0], cols[1]] = a[:, cols[0], cols[1]].max(axis=0)  # tied maxima
+    yield a
+    a = gen.uniform(-EM_BOUND, EM_BOUND, (n_components, 40, 33))
+    a[0, :3] = -EM_BOUND
+    a[-1, :3] = EM_BOUND                         # exp(a - top) underflows
+    a[:, 3] = -EM_BOUND                          # ties at the extremes
+    a[:, 4] = EM_BOUND
+    yield a
 
 
-def test_logsumexp_two_components_closed_form():
-    """One source plus garbage: the closed form
-    top + log1p(exp(-|a0 - a1|)) is scipy's bits on ties and on gaps out to
-    the widest EM forms, without a warning."""
-    # A tie gives log1p(exp(0)), which must be scipy's log(count).
-    assert np.log1p(1.0) == np.log(2.0)
-    gen = np.random.default_rng(9)
-    a = gen.normal(-40.0, 15.0, (2, 40, 33))
-    a[1, :5] = a[0, :5]                              # ties
-    a[0, 15:20], a[1, 15:20] = EM_BOUND, -EM_BOUND   # exp(a0 - a1) underflows
-    a[0, 20:25], a[1, 20:25] = -EM_BOUND, EM_BOUND
-    a[:, 25] = -EM_BOUND                             # ties at the extremes
-    a[:, 26] = EM_BOUND
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _logsumexp(a)
-    want = logsumexp(a, axis=0)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+@pytest.mark.parametrize("n_components", [1, 2, 3, 4])
+def test_normalize_matches_scipy_logsumexp(n_components):
+    """The log normalizer is scipy's to a few ulps and the posteriors sum to
+    one within 2 ulps, without a warning."""
+    for trial, a in enumerate(_log_posterior_stacks(n_components)):
+        want = logsumexp(a, axis=0)
+        post = a.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _normalize(post)
+        assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(1.0, np.abs(want))), trial
+        assert np.abs(post.sum(axis=0) - 1.0).max() <= 4.5e-16, trial
 
 
 # --------------------------------------------------------------------- em
@@ -298,6 +278,17 @@ def test_em_posteriors_sum_to_one():
         total += m.values
     np.testing.assert_allclose(total, 1.0, atol=1e-9)
     assert len(result.masks) == 3  # two sources plus garbage
+
+
+@pytest.mark.parametrize("n_channels, n_sources", [(2, 1), (4, 2), (8, 1), (8, 3)])
+def test_em_masks_sum_to_one_within_an_ulp_per_component(n_channels, n_sources):
+    render = render_scene(random_scene_spec(np.random.default_rng(11), n_channels=n_channels,
+                                            duration=2.0, n_interferers=n_sources - 1))
+    specs = _channel_specs(render, StftConfig(window_size=1024, hop_size=256))
+    result = run_em(specs, MesslConfig(n_sources=n_sources, convergence_tol=0.0))
+    total = sum(m.values for m in result.masks)
+    assert len(result.masks) == n_sources + 1
+    assert np.abs(total - 1.0).max() <= (n_sources + 1) * np.finfo(np.float64).eps
 
 
 def test_em_scale_invariant_power_of_two():
@@ -487,6 +478,14 @@ def test_em_silent_input_raises():
         run_em([zero, zero], MesslConfig())
 
 
+def test_em_zero_frame_input_is_data_error():
+    cfg = StftConfig(window_size=16, hop_size=4)
+    empty = Spectrogram(bins=np.zeros((9, 0), dtype=complex), config=cfg,
+                        sample_rate=16000)
+    with pytest.raises(DataError, match=r"no bins, shape \(9, 0\)"):
+        run_em([empty, empty], MesslConfig())
+
+
 def _probe_specs(level_probe, k):
     render, cfg = level_probe
     mixture = MultichannelWaveform.from_array(
@@ -499,15 +498,15 @@ def _probe_specs(level_probe, k):
 ])
 def test_em_forms_only_finite_bounded_log_posteriors(level_probe, monkeypatch,
                                                     k, n_sources, garbage):
-    # _logsumexp handles finite input only; every stack EM hands it must be
+    # _normalize handles finite input only; every stack EM hands it must be
     # finite and within the bound its docstring states.
     stacks = []
 
     def spy(a):
         stacks.append(a.copy())
-        return _logsumexp(a)
+        return _normalize(a)
 
-    monkeypatch.setattr(spatial_em, "_logsumexp", spy)
+    monkeypatch.setattr(spatial_em, "_normalize", spy)
     cfg = dataclasses.replace(level_probe[1].messl, n_sources=n_sources,
                               use_garbage=garbage)
     result = run_em(_probe_specs(level_probe, k), cfg)
@@ -651,8 +650,10 @@ def _reference_run_em(specs, cfg):
         if cfg.use_garbage:
             log_post[-1] = n_pairs * -np.log(2.0 * np.pi)
         log_post += log_priors[:, None, None]
-        total = logsumexp(log_post, axis=0)
-        return np.exp(log_post - total[None]), float(np.sum(total))
+        top = log_post.max(axis=0)
+        e = np.exp(log_post - top)
+        s = e.sum(axis=0)
+        return e / s, float(np.sum(np.log(s) + top))
 
     trace, converged = [], False
     for iteration in range(cfg.n_iterations):
