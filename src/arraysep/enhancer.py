@@ -33,7 +33,9 @@ from .errors import DataError, NumericalError
 from .signal import FeatureStats, MaskGrid, logit_mask, to_log_features
 from .targets import TargetContext, TargetKind, compute_target, loss_with_grad
 from .util import (
+    _array,
     _at_least,
+    _checked,
     _fields,
     _located,
     _nonnegative,
@@ -320,9 +322,9 @@ def forward(model: EnhancerModel, inputs: np.ndarray, mask_products=None) -> Mas
     each direction's feature product to the shared mask half, and the
     backward direction reads that sum reversed in time.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = _checked("inputs", inputs, _array(2))
     dim = model.input_dim if mask_products is None else model.n_freq
-    if inputs.ndim != 2 or inputs.shape[1] != dim:
+    if inputs.shape[1] != dim:
         raise DataError(
             f"input shape {inputs.shape} does not match model input "
             f"dimension {dim}"

@@ -29,7 +29,9 @@ from .signal import (
 )
 from .targets import TargetContext, TargetKind, compute_target
 from .util import (
+    _array,
     _at_least,
+    _checked,
     _expect,
     _fields,
     _finite,
@@ -144,7 +146,6 @@ def _delay_parts(delays) -> list:
     parts are designed in one pass. Each part lies in (0, 1], so every tap
     sits inside the window.
     """
-    delays = np.asarray(delays, dtype=np.float64)
     shifts = np.floor(delays)
     fracs = delays - shifts
     half = DELAY_TAPS // 2
@@ -181,8 +182,9 @@ def fractional_delay(x: np.ndarray, delay: float) -> np.ndarray:
     Output has the same length as the input, zero-filled at the exposed end;
     a delay of the whole length or more, either way, gives all zeros.
     """
-    [(shift, kernel)] = _delay_parts([delay])
-    return _delayed(np.asarray(x, dtype=np.float64), shift, kernel)
+    x = _checked("x", x, _array(1))
+    [(shift, kernel)] = _delay_parts([_checked("delay", delay, _finite)])
+    return _delayed(x, shift, kernel)
 
 
 def render_scene(spec: SceneSpec) -> SceneRender:
@@ -276,11 +278,11 @@ def speechlike_signal(
     floor estimation), keeps its energy below about 0.55 of Nyquist so
     fractional delays stay accurate, and is deterministic given the rng.
     """
-    if not (np.isfinite(duration) and duration > 0):
-        raise DataError(f"duration must be positive and finite, got {duration}")
+    duration = _checked("duration", duration, _positive)
+    sample_rate = _checked("sample_rate", sample_rate, _at_least(1))
     n = int(round(duration * sample_rate))
     if n <= 0:
-        raise DataError("duration must be positive")
+        raise DataError(f"duration {duration} s is under one sample at {sample_rate} Hz")
 
     # Smooth fundamental contour from coarse random knots.
     knot_hop = max(1, int(0.2 * sample_rate))

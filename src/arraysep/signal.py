@@ -18,7 +18,7 @@ import numpy as np
 import scipy.io.wavfile
 
 from .errors import DataError, NumericalError
-from .util import _at_least, _fields, _located, _one_of, _optional
+from .util import _array, _at_least, _checked, _fields, _located, _one_of, _optional
 
 AMP_FLOOR = 1e-8      # linear magnitude floor before dB conversion
 MASK_EPS = 1e-3       # clamp for ratio masks entering logit or log
@@ -37,12 +37,7 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
-            raise DataError(f"waveform must be 1-D, got shape {self.samples.shape}")
-        if not np.all(np.isfinite(self.samples)):
-            raise DataError("waveform contains non-finite samples")
-        _fields(self, sample_rate=_at_least(1))
+        _fields(self, samples=_array(1), sample_rate=_at_least(1))
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -75,9 +70,9 @@ class MultichannelWaveform:
 
     @classmethod
     def from_array(cls, arr: np.ndarray, sample_rate: int) -> "MultichannelWaveform":
-        """Build from a (n_channels, n_samples) array."""
-        arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-        return cls(tuple(Waveform(row, sample_rate) for row in arr))
+        """Build from a (n_channels, n_samples) array, or a 1-D one for one channel."""
+        rows = _checked("samples", arr, np.atleast_2d)
+        return cls(tuple(Waveform(row, sample_rate) for row in rows))
 
     @property
     def n_channels(self) -> int:
@@ -181,20 +176,15 @@ class Spectrogram:
     sample_rate: int
 
     def __post_init__(self):
-        # Checked before the copy: ascontiguousarray makes a 0-d array 1-D.
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        if bins.ndim != 2:
-            raise DataError(f"spectrogram must be 2-D, got shape {bins.shape}")
+        _fields(self, bins=_array(2, np.complex128))
         # C-contiguous (n_freq, n_frames) bins: every consumer reads them bin by
         # bin, and a transposed view would make each stack of channels strided.
-        self.bins = np.ascontiguousarray(bins)
+        self.bins = np.ascontiguousarray(self.bins)
         if self.bins.shape[0] != self.config.n_freq:
             raise DataError(
                 f"frequency axis {self.bins.shape[0]} inconsistent with window "
                 f"size {self.config.window_size}"
             )
-        if not np.all(np.isfinite(self.bins)):
-            raise DataError("spectrogram contains non-finite bins")
 
     @property
     def n_freq(self) -> int:
@@ -223,11 +213,7 @@ class MaskGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise DataError(f"mask must be 2-D, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("mask contains non-finite values")
+        _fields(self, values=_array(2))
 
     @property
     def shape(self) -> tuple:
@@ -254,12 +240,9 @@ class FeatureStats:
     std: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.std = np.asarray(self.std, dtype=np.float64)
-        if self.mean.ndim != 1 or self.mean.shape != self.std.shape:
+        _fields(self, mean=_array(1), std=_array(1))
+        if self.mean.shape != self.std.shape:
             raise DataError("stats must be matching 1-D vectors")
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))):
-            raise DataError("stats contain non-finite values")
         # Deviation is floored so that normalization never divides by ~0.
         self.std = np.maximum(self.std, STATS_FLOOR)
 
@@ -370,17 +353,10 @@ def read_wav(path) -> MultichannelWaveform:
             raise DataError(f"no {missing} chunk") from None
     for caught_warning in caught:
         warnings.warn(caught_warning.message, stacklevel=2)
-    if data.dtype == np.int16:
-        data = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        data = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        data = data.astype(np.float64)
-    else:
+    full_scale = {"int16": 32768.0, "int32": 2147483648.0, "float32": 1.0, "float64": 1.0}
+    if data.dtype.name not in full_scale:
         raise DataError(f"unsupported WAV sample format {data.dtype}")
-    if data.ndim == 1:
-        data = data[:, None]
-    return MultichannelWaveform.from_array(data.T, rate)
+    return MultichannelWaveform.from_array((data / full_scale[data.dtype.name]).T, rate)
 
 
 def write_wav(path, wave) -> None:
@@ -423,4 +399,4 @@ def load_mask(path) -> MaskGrid:
             f"{n_freq}x{n_frames} float32 values"
         )
     values = np.frombuffer(payload, dtype="<f4")
-    return MaskGrid(values=values.reshape(n_freq, n_frames).astype(np.float64))
+    return MaskGrid(values=values.reshape(n_freq, n_frames))

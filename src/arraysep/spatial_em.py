@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .signal import MaskGrid, check_channels
-from .util import _at_least, _bool, _fields, _located, _nonnegative, _optional
+from .util import _array, _at_least, _bool, _fields, _nonnegative, _optional
 
 VAR_FLOOR = 1e-4          # rad^2, keeps residual Gaussians proper
 MAX_DELAY_CANDIDATES = 4097   # bounds the (sources, freqs, candidates) scores
@@ -82,14 +82,10 @@ class MesslConfig:
     )
 
     def __post_init__(self):
-        _fields(self, **self._converters)
-        # A read-only copy, so that no in-place write skips these checks.
-        with _located("delay grid must be an array of delays"):
-            grid = np.array(self.delay_grid, dtype=np.float64)
+        # The grid is a read-only copy, so that no in-place write skips these checks.
+        _fields(self, **self._converters, delay_grid=lambda grid: _array(1)(grid).copy())
+        grid = self.delay_grid
         grid.flags.writeable = False
-        object.__setattr__(self, "delay_grid", grid)
-        if grid.ndim != 1 or not np.all(np.isfinite(grid)):
-            raise DataError("delay grid must be a 1-D array of finite delays")
         if not self.n_sources <= grid.size <= MAX_DELAY_CANDIDATES:
             raise DataError(
                 f"delay grid has {grid.size} candidates for {self.n_sources} "
@@ -446,4 +442,4 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
 
 def binarize(mask: MaskGrid, threshold: float = 0.5) -> MaskGrid:
     """Hard 0/1 mask: one where the value strictly exceeds the threshold."""
-    return MaskGrid(values=(mask.values > threshold).astype(np.float64))
+    return MaskGrid(values=mask.values > threshold)

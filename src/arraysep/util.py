@@ -9,9 +9,10 @@ readers all run inside it, so an error says where it happened.
 
 Every document value is read with _value(doc, key, convert), which names
 the key in the DataError raised when the value is missing or malformed. A
-config dataclass stores each field through its converter (_fields), and a
-reader reads a key with the converter of the field it sets. The converters
-below are the only value conversions of config fields and document data.
+config or data container stores each field through its converter (_fields),
+a function its arguments (_checked), and a reader reads a key with the
+converter of the field it sets. The converters below, _array among them,
+are the only value conversions of fields, arguments and document data.
 """
 
 import contextlib
@@ -100,17 +101,21 @@ def _located(where: str):
         raise DataError(f"{where}: {exc}") from exc
 
 
+def _checked(name: str, value, convert):
+    """``convert(value)``. A value the converter rejects raises DataError
+    "{name} = {value!r}: ..."; the message is formed only then."""
+    try:
+        return convert(value)
+    except Exception:
+        with _located(f"{name} = {value!r}"):
+            raise
+
+
 def _fields(config, **converters) -> None:
     """Store each named field of ``config`` (a dataclass, frozen or not)
-    through its converter. A value the converter rejects raises DataError
-    "{name} = {value!r}: ..."; the message is formed only then."""
+    through its converter, as _checked converts an argument."""
     for name, convert in converters.items():
-        value = getattr(config, name)
-        try:
-            object.__setattr__(config, name, convert(value))
-        except Exception:
-            with _located(f"{name} = {value!r}"):
-                raise
+        object.__setattr__(config, name, _checked(name, getattr(config, name), convert))
 
 
 def _given(doc: dict, **fields) -> dict:
@@ -169,6 +174,24 @@ _finite = _real("a finite number")
 _nonnegative = _real("a finite number of at least 0", lambda x: x >= 0.0)
 _positive = _real("a positive finite number", lambda x: x > 0.0)
 _fraction = _real("a finite number in [0, 1)", lambda x: 0.0 <= x < 1.0)
+
+
+def _array(ndim: int, dtype=np.float64):
+    """An ndarray of rank ``ndim`` and type ``dtype`` with every element
+    finite. Text, objects and, for a real ``dtype``, complex numbers are
+    rejected, not cast; an array of type ``dtype`` is not copied."""
+    kinds = "biufc" if np.dtype(dtype).kind == "c" else "biuf"
+    def check(value):
+        arr = np.asarray(value)
+        if arr.dtype.kind not in kinds:
+            raise TypeError(f"expected {np.dtype(dtype)} values, got {arr.dtype}")
+        arr = arr.astype(dtype, copy=False)
+        if arr.ndim != ndim:
+            raise ValueError(f"expected {ndim}-D, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("contains non-finite values")
+        return arr
+    return check
 
 
 def _optional(convert):

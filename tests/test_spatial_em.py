@@ -763,9 +763,10 @@ def test_config_validation():
     with pytest.raises(DataError, match="out of range"):
         MesslConfig(n_sources=2, target_source=2)
     for grid in ([[0.0, 1.0], [2.0, 3.0]], [np.nan, 0.0, 1.0], [0.0, np.inf], 0.0):
-        with pytest.raises(DataError, match="1-D array of finite delays"):
+        with pytest.raises(DataError,
+                           match=r"(?s)^delay_grid = .*: (expected 1-D|contains non-finite)"):
             MesslConfig(delay_grid=grid)
-    with pytest.raises(DataError, match="array of delays"):
+    with pytest.raises(DataError, match=r"^delay_grid = .*: expected float64 values, got <U"):
         MesslConfig(delay_grid=["zero", "one"])
     with pytest.raises(DataError, match="10001 candidates for 1 sources"):
         MesslConfig(delay_grid=np.arange(-5000, 5001) * 0.25)
