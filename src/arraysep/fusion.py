@@ -7,8 +7,8 @@ import enum
 import numpy as np
 
 from .errors import DataError
-from .signal import MaskGrid, check_ratio_mask
-from .util import _member
+from .signal import MaskGrid, _mask_grid, check_ratio_mask
+from .util import _checked, _member, _tuple_of
 
 
 class CombineMode(enum.Enum):
@@ -23,7 +23,7 @@ class CombineMode(enum.Enum):
 def fuse_channels(masks) -> MaskGrid:
     """Elementwise maximum over per-channel masks, as a running maximum
     into one grid rather than a reduction over a stack of every channel."""
-    masks = list(masks)
+    masks = _checked("masks", masks, _tuple_of(_mask_grid))
     if not masks:
         raise DataError("need at least one channel mask")
     shape = masks[0].values.shape

@@ -11,8 +11,9 @@ config is recorded in every output table.
 
 The stages up to fusion do not depend on the combine mode; analyze() runs
 them and enhance() runs the rest. run_experiment() therefore analyzes each
-scene once and factors its scoring basis once, then runs enhance() and
-evaluate_scene() per combine mode on those shared products.
+scene once, runs enhance() per combine mode on that shared product, and
+scores every mode's output in one evaluate_scene() call, which factors
+the scene's references once for all of them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .enhancer import (
     load_model,
 )
 from .fusion import CombineMode, combine_masks, fuse_channels
-from .metrics import SEG_FRAME, ProjectionBasis, bss_eval, projection_basis, seg_snr
+from .metrics import SEG_FRAME, _estimates, _one_or_all, bss_eval, seg_snr
 from .scene import SceneRender, load_render
 from .signal import (
     FeatureStats,
@@ -55,6 +56,7 @@ from .spatial_em import (
 from .targets import TargetKind
 from .util import (
     _at_least,
+    _checked,
     _expect,
     _fields,
     _fraction,
@@ -220,21 +222,11 @@ def _references(render: SceneRender, reference_channel: int, n: int):
     return speech, [noise for noise in noises if noise.samples.any()]
 
 
-def scoring_basis(
-    render: SceneRender, reference_channel: int, n: int
-) -> ProjectionBasis:
-    """The factored projection basis evaluate_scene uses for estimates
-    that trim to n samples, so several estimates can share it."""
-    speech, noises = _references(render, reference_channel, n)
-    return projection_basis(speech, noises)
-
-
 def evaluate_scene(
-    estimate: Waveform,
+    estimate,
     render: SceneRender,
     reference_channel: int = 0,
     seg_frame: int = SEG_FRAME,
-    basis: ProjectionBasis | None = None,
 ):
     """Score an estimate against a render's exact references.
 
@@ -242,15 +234,21 @@ def evaluate_scene(
     channel; interferer images and the noise image there act as noise
     references, except those that are all zero after trimming. Signals
     are trimmed to the shortest common length.
-    ``basis`` may come from scoring_basis() for that length.
+    ``estimate`` may also be a list of Waveforms of one length and sample
+    rate, such as one scene's outputs under several combine modes. The
+    references are then factored once for all of them, each estimate
+    scores as it would alone, bit for bit, and a list comes back.
     """
-    n = min(len(estimate), render.mixture.n_samples)
-    estimate = Waveform(samples=estimate.samples[:n], sample_rate=estimate.sample_rate)
+    batch = _checked("estimate", estimate, _estimates)
+    n = min(len(batch[0]), render.mixture.n_samples)
+    batch = [Waveform(samples=wave.samples[:n], sample_rate=wave.sample_rate)
+             for wave in batch]
     speech, noises = _references(render, reference_channel, n)
-    scores = bss_eval(estimate, speech, noises, basis=basis)
-    return dataclasses.replace(
-        scores, seg_snr=seg_snr(estimate, speech, seg_frame)
-    )
+    scores = [
+        dataclasses.replace(scored, seg_snr=seg_snr(wave, speech, seg_frame))
+        for wave, scored in zip(batch, bss_eval(batch, speech, noises))
+    ]
+    return _one_or_all(estimate, scores)
 
 
 @_located("stft")
@@ -357,11 +355,13 @@ def run_experiment(manifest, out_csv=None) -> list:
 
     The manifest is a mapping (or path to a YAML file) with keys: scenes
     (list of render directories), combine_modes, and optionally model,
-    ref_channel, stft, messl, seg_frame. Each scene is analyzed once and
-    its projection basis factored once; every mode then runs only the
-    combination and later stages and is scored against that basis. Scenes
-    that fail to load or to process produce a row per mode with the error
-    recorded; the run continues.
+    ref_channel, stft, messl, seg_frame. Each scene is analyzed once;
+    every mode then runs only the combination and later stages, and the
+    modes' outputs are scored together by one evaluate_scene() call, which
+    factors the scene's references once. The rows are the same as from
+    separate enhance() and evaluate_scene() calls per mode. Scenes that
+    fail to load, to process or to score produce a row per mode with the
+    error recorded; the run continues.
     """
     manifest = load_config(manifest)
     base = pipeline_config_from_dict(manifest)
@@ -382,21 +382,27 @@ def run_experiment(manifest, out_csv=None) -> list:
         except Exception as exc:
             rows.extend(score_row(scene_id, mode.value, error=exc) for mode in modes)
             continue
-        basis = None
+        outputs = []
         for mode in modes:
-            cfg = dataclasses.replace(base, combine_mode=mode)
             try:
-                result = enhance(render.mixture, cfg, model, analysis)
-                if basis is None:
-                    n = min(len(result.waveform), render.mixture.n_samples)
-                    basis = scoring_basis(render, cfg.reference_channel, n)
-                scores = evaluate_scene(
-                    result.waveform, render, cfg.reference_channel,
-                    cfg.seg_frame, basis,
-                )
-                rows.append(score_row(scene_id, mode.value, scores))
+                cfg = dataclasses.replace(base, combine_mode=mode)
+                outputs.append(enhance(render.mixture, cfg, model, analysis).waveform)
             except Exception as exc:
-                rows.append(score_row(scene_id, mode.value, error=exc))
+                outputs.append(exc)
+        done = [k for k, out in enumerate(outputs) if isinstance(out, Waveform)]
+        if done:
+            try:
+                scores = evaluate_scene([outputs[k] for k in done], render,
+                                        base.reference_channel, base.seg_frame)
+            except Exception as exc:
+                scores = [exc] * len(done)
+            for k, scored in zip(done, scores):
+                outputs[k] = scored
+        for mode, out in zip(modes, outputs):
+            if isinstance(out, Exception):
+                rows.append(score_row(scene_id, mode.value, error=out))
+            else:
+                rows.append(score_row(scene_id, mode.value, out))
     if out_csv is not None:
         write_score_csv(rows, out_csv, base.digest())
     return rows

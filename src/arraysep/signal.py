@@ -18,7 +18,7 @@ import numpy as np
 import scipy.io.wavfile
 
 from .errors import DataError, NumericalError
-from .util import _array, _at_least, _checked, _fields, _located, _one_of, _optional
+from .util import _array, _at_least, _checked, _expect, _fields, _located, _one_of, _optional
 
 AMP_FLOOR = 1e-8      # linear magnitude floor before dB conversion
 MASK_EPS = 1e-3       # clamp for ratio masks entering logit or log
@@ -220,9 +220,16 @@ class MaskGrid:
         return self.values.shape
 
 
+# Container arguments: a value of another type, a bare array say, is a
+# DataError naming the argument (util._checked).
+_waveform = _expect(Waveform, "a Waveform")
+_spectrogram = _expect(Spectrogram, "a Spectrogram")
+_mask_grid = _expect(MaskGrid, "a MaskGrid")
+
+
 def check_ratio_mask(mask: MaskGrid) -> np.ndarray:
     """Validate a [0, 1] ratio mask, tolerating round-off overshoot."""
-    v = mask.values
+    v = _checked("mask", mask, _mask_grid).values
     if not v.size:
         raise DataError(f"ratio mask has no values, shape {v.shape}")
     if v.min() < -1e-9 or v.max() > 1.0 + 1e-9:
@@ -264,7 +271,7 @@ def stft(wave: Waveform, cfg: StftConfig) -> Spectrogram:
     that do not fill a frame are dropped. A bin that overflows float64
     raises NumericalError.
     """
-    x = wave.samples
+    x = _checked("wave", wave, _waveform).samples
     size, hop = cfg.window_size, cfg.hop_size
     if len(x) < size:
         raise DataError(
@@ -322,6 +329,8 @@ def logit_mask(mask: MaskGrid) -> np.ndarray:
 
 def apply_mask(mask: MaskGrid, spec: Spectrogram) -> Spectrogram:
     """Pointwise product of a real mask with a complex spectrogram."""
+    mask = _checked("mask", mask, _mask_grid)
+    spec = _checked("spec", spec, _spectrogram)
     if mask.values.shape != spec.bins.shape:
         raise DataError(
             f"mask shape {mask.values.shape} does not match "

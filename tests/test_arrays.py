@@ -4,10 +4,13 @@ Every container field that holds an array (Waveform samples, Spectrogram
 bins, MaskGrid values, FeatureStats vectors, MesslConfig's delay grid) and
 every array or number argument of fractional_delay, speechlike_signal and
 enhancer.forward is converted once, by util._array or a number converter.
-So any value at all, of the wrong rank, empty, NaN or infinite, complex,
-text, objects or a ragged list, either builds or returns, or raises a
-library error (DataError, NumericalError, OSError), and never warns: a
-complex array is rejected, not cut to its real part.
+A function that takes a container (stft, apply_mask, logit_mask,
+fuse_channels, the scores) checks its type the same way, so a bare array
+is a DataError naming the argument. So any value at all, of the wrong
+rank, empty, NaN or infinite, complex, text, objects or a ragged list,
+either builds or returns, or raises a library error (DataError,
+NumericalError, OSError), and never warns: a complex array is rejected,
+not cut to its real part.
 """
 
 import warnings
@@ -27,10 +30,15 @@ from arraysep import (
     Spectrogram,
     StftConfig,
     Waveform,
+    apply_mask,
+    bss_eval,
     forward,
     fractional_delay,
+    fuse_channels,
     init_model,
+    logit_mask,
     speechlike_signal,
+    stft,
 )
 from arraysep.errors import DataError, NumericalError
 
@@ -39,6 +47,9 @@ MODEL = init_model(EnhancerConfig(layer_sizes=(2,)), N_FREQ,
                    FeatureStats(np.zeros(N_FREQ), np.ones(N_FREQ)))
 STFT = StftConfig(4, 2)           # N_FREQ bins
 SIGNAL = np.linspace(-0.5, 0.5, 6)
+WAVE = Waveform(SIGNAL, 16000)
+MASK = MaskGrid(values=np.ones((N_FREQ, 2)))
+SPEC = Spectrogram(bins=np.ones((N_FREQ, 2), complex), config=STFT, sample_rate=16000)
 
 # Each call takes the one value under test; its other arguments are valid.
 CALLS = {
@@ -55,6 +66,13 @@ CALLS = {
     "speechlike_signal.duration": lambda v: speechlike_signal(v, 8, np.random.default_rng(0)),
     "speechlike_signal.sample_rate": lambda v: speechlike_signal(2, v, np.random.default_rng(0)),
     "forward.inputs": lambda v: forward(MODEL, v),
+    "bss_eval.estimate": lambda v: bss_eval(v, WAVE, [], 2),
+    "bss_eval.noise_refs": lambda v: bss_eval(WAVE, WAVE, v, 2),
+    "logit_mask.mask": logit_mask,
+    "apply_mask.mask": lambda v: apply_mask(v, SPEC),
+    "apply_mask.spec": lambda v: apply_mask(MASK, v),
+    "stft.wave": lambda v: stft(v, STFT),
+    "fuse_channels.masks": fuse_channels,
 }
 
 # Arrays of up to three axes of up to four entries, so that some of every
@@ -93,6 +111,16 @@ MALFORMED = st.one_of(
 @example("fractional_delay.delay", np.inf)
 @example("fractional_delay.x", np.zeros((2, 3)))
 @example("speechlike_signal.sample_rate", 0)
+@example("bss_eval.estimate", SIGNAL)
+@example("bss_eval.estimate", [])
+@example("bss_eval.estimate", [WAVE, Waveform(SIGNAL[:4], 16000)])
+@example("bss_eval.estimate", [WAVE, Waveform(SIGNAL, 8000)])
+@example("bss_eval.noise_refs", SIGNAL)
+@example("logit_mask.mask", np.ones((2, 2)))
+@example("apply_mask.mask", np.ones((N_FREQ, 2)))
+@example("apply_mask.spec", np.ones((N_FREQ, 2)))
+@example("stft.wave", SIGNAL)
+@example("fuse_channels.masks", np.ones((2, 2)))
 @given(st.sampled_from(sorted(CALLS)), MALFORMED)
 def test_any_array_builds_or_raises_a_library_error(name, value):
     with warnings.catch_warnings():
@@ -117,6 +145,20 @@ def test_any_array_builds_or_raises_a_library_error(name, value):
     ("fractional_delay.delay", np.inf, "delay", "expected a finite number"),
     ("speechlike_signal.duration", -1, "duration", "expected a positive finite number"),
     ("speechlike_signal.sample_rate", 0, "sample_rate", "must be at least 1"),
+    ("bss_eval.estimate", SIGNAL, "estimate",
+     "expected a Waveform or a nonempty list of Waveforms"),
+    ("bss_eval.estimate", [], "estimate",
+     "expected a Waveform or a nonempty list of Waveforms"),
+    ("bss_eval.estimate", [WAVE, Waveform(SIGNAL[:4], 16000)], "estimate",
+     "estimates differ in length or sample rate"),
+    ("bss_eval.estimate", [WAVE, Waveform(SIGNAL, 8000)], "estimate",
+     "estimates differ in length or sample rate"),
+    ("bss_eval.noise_refs", SIGNAL, "noise_refs", "ndarray is not a list"),
+    ("logit_mask.mask", np.ones((2, 2)), "mask", "ndarray is not a MaskGrid"),
+    ("apply_mask.mask", np.ones((N_FREQ, 2)), "mask", "ndarray is not a MaskGrid"),
+    ("apply_mask.spec", np.ones((N_FREQ, 2)), "spec", "ndarray is not a Spectrogram"),
+    ("stft.wave", SIGNAL, "wave", "ndarray is not a Waveform"),
+    ("fuse_channels.masks", np.ones((2, 2)), "masks", "ndarray is not a list"),
 ])
 def test_a_rejected_value_names_its_field(name, value, field, condition):
     with warnings.catch_warnings():

@@ -337,6 +337,22 @@ def test_evaluate_scene_trims_longer_estimate(render):
     assert -10.0 <= scores.seg_snr <= 35.0
 
 
+def test_evaluate_scene_scores_a_list_as_it_scores_each(render):
+    """A list shares one factorization of the references; each estimate,
+    trimmed as it would be alone, scores the same bit for bit."""
+    estimates = [render.mixture.channel(c) for c in (0, 1)]
+    estimates.append(enhance(render.mixture, _small_cfg()).waveform)
+    # Longer than the mixture, so that each is trimmed.
+    n = render.mixture.n_samples + 5
+    estimates = [Waveform(np.pad(w.samples, (0, n - len(w))), w.sample_rate)
+                 for w in estimates]
+    assert evaluate_scene(estimates, render) == [evaluate_scene(w, render)
+                                                 for w in estimates]
+    shorter = Waveform(estimates[1].samples[:-1], estimates[1].sample_rate)
+    with pytest.raises(DataError, match="(?s)^estimate = .*: estimates differ in length"):
+        evaluate_scene([estimates[0], shorter], render)
+
+
 # ---------------------------------------------------------- experiments
 
 def _write_scenes(root, n=2):
@@ -464,6 +480,39 @@ def test_score_row_format():
     assert score_row("s", "max", error=ValueError("boom")) == {
         "scene": "s", "mode": "max", "sdr": "", "sir": "", "sar": "",
         "seg_snr": "", "error": "boom"}
+
+
+def test_run_experiment_scores_the_modes_in_one_call(tmp_path, monkeypatch):
+    """The modes that enhanced are scored by one evaluate_scene call, each
+    as it would be alone; a mode that failed keeps its own error, and a
+    scoring failure is the error of every mode it scored."""
+    dirs = _write_scenes(str(tmp_path), n=1)
+    manifest = dict(_manifest(dirs), combine_modes=["avg", "max", "min"])
+    real_enhance, real_evaluate = pipeline.enhance, pipeline.evaluate_scene
+    batches = []
+
+    def enhance_but_max(mixture, cfg, *args):
+        if cfg.combine_mode is CombineMode.MAX:
+            raise DataError("no max")
+        return real_enhance(mixture, cfg, *args)
+
+    def evaluate(estimate, *args):
+        batches.append(len(estimate))
+        return real_evaluate(estimate, *args)
+
+    monkeypatch.setattr(pipeline, "enhance", enhance_but_max)
+    monkeypatch.setattr(pipeline, "evaluate_scene", evaluate)
+    rows = run_experiment(manifest)
+    assert batches == [2]
+    assert [row["error"] for row in rows] == ["", "no max", ""]
+    assert rows[2] == run_experiment(dict(manifest, combine_modes=["min"]))[0]
+
+    def fail(*args):
+        raise DataError("cannot score")
+
+    monkeypatch.setattr(pipeline, "evaluate_scene", fail)
+    assert [row["error"] for row in run_experiment(manifest)] == [
+        "cannot score", "no max", "cannot score"]
 
 
 def test_run_experiment_empty_manifest():
