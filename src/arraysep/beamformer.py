@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .signal import AMP_FLOOR, MaskGrid, Spectrogram, check_channels, check_ratio_mask
+from .util import _at_least, _checked, _expect
 
 LOAD_FACTOR = 1e-6     # diagonal loading relative to mean eigenvalue
 WEIGHT_FLOOR = 1e-3    # minimum mask weight (in frames) per frequency
@@ -62,6 +63,10 @@ class BeamformerWeights:
     steering: np.ndarray
     passthrough: np.ndarray
     reference_channel: int
+
+
+_covariances = _expect(CovarianceField, "a CovarianceField")
+_weights = _expect(BeamformerWeights, "a BeamformerWeights")
 
 
 def _weighted_covariances(bins: np.ndarray, adjoint: np.ndarray, weights: np.ndarray):
@@ -177,8 +182,10 @@ def mvdr_weights(cov: CovarianceField, reference_channel: int = 0) -> Beamformer
     reference entry. Valid frequencies satisfy weights^H steering = 1;
     degenerate ones pass the reference channel through unchanged.
     """
+    cov = _checked("cov", cov, _covariances)
+    reference_channel = _checked("reference_channel", reference_channel, _at_least(0))
     n_freq, n_channels = cov.n_freq, cov.n_channels
-    if not 0 <= reference_channel < n_channels:
+    if reference_channel >= n_channels:
         raise DataError(f"reference channel {reference_channel} out of range")
     selector = np.zeros(n_channels, dtype=np.complex128)
     selector[reference_channel] = 1.0
@@ -223,6 +230,7 @@ def mvdr_weights(cov: CovarianceField, reference_channel: int = 0) -> Beamformer
 def beamform(specs, bw: BeamformerWeights) -> Spectrogram:
     """Apply weights: output bin = weights^H observations."""
     specs = check_channels(specs)
+    bw = _checked("bw", bw, _weights)
     if len(specs) != bw.weights.shape[1]:
         raise DataError(
             f"{len(specs)} channels but weights expect {bw.weights.shape[1]}"

@@ -17,6 +17,8 @@ and direction; each channel's forward call adds its own feature product.
 The backward direction reads that forward-time sum reversed, so no reversed
 copy of the input is multiplied. Training keeps one product of the full
 input rows per direction, so its gradients are those of the plain network.
+Each epoch's validation sequences share the recurrent step loops of one
+batch_loss call, with the losses they get scored one at a time.
 """
 
 from __future__ import annotations
@@ -30,8 +32,16 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, NumericalError
-from .signal import FeatureStats, MaskGrid, logit_mask, to_log_features
-from .targets import TargetContext, TargetKind, compute_target, loss_with_grad
+from .signal import (
+    FeatureStats,
+    MaskGrid,
+    _feature_stats,
+    _mask_grid,
+    _spectrogram,
+    logit_mask,
+    to_log_features,
+)
+from .targets import TargetContext, TargetKind, _kind, compute_target, loss_with_grad
 from .util import (
     _array,
     _at_least,
@@ -55,6 +65,9 @@ MODEL_MAGIC = b"ASENH001"
 _GATES = 4
 # Parameter-name letter of each recurrent direction, forward first.
 _DIRECTIONS = "fb"
+# Bytes of recurrent step buffers that one group of batch_loss's
+# sequences may take; the group shares each layer's step loop.
+GROUP_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -164,27 +177,41 @@ def _lstm_forward(params, layer, x, zx=None):
     direction's state a one-row matrix for the batched recurrent product.
     Row [t, d, 0] of ``gates`` holds direction d's i, f, g, o at step t.
 
+    ``x`` may also be a list of B sequences of unequal length T_b. They
+    share the step loop on a direction axis of 2B rows, direction-major:
+    row d * B + b is sequence b in direction d, padded with zero input
+    products after its own T_b steps, so the backward row reads its
+    sequence reversed within its own length. Each row keeps its own copy
+    of the transposed recurrent weights, so its product, and every bit of
+    its outputs, is what the sequence gets alone. The list form returns
+    the list of each sequence's h and no cache.
+
     A step takes its views from one pass over the time-major arrays and
     writes every product and sum into buffers allocated once per call;
     the last argument of each ufunc and matmul call is its output.
     """
     names = [f"l{layer}.{d}." for d in _DIRECTIONS]
-    xs = (x, x[::-1])
+    seqs = [x] if isinstance(x, np.ndarray) else x
+    lengths = [len(s) for s in seqs]
+    rows = 2 * len(seqs)
     w_x = [params[p + "w_x"] for p in names]
     w_h = np.stack([params[p + "w_h"] for p in names])
-    w_h_t = np.swapaxes(w_h, 1, 2)
-    steps, width = x.shape[0], w_h.shape[2]
+    # A contiguous copy of w_h.T would change the product's bits.
+    w_h_t = np.swapaxes(np.repeat(w_h, len(seqs), axis=0), 1, 2)
+    steps, width = max(lengths), w_h.shape[2]
     if zx is None:
-        zx = np.stack([s @ w.T + params[p + "b"] for s, w, p in zip(xs, w_x, names)],
-                      axis=1)
+        zx = np.zeros((steps, rows, _GATES * width))
+        for b, s in enumerate(seqs):
+            for d, (part, w, p) in enumerate(zip((s, s[::-1]), w_x, names)):
+                zx[:len(s), d * len(seqs) + b] = part @ w.T + params[p + "b"]
     zx = zx[:, :, None]
-    gates = np.empty((steps, 2, 1, _GATES * width))
+    gates = np.empty((steps, rows, 1, _GATES * width))
     i, f, g, o = np.split(gates, _GATES, axis=3)
-    c, tanh_c, h = (np.empty((steps, 2, 1, width)) for _ in range(3))
-    z, zh = np.empty((2, 2, 1, _GATES * width))
+    c, tanh_c, h = (np.empty((steps, rows, 1, width)) for _ in range(3))
+    z, zh = np.empty((2, rows, 1, _GATES * width))
     z_g = z[..., 2 * width:3 * width]
-    fc, ig = np.empty((2, 2, 1, width))
-    h_prev = c_prev = np.zeros((2, 1, width))
+    fc, ig = np.empty((2, rows, 1, width))
+    h_prev = c_prev = np.zeros((rows, 1, width))
     for zx_t, gates_t, i_t, f_t, g_t, o_t, c_t, tanh_c_t, h_t in zip(
             zx, gates, i, f, g, o, c, tanh_c, h):
         np.matmul(h_prev, w_h_t, zh)
@@ -198,8 +225,11 @@ def _lstm_forward(params, layer, x, zx=None):
         np.multiply(o_t, tanh_c_t, h_t)
         h_prev = h_t
         c_prev = c_t
-    cache = (names, xs, w_x, w_h, gates, c, tanh_c, h)
-    return np.stack([h[:, 0, 0], h[::-1, 1, 0]]), cache
+    outputs = [np.stack([h[:n, b, 0], h[:n][::-1, len(seqs) + b, 0]])
+               for b, n in enumerate(lengths)]
+    if seqs is x:
+        return outputs, None
+    return outputs[0], (names, (x, x[::-1]), w_x, w_h, gates, c, tanh_c, h)
 
 
 def _lstm_backward(dh, cache, need_dx=True):
@@ -287,19 +317,23 @@ def _forward_pass(model: EnhancerModel, x: np.ndarray, zx=None):
     ``layers`` holds a layer's (h, lstm cache) pair, h being both
     directions' outputs as (2, T, H) in forward time. ``zx`` is handed to
     the first layer's _lstm_forward."""
-    params = model.params
     layers = []
     inp = x
     for layer in range(len(model.config.layer_sizes)):
-        h, cache = _lstm_forward(params, layer, inp, zx if layer == 0 else None)
+        h, cache = _lstm_forward(model.params, layer, inp, zx if layer == 0 else None)
         layers.append((h, cache))
         inp = _merge(h, model.config.merge_mode)
-    logits = inp @ params["out.w"].T + params["out.b"]
-    if model.config.output_activation == "sigmoid":
-        pred = expit(logits)
-    else:
-        pred = hard_sigmoid(logits)
+    pred, logits = _output(model, inp)
     return pred, (layers, inp, logits)
+
+
+def _output(model: EnhancerModel, merged: np.ndarray):
+    """The mask rows of one sequence's last merged layer output, and their
+    logits."""
+    logits = merged @ model.params["out.w"].T + model.params["out.b"]
+    if model.config.output_activation == "sigmoid":
+        return expit(logits), logits
+    return hard_sigmoid(logits), logits
 
 
 def _mask_products(model: EnhancerModel, logits: np.ndarray) -> np.ndarray:
@@ -373,6 +407,11 @@ def build_batch(
     kind: TargetKind,
 ) -> TrainBatch:
     """Assemble one sequence from spectrograms and the clustering mask."""
+    noisy_spec = _checked("noisy_spec", noisy_spec, _spectrogram)
+    messl_mask = _checked("messl_mask", messl_mask, _mask_grid)
+    clean_spec = _checked("clean_spec", clean_spec, _spectrogram)
+    stats = _checked("stats", stats, _feature_stats)
+    kind = _checked("kind", kind, _kind)
     inputs = _inputs(noisy_spec, logit_mask(messl_mask), stats)
     ctx = TargetContext.from_spectrograms(clean_spec, noisy_spec)
     target = np.ascontiguousarray(compute_target(ctx, kind).values.T)
@@ -403,13 +442,44 @@ def _batch_loss_and_grads(model: EnhancerModel, batch: TrainBatch):
     return value, grads
 
 
-def batch_loss(model: EnhancerModel, batch: TrainBatch) -> float:
-    """Loss of one sequence without gradient bookkeeping."""
-    pred, _ = _forward_pass(model, batch.inputs)
-    value, _ = loss_with_grad(
-        pred, model.config.target_kind, batch.target, batch.noisy_mag
-    )
-    return value
+def _groups(model: EnhancerModel, batches) -> list:
+    """``batches`` split, in order, into runs whose step buffers in
+    _lstm_forward, at the widest layer and padded to the run's longest
+    sequence, take at most GROUP_BYTES; each run holds at least one."""
+    frame_bytes = 2 * (2 * _GATES + 3) * max(model.config.layer_sizes) * 8
+    groups, steps = [], 0
+    for batch in batches:
+        steps = max(steps, len(batch.inputs))
+        if groups and (len(groups[-1]) + 1) * steps * frame_bytes <= GROUP_BYTES:
+            groups[-1].append(batch)
+        else:
+            groups.append([batch])
+            steps = len(batch.inputs)
+    return groups
+
+
+def batch_loss(model: EnhancerModel, batch):
+    """The loss of one sequence, or for a list of them the list of each
+    one's loss. A sequence's mask rows go through loss_with_grad, as in
+    training, and the gradient it returns is dropped.
+
+    A list runs through the recurrent layers in groups (_groups): each
+    layer's step loop advances every sequence of a group at once. Each
+    sequence then gets its own output layer and loss call, so every loss
+    is bit for bit that of the sequence scored alone.
+    """
+    batches = [batch] if isinstance(batch, TrainBatch) else batch
+    values = []
+    for group in _groups(model, batches):
+        merged = [b.inputs for b in group]
+        for layer in range(len(model.config.layer_sizes)):
+            h, _ = _lstm_forward(model.params, layer, merged)
+            merged = [_merge(h_b, model.config.merge_mode) for h_b in h]
+        for b, rows in zip(group, merged):
+            pred, _ = _output(model, rows)
+            value, _ = loss_with_grad(pred, model.config.target_kind, b.target, b.noisy_mag)
+            values.append(value)
+    return values if batches is batch else values[0]
 
 
 # Adam moment decay rates and denominator guard, and the global gradient
@@ -525,7 +595,7 @@ def train(
             _clip_grads(grads)
             optimizer.step(model.params, grads)
             total += value
-        val = float(np.mean([batch_loss(model, b) for b in val_batches]))
+        val = float(np.mean(batch_loss(model, val_batches)))
         if not np.isfinite(val):
             raise NumericalError(f"validation loss diverged at epoch {epoch}")
         history.append(

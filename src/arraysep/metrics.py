@@ -325,6 +325,8 @@ def seg_snr(
     Frames are non-overlapping; frames where the reference is silent are
     skipped. An all-silent reference is an error.
     """
+    estimate = _checked("estimate", estimate, _waveform)
+    reference = _checked("reference", reference, _waveform)
     if len(estimate) != len(reference):
         raise DataError("estimate and reference lengths differ")
     if frame_len < 1:

@@ -34,7 +34,7 @@ from .enhancer import (
 )
 from .fusion import CombineMode, combine_masks, fuse_channels
 from .metrics import SEG_FRAME, _estimates, _one_or_all, bss_eval, seg_snr
-from .scene import SceneRender, load_render
+from .scene import SceneRender, _scene_render, load_render
 from .signal import (
     FeatureStats,
     MaskGrid,
@@ -49,6 +49,7 @@ from .signal import (
 from .spatial_em import (
     MesslConfig,
     MesslResult,
+    _messl_config,
     binarize,
     default_delay_grid,
     run_em,
@@ -94,7 +95,7 @@ class PipelineConfig:
 
     _converters = dict(
         stft=_expect(StftConfig, "an StftConfig"),
-        messl=_expect(MesslConfig, "a MesslConfig"),
+        messl=_messl_config,
         combine_mode=_parsed(CombineMode), model_path=_optional(_string),
         messl_binarize_threshold=_optional(_fraction), seg_frame=_at_least(1),
     )
@@ -108,6 +109,9 @@ class PipelineConfig:
 
     def digest(self) -> str:
         return config_hash(self)
+
+
+_pipeline_config = _expect(PipelineConfig, "a PipelineConfig")
 
 
 @dataclass
@@ -180,6 +184,7 @@ def enhance(
     analyze(mixture, cfg, model) returns for a config that differs at most
     in combine_mode; only the combination and the stages after it run.
     """
+    cfg = _checked("cfg", cfg, _pipeline_config)
     if analysis is None:
         if model is None and cfg.model_path:
             model = _stage("load_model", load_model, cfg.model_path)
@@ -240,6 +245,7 @@ def evaluate_scene(
     scores as it would alone, bit for bit, and a list comes back.
     """
     batch = _checked("estimate", estimate, _estimates)
+    render = _checked("render", render, _scene_render)
     n = min(len(batch[0]), render.mixture.n_samples)
     batch = [Waveform(samples=wave.samples[:n], sample_rate=wave.sample_rate)
              for wave in batch]

@@ -61,6 +61,8 @@ SPEECH_F0_RANGE = (110.0, 220.0)
 SPEECH_PAUSE_FRACTION = 0.15
 SPEECH_NOISE_LEVEL = 0.12
 SPEECH_RMS = 0.15
+# The most float64 samples whose bytes a numpy array can count.
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
 # random_scene_spec: non-anchor channel gains are 1 +- up to this.
 GAIN_JITTER = 0.1
 # _one_pole: samples per chunk, and the warm-up each chunk runs from zero
@@ -139,6 +141,11 @@ class SceneRender:
         return self.mixture.sample_rate
 
 
+_scene_spec = _expect(SceneSpec, "a SceneSpec")
+_scene_render = _expect(SceneRender, "a SceneRender")
+_generator = _expect(np.random.Generator, "a numpy Generator")
+
+
 def _delay_parts(delays) -> list:
     """(whole-sample shift, kernel) per delay; None for no fractional part.
 
@@ -189,6 +196,7 @@ def fractional_delay(x: np.ndarray, delay: float) -> np.ndarray:
 
 def render_scene(spec: SceneSpec) -> SceneRender:
     """Render a scene into mixture, source images, and the noise image."""
+    spec = _checked("spec", spec, _scene_spec)
     n = max(len(src.signal) for src in spec.sources)
     rate = spec.sample_rate
     images = []
@@ -219,6 +227,7 @@ def ideal_masks(render: SceneRender, cfg: StftConfig) -> list:
     Returns one dict per channel mapping TargetKind to its grid, computed
     from the exact source image and the mixture at that channel.
     """
+    render = _checked("render", render, _scene_render)
     target = render.per_source_images[0]
     out = []
     for c in range(render.mixture.n_channels):
@@ -280,7 +289,12 @@ def speechlike_signal(
     """
     duration = _checked("duration", duration, _positive)
     sample_rate = _checked("sample_rate", sample_rate, _at_least(1))
-    n = int(round(duration * sample_rate))
+    rng = _checked("rng", rng, _generator)
+    count = duration * sample_rate
+    if count > _MAX_SAMPLES:
+        raise DataError(f"duration = {duration!r}: {count:.3g} samples at {sample_rate} Hz "
+                        f"are more than an array holds")
+    n = int(round(count))
     if n <= 0:
         raise DataError(f"duration {duration} s is under one sample at {sample_rate} Hz")
 
@@ -354,6 +368,7 @@ def random_scene_spec(
     remaining channels get random delays and mild gain jitter. snr_db sets
     the diffuse noise level relative to the target signal power.
     """
+    rng = _checked("rng", rng, _generator)
     if n_interferers < 0:
         raise DataError(f"n_interferers must not be negative, got {n_interferers}")
 
@@ -455,6 +470,7 @@ def load_scene_specs(path) -> list:
 
 def save_render(render: SceneRender, directory, extras: dict | None = None) -> None:
     """Write a render as a WAV set plus a manifest naming each role."""
+    render = _checked("render", render, _scene_render)
     os.makedirs(directory, exist_ok=True)
     manifest = {
         "sample_rate": render.sample_rate,

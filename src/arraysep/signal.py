@@ -18,7 +18,17 @@ import numpy as np
 import scipy.io.wavfile
 
 from .errors import DataError, NumericalError
-from .util import _array, _at_least, _checked, _expect, _fields, _located, _one_of, _optional
+from .util import (
+    _array,
+    _at_least,
+    _checked,
+    _expect,
+    _fields,
+    _located,
+    _one_of,
+    _optional,
+    _tuple_of,
+)
 
 AMP_FLOOR = 1e-8      # linear magnitude floor before dB conversion
 MASK_EPS = 1e-3       # clamp for ratio masks entering logit or log
@@ -198,7 +208,7 @@ class Spectrogram:
 def check_channels(specs) -> list:
     """The channel spectrograms of one capture as a list, checked to be
     nonempty and of one shape."""
-    specs = list(specs)
+    specs = list(_checked("specs", specs, _tuple_of(_spectrogram)))
     if not specs:
         raise DataError("need at least one channel")
     if any(s.bins.shape != specs[0].bins.shape for s in specs):
@@ -263,6 +273,9 @@ class FeatureStats:
         return cls(mean=feats.mean(axis=1), std=feats.std(axis=1))
 
 
+_feature_stats = _expect(FeatureStats, "a FeatureStats")
+
+
 def stft(wave: Waveform, cfg: StftConfig) -> Spectrogram:
     """Analyze a waveform into a one-sided complex spectrogram.
 
@@ -295,6 +308,7 @@ def istft(spec: Spectrogram) -> Waveform:
     the accumulated window product vanishes (the very signal edges) are
     left at zero.
     """
+    spec = _checked("spec", spec, _spectrogram)
     cfg = spec.config
     size, hop = cfg.window_size, cfg.hop_size
     window = make_window(cfg.window, size)
@@ -314,6 +328,8 @@ def _level_db(spec: Spectrogram) -> np.ndarray:
 
 def to_log_features(spec: Spectrogram, stats: FeatureStats) -> np.ndarray:
     """dB magnitudes normalized per frequency with the given stats."""
+    spec = _checked("spec", spec, _spectrogram)
+    stats = _checked("stats", stats, _feature_stats)
     if stats.mean.shape[0] != spec.n_freq:
         raise DataError(
             f"stats length {stats.mean.shape[0]} does not match {spec.n_freq} bins"
@@ -379,6 +395,7 @@ MASK_MAGIC = b"ASMASK1"
 
 def save_mask(mask: MaskGrid, path, config_digest: str = "-") -> None:
     """Write a mask as a text header plus flat little-endian float32 values."""
+    mask = _checked("mask", mask, _mask_grid)
     n_freq, n_frames = mask.values.shape
     header = MASK_MAGIC + (
         f"\nshape {n_freq} {n_frames}\nconfig {config_digest}\nend\n"

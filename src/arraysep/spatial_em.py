@@ -43,8 +43,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .signal import MaskGrid, check_channels
-from .util import _array, _at_least, _bool, _fields, _nonnegative, _optional
+from .signal import MaskGrid, _mask_grid, check_channels
+from .util import (
+    _array,
+    _at_least,
+    _bool,
+    _checked,
+    _expect,
+    _fields,
+    _finite,
+    _nonnegative,
+    _optional,
+)
 
 VAR_FLOOR = 1e-4          # rad^2, keeps residual Gaussians proper
 MAX_DELAY_CANDIDATES = 4097   # bounds the (sources, freqs, candidates) scores
@@ -101,6 +111,9 @@ class MesslConfig:
         if self.delay_grid.size < 2:
             return 0.0
         return float(np.min(np.diff(np.sort(self.delay_grid))))
+
+
+_messl_config = _expect(MesslConfig, "a MesslConfig")
 
 
 @dataclass
@@ -357,6 +370,7 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
     after the last M step, so masks and parameters are consistent. On
     convergence EM stops before an M step, so the last value repeats.
     """
+    cfg = _checked("cfg", cfg, _messl_config)
     grid = cfg.delay_grid
     phi, pairs, omega, correlation = _pair_phases(specs, cfg.reference_channel, grid)
     n_pairs, n_freq, n_frames = phi.shape
@@ -441,5 +455,7 @@ def run_em(specs, cfg: MesslConfig) -> MesslResult:
 
 
 def binarize(mask: MaskGrid, threshold: float = 0.5) -> MaskGrid:
-    """Hard 0/1 mask: one where the value strictly exceeds the threshold."""
-    return MaskGrid(values=mask.values > threshold)
+    """Hard 0/1 mask: one where the value strictly exceeds the finite
+    threshold."""
+    mask = _checked("mask", mask, _mask_grid)
+    return MaskGrid(values=mask.values > _checked("threshold", threshold, _finite))

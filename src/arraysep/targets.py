@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .signal import AMP_FLOOR, MASK_EPS, MaskGrid, Spectrogram
-from .util import _member
+from .signal import AMP_FLOOR, MASK_EPS, MaskGrid, Spectrogram, _mask_grid
+from .util import _checked, _expect, _member
 
 
 class TargetKind(enum.Enum):
@@ -55,8 +55,14 @@ class TargetContext:
         return cls(clean=clean, noisy=noisy, phase_diff=theta)
 
 
+_context = _expect(TargetContext, "a TargetContext")
+_kind = _expect(TargetKind, "a TargetKind")
+
+
 def compute_target(ctx: TargetContext, kind: TargetKind) -> MaskGrid:
     """Evaluate one target kind over the context's time-frequency grid."""
+    ctx = _checked("ctx", ctx, _context)
+    kind = _checked("kind", kind, _kind)
     clean_mag = np.abs(ctx.clean.bins)
     noisy_mag = np.maximum(np.abs(ctx.noisy.bins), AMP_FLOOR)
     cos_theta = np.cos(ctx.phase_diff)
@@ -66,10 +72,8 @@ def compute_target(ctx: TargetContext, kind: TargetKind) -> MaskGrid:
         values = np.clip(cos_theta * clean_mag / noisy_mag, 0.0, 1.0)
     elif kind is TargetKind.MA:
         values = clean_mag
-    elif kind is TargetKind.PA:
-        values = np.maximum(cos_theta * clean_mag, 0.0)
     else:
-        raise DataError(f"unknown target kind {kind}")
+        values = np.maximum(cos_theta * clean_mag, 0.0)
     return MaskGrid(values=values)
 
 
@@ -100,7 +104,9 @@ def signal_mse_with_grad(pred: np.ndarray, noisy_mag: np.ndarray, target: np.nda
 
 def loss(prediction: MaskGrid, ctx: TargetContext, kind: TargetKind) -> float:
     """Score a prediction grid against one target kind."""
-    pred = prediction.values
+    pred = _checked("prediction", prediction, _mask_grid).values
+    ctx = _checked("ctx", ctx, _context)
+    kind = _checked("kind", kind, _kind)
     if pred.shape != ctx.noisy.bins.shape:
         raise DataError(
             f"prediction shape {pred.shape} does not match context "

@@ -2,17 +2,20 @@
 
 Every container field that holds an array (Waveform samples, Spectrogram
 bins, MaskGrid values, FeatureStats vectors, MesslConfig's delay grid) and
-every array or number argument of fractional_delay, speechlike_signal and
-enhancer.forward is converted once, by util._array or a number converter.
-A function that takes a container (stft, apply_mask, logit_mask,
-fuse_channels, the scores) checks its type the same way, so a bare array
-is a DataError naming the argument. So any value at all, of the wrong
-rank, empty, NaN or infinite, complex, text, objects or a ragged list,
-either builds or returns, or raises a library error (DataError,
-NumericalError, OSError), and never warns: a complex array is rejected,
-not cut to its real part.
+every array or number argument of fractional_delay, speechlike_signal,
+binarize, mvdr_weights and enhancer.forward is converted once, by
+util._array or a number converter. A function that takes a container or
+a config (a spectrogram, mask, waveform, scene, covariance or weight
+container, a list of channels, an EM or pipeline config, a target kind or
+context, a random generator) checks its type the same way, so a bare
+array or None is a DataError naming the argument. So any value at all,
+of the wrong rank, empty, NaN or infinite, complex, text, objects or a
+ragged list, either builds or returns, or raises a library error
+(DataError, NumericalError, OSError), and never warns: a complex array
+is rejected, not cut to its real part.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -27,18 +30,39 @@ from arraysep import (
     MaskGrid,
     MesslConfig,
     MultichannelWaveform,
+    PipelineConfig,
     Spectrogram,
     StftConfig,
+    TargetContext,
+    TargetKind,
     Waveform,
     apply_mask,
+    beamform,
+    binarize,
     bss_eval,
+    build_batch,
+    compute_target,
+    enhance,
+    estimate_covariances,
+    evaluate_scene,
     forward,
     fractional_delay,
     fuse_channels,
+    ideal_masks,
     init_model,
+    istft,
     logit_mask,
+    loss,
+    mvdr_weights,
+    random_scene_spec,
+    render_scene,
+    run_em,
+    save_mask,
+    save_render,
+    seg_snr,
     speechlike_signal,
     stft,
+    to_log_features,
 )
 from arraysep.errors import DataError, NumericalError
 
@@ -50,6 +74,12 @@ SIGNAL = np.linspace(-0.5, 0.5, 6)
 WAVE = Waveform(SIGNAL, 16000)
 MASK = MaskGrid(values=np.ones((N_FREQ, 2)))
 SPEC = Spectrogram(bins=np.ones((N_FREQ, 2), complex), config=STFT, sample_rate=16000)
+SPECS = [SPEC, SPEC]
+STATS = FeatureStats(np.zeros(N_FREQ), np.ones(N_FREQ))
+CONTEXT = TargetContext.from_spectrograms(SPEC, SPEC)
+COVARIANCES = estimate_covariances(SPECS, MASK)
+WEIGHTS = mvdr_weights(COVARIANCES)
+MIXTURE = MultichannelWaveform.from_array(np.stack([SIGNAL, SIGNAL]), 16000)
 
 # Each call takes the one value under test; its other arguments are valid.
 CALLS = {
@@ -73,7 +103,84 @@ CALLS = {
     "apply_mask.spec": lambda v: apply_mask(MASK, v),
     "stft.wave": lambda v: stft(v, STFT),
     "fuse_channels.masks": fuse_channels,
+    "binarize.mask": binarize,
+    "binarize.threshold": lambda v: binarize(MASK, v),
+    "istft.spec": istft,
+    "to_log_features.spec": lambda v: to_log_features(v, STATS),
+    "to_log_features.stats": lambda v: to_log_features(SPEC, v),
+    "save_mask.mask": lambda v: save_mask(v, os.devnull),
+    "seg_snr.estimate": lambda v: seg_snr(v, WAVE, 2),
+    "seg_snr.reference": lambda v: seg_snr(WAVE, v, 2),
+    "compute_target.ctx": lambda v: compute_target(v, TargetKind.IA),
+    "compute_target.kind": lambda v: compute_target(CONTEXT, v),
+    "loss.prediction": lambda v: loss(v, CONTEXT, TargetKind.IA),
+    "loss.ctx": lambda v: loss(MASK, v, TargetKind.IA),
+    "loss.kind": lambda v: loss(MASK, CONTEXT, v),
+    "build_batch.noisy_spec": lambda v: build_batch(v, MASK, SPEC, STATS, TargetKind.IA),
+    "build_batch.messl_mask": lambda v: build_batch(SPEC, v, SPEC, STATS, TargetKind.IA),
+    "build_batch.clean_spec": lambda v: build_batch(SPEC, MASK, v, STATS, TargetKind.IA),
+    "build_batch.stats": lambda v: build_batch(SPEC, MASK, SPEC, v, TargetKind.IA),
+    "build_batch.kind": lambda v: build_batch(SPEC, MASK, SPEC, STATS, v),
+    "run_em.specs": lambda v: run_em(v, MesslConfig()),
+    "run_em.cfg": lambda v: run_em(SPECS, v),
+    "estimate_covariances.specs": lambda v: estimate_covariances(v, MASK),
+    "mvdr_weights.cov": mvdr_weights,
+    "mvdr_weights.reference_channel": lambda v: mvdr_weights(COVARIANCES, v),
+    "beamform.specs": lambda v: beamform(v, WEIGHTS),
+    "beamform.bw": lambda v: beamform(SPECS, v),
+    "enhance.cfg": lambda v: enhance(MIXTURE, v),
+    "evaluate_scene.render": lambda v: evaluate_scene(WAVE, v),
+    "render_scene.spec": render_scene,
+    "ideal_masks.render": lambda v: ideal_masks(v, STFT),
+    "save_render.render": lambda v: save_render(v, os.devnull),
+    "random_scene_spec.rng": lambda v: random_scene_spec(v, duration=0.001, sample_rate=8000),
+    "speechlike_signal.rng": lambda v: speechlike_signal(0.001, 8000, v),
 }
+
+# Container and config arguments: the name each error gives, and the type
+# the argument must be. A bare array or None in its place is a DataError.
+CONTAINERS = {
+    "binarize.mask": ("mask", "MaskGrid"),
+    "istft.spec": ("spec", "Spectrogram"),
+    "to_log_features.spec": ("spec", "Spectrogram"),
+    "to_log_features.stats": ("stats", "FeatureStats"),
+    "save_mask.mask": ("mask", "MaskGrid"),
+    "seg_snr.estimate": ("estimate", "Waveform"),
+    "seg_snr.reference": ("reference", "Waveform"),
+    "compute_target.ctx": ("ctx", "TargetContext"),
+    "compute_target.kind": ("kind", "TargetKind"),
+    "loss.prediction": ("prediction", "MaskGrid"),
+    "loss.ctx": ("ctx", "TargetContext"),
+    "loss.kind": ("kind", "TargetKind"),
+    "build_batch.noisy_spec": ("noisy_spec", "Spectrogram"),
+    "build_batch.messl_mask": ("messl_mask", "MaskGrid"),
+    "build_batch.clean_spec": ("clean_spec", "Spectrogram"),
+    "build_batch.stats": ("stats", "FeatureStats"),
+    "build_batch.kind": ("kind", "TargetKind"),
+    "run_em.specs": ("specs", "list"),
+    "run_em.cfg": ("cfg", "MesslConfig"),
+    "estimate_covariances.specs": ("specs", "list"),
+    "mvdr_weights.cov": ("cov", "CovarianceField"),
+    "beamform.specs": ("specs", "list"),
+    "beamform.bw": ("bw", "BeamformerWeights"),
+    "enhance.cfg": ("cfg", "PipelineConfig"),
+    "evaluate_scene.render": ("render", "SceneRender"),
+    "render_scene.spec": ("spec", "SceneSpec"),
+    "ideal_masks.render": ("render", "SceneRender"),
+    "save_render.render": ("render", "SceneRender"),
+    "random_scene_spec.rng": ("rng", "numpy Generator"),
+    "speechlike_signal.rng": ("rng", "numpy Generator"),
+}
+BARE = np.ones((N_FREQ, 2))
+
+
+def _examples(cases):
+    """One hypothesis @example per (call name, value) case."""
+    def apply(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return apply
 
 # Arrays of up to three axes of up to four entries, so that some of every
 # rank and size match what their call expects and build.
@@ -121,6 +228,14 @@ MALFORMED = st.one_of(
 @example("apply_mask.spec", np.ones((N_FREQ, 2)))
 @example("stft.wave", SIGNAL)
 @example("fuse_channels.masks", np.ones((2, 2)))
+@example("speechlike_signal.duration", 1e300)
+@example("speechlike_signal.duration", 1e18)
+@example("speechlike_signal.duration", 1e308)
+@example("binarize.threshold", np.nan)
+@example("binarize.threshold", np.inf)
+@example("mvdr_weights.reference_channel", None)
+@example("mvdr_weights.reference_channel", BARE)
+@_examples([(name, value) for name in CONTAINERS for value in (BARE, None)])
 @given(st.sampled_from(sorted(CALLS)), MALFORMED)
 def test_any_array_builds_or_raises_a_library_error(name, value):
     with warnings.catch_warnings():
@@ -159,6 +274,12 @@ def test_any_array_builds_or_raises_a_library_error(name, value):
     ("apply_mask.spec", np.ones((N_FREQ, 2)), "spec", "ndarray is not a Spectrogram"),
     ("stft.wave", SIGNAL, "wave", "ndarray is not a Waveform"),
     ("fuse_channels.masks", np.ones((2, 2)), "masks", "ndarray is not a list"),
+    ("speechlike_signal.duration", 1e300, "duration", "are more than an array holds"),
+    ("speechlike_signal.duration", 1e18, "duration", "are more than an array holds"),
+    ("binarize.threshold", np.nan, "threshold", "expected a finite number"),
+    ("mvdr_weights.reference_channel", None, "reference_channel", "argument must be"),
+    *[(name, value, field, f"{type(value).__name__} is not a {kind}")
+      for name, (field, kind) in CONTAINERS.items() for value in (BARE, None)],
 ])
 def test_a_rejected_value_names_its_field(name, value, field, condition):
     with warnings.catch_warnings():

@@ -290,6 +290,24 @@ def test_lstm_matches_per_gate_reference_bit_for_bit(steps, width):
     assert np.array_equal(dx, dx_ref[0] + dx_ref[1])
 
 
+@pytest.mark.parametrize("width", [1, 3, 32])
+def test_lstm_batch_of_unequal_lengths_matches_the_reference_bit_for_bit(width):
+    # One step loop over 2B rows: each sequence, padded to the longest,
+    # must give per direction the one-direction reference run alone.
+    gen = np.random.default_rng(60 + width)
+    dim = 10
+    params = _lstm_params(gen, width, dim)
+    seqs = [2.0 * gen.standard_normal((steps, dim)) for steps in (40, 1, 147, 2, 40)]
+    hs, cache = _lstm_forward(params, 0, seqs)
+    assert cache is None and len(hs) == len(seqs)
+    for x, h in zip(seqs, hs):
+        assert h.shape == (2, len(x), width)
+        for row, (d, step) in enumerate((("f", 1), ("b", -1))):
+            w_x, w_h, b = (params[f"l0.{d}.{p}"] for p in ("w_x", "w_h", "b"))
+            h_ref, _ = _reference_lstm_forward(w_x, w_h, b, x[::step])
+            assert np.array_equal(h[row], h_ref[::step]), (len(x), d)
+
+
 def _lstm_params(gen, width, dim):
     params = {}
     for d in "fb":
@@ -427,6 +445,49 @@ def test_training_deterministic():
         assert hist_a == hist_b
         for key in model_a.params:
             np.testing.assert_array_equal(model_a.params[key], model_b.params[key])
+
+
+@pytest.mark.parametrize("sizes", [(3,), (5, 4)])
+@pytest.mark.parametrize("mode", MERGE_MODES)
+@pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
+@pytest.mark.parametrize("kind", list(TargetKind))
+def test_batch_loss_of_a_list_equals_each_training_loss_bit_for_bit(
+        sizes, mode, activation, kind, monkeypatch):
+    # The list shares each layer's step loop in groups; every loss must be
+    # the training forward pass's value for its sequence alone, however
+    # the list is grouped.
+    config = EnhancerConfig(layer_sizes=sizes, merge_mode=mode,
+                            output_activation=activation, target_kind=kind)
+    model = _random_model(config, 4, seed=13)
+    batches = [_random_batch(config, 4, n_frames=n, seed=40 + n) for n in (6, 1, 13, 2, 13)]
+    want = [_batch_loss_and_grads(model, b)[0] for b in batches]
+    assert batch_loss(model, batches) == want
+    assert [batch_loss(model, b) for b in batches] == want
+    # Room for 26 padded frames at the widest layer: (6, 1), (13, 2), (13).
+    frame_bytes = 2 * 11 * max(sizes) * 8
+    monkeypatch.setattr(enhancer_module, "GROUP_BYTES", 26 * frame_bytes)
+    assert [len(g) for g in enhancer_module._groups(model, batches)] == [2, 2, 1]
+    assert batch_loss(model, batches) == want
+
+
+def test_train_scores_its_validation_set_in_one_batch_loss_call_per_epoch(monkeypatch):
+    # The benchmark's traced training run records an enhancer.batch_loss
+    # span, and the validation set shares its step loops only in one call.
+    config = EnhancerConfig(layer_sizes=(4,))
+    model = init_model(config, n_freq=4, feature_stats=_stats(4), seed=7)
+    batches = [_random_batch(config, 4, n_frames=n, seed=n) for n in (5, 9, 3, 9)]
+    calls = []
+
+    def counted(model, batch):
+        calls.append(batch)
+        return original(model, batch)
+
+    original = enhancer_module.batch_loss
+    monkeypatch.setattr(enhancer_module, "batch_loss", counted)
+    _, history = train(model, batches[:1], batches[1:],
+                       TrainSettings(learning_rate=1e-2, max_epochs=3, patience=3))
+    assert len(history) == 3
+    assert [[id(b) for b in call] for call in calls] == [[id(b) for b in batches[1:]]] * 3
 
 
 def test_returned_model_holds_best_validation_params():
